@@ -39,8 +39,6 @@ func main() {
 		maxMPL   = flag.Int("max-mpl", 3, "train mixes at MPLs up to this (bounds the mix sizes the server can price)")
 		shards   = flag.Int("shards", 0, "serving shard count (0 = GOMAXPROCS)")
 		ring     = flag.Int("ring", 0, "per-shard feedback ring capacity (0 = default 1024)")
-		bwindow  = flag.Duration("batch-window", 0, "coalesce single predictions arriving within this window into one batch call (0 disables)")
-		maxCoal  = flag.Int("max-coalesce", 0, "cap one coalesced batch (0 = default 256)")
 		maxBatch = flag.Int("max-batch", 0, "cap the mixes of one predict_batch request (0 = default 4096)")
 		rate     = flag.Float64("rate", 0, "admission token-bucket rate per connection, requests/s (0 disables)")
 		burst    = flag.Int("burst", 0, "admission token-bucket burst (0 = one second of rate)")
@@ -75,12 +73,6 @@ func main() {
 	}
 	if *ring > 0 {
 		sopts = append(sopts, contender.WithFeedbackRing(*ring))
-	}
-	if *bwindow > 0 {
-		sopts = append(sopts, contender.WithBatchWindow(*bwindow))
-	}
-	if *maxCoal > 0 {
-		sopts = append(sopts, contender.WithMaxCoalesce(*maxCoal))
 	}
 	if *maxBatch > 0 {
 		sopts = append(sopts, contender.WithMaxBatch(*maxBatch))

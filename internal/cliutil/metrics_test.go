@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -76,9 +77,18 @@ func TestServeMetricsEndpoints(t *testing.T) {
 		t.Errorf("/blame missing the pair report:\n%s", body)
 	}
 
+	// The campaign span above observed one histogram sample, so the
+	// expvar tree carries a +Inf bucket bound; the document must still
+	// be valid JSON.
 	body, _ = get("/debug/vars")
 	if !strings.Contains(body, "contender_metrics") {
 		t.Error("/debug/vars does not publish contender_metrics")
+	}
+	if !json.Valid([]byte(body)) {
+		t.Errorf("/debug/vars is not valid JSON:\n%s", body)
+	}
+	if !strings.Contains(body, `"le":"+Inf"`) {
+		t.Errorf("/debug/vars does not render the infinite bucket bound as \"+Inf\":\n%s", body)
 	}
 
 	body, _ = get("/debug/pprof/cmdline")

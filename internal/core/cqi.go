@@ -42,19 +42,26 @@ func (idx *cqiIndex) intensitySlot(ci int, omega, tau float64) float64 {
 	return r
 }
 
-// cqiSlot is the shared CQI kernel: mean competing intensity of the
+// cqiSlot is the one CQI kernel: mean competing intensity of the
 // concurrent templates against the primary in slot pi. ω comes from one
 // row of the pairwise slab; τ is mix-dependent (Eq. 3) and computed per
-// concurrent query without allocating.
+// concurrent query without allocating. When terms is non-nil (it must
+// hold len(concurrent) entries), each neighbor's r_c term (Eq. 4) is
+// recorded into it in summation order, so PredictExplain's decomposition
+// comes from the very loop that sums the CQI.
 //
 //contender:hotpath
-func (idx *cqiIndex) cqiSlot(pi int, concurrent []int) float64 {
+func (idx *cqiIndex) cqiSlot(pi int, concurrent []int, terms []float64) float64 {
 	base := pi * idx.n
 	var sum float64
-	for _, id := range concurrent {
+	for i, id := range concurrent {
 		ci := idx.mustPos(id)
 		tau := idx.tauSlot(pi, ci, concurrent)
-		sum += idx.intensitySlot(ci, idx.omega[base+ci], tau)
+		term := idx.intensitySlot(ci, idx.omega[base+ci], tau)
+		if terms != nil {
+			terms[i] = term
+		}
+		sum += term
 	}
 	return sum / float64(len(concurrent))
 }
@@ -72,7 +79,7 @@ func (k *Knowledge) CQI(primary int, concurrent []int) float64 {
 		return 0
 	}
 	idx := k.index()
-	return idx.cqiSlot(idx.mustPos(primary), concurrent)
+	return idx.cqiSlot(idx.mustPos(primary), concurrent, nil)
 }
 
 // CQIForStats is CQI with an explicit primary — used when the primary is an

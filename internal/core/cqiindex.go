@@ -230,6 +230,8 @@ func (idx *cqiIndex) posOf(id int) int {
 
 // mustPos resolves a template ID to its index slot, panicking like
 // MustTemplate on unknown IDs (a programming error in experiment wiring).
+// The prediction entry points never reach the panic: Predictor.price
+// checks every ID with posOf first and returns ErrUnknownTemplate.
 //
 //contender:hotpath
 func (idx *cqiIndex) mustPos(id int) int {

@@ -13,11 +13,11 @@ import (
 // so a prediction decomposes exactly: each neighbor owns one additive
 // share of the interaction that separates the served latency from the
 // zero-contention baseline. PredictExplain exposes that decomposition
-// without changing a single float operation: it replays cqiSlot's loop
-// term by term, recording each neighbor's intensity in the identical
-// summation order, so the reconstructed CQI — and therefore the served
-// latency — is bit-identical to PredictKnown by construction, not by
-// tolerance.
+// without changing a single float operation: it prices the mix through
+// the same body as PredictKnown and hands cqiSlot a term sink, so each
+// neighbor's intensity is recorded by the very loop that sums it. The
+// reconstructed CQI — and therefore the served latency — is
+// bit-identical to PredictKnown by structure, not by tolerance.
 
 // ExplainBuffer receives one PredictExplain decomposition. Like
 // PredictBuffer it is caller-owned scratch: after the first call of a
@@ -111,31 +111,14 @@ func (p *Predictor) PredictExplain(buf *ExplainBuffer, primary int, concurrent [
 
 //contender:hotpath
 func (p *Predictor) predictExplain(buf *ExplainBuffer, primary int, concurrent []int) (float64, error) {
-	idx := p.Know.index()
-	s := p.serving(idx)
-	cell, si, err := p.cellFor(s, idx, primary, len(concurrent))
+	buf.prepare(len(concurrent))
+	cell, r, err := p.price(primary, concurrent, buf.Intensity)
 	if err != nil {
 		buf.reset()
 		return 0, err
 	}
-	// cqiSlot's loop, verbatim, with each term recorded before it joins
-	// the running sum. Keeping the iteration order, the τ/ω resolution,
-	// and the final division identical is what makes the aggregate
-	// bit-identical to PredictKnown.
-	buf.prepare(len(concurrent))
-	base := si * idx.n
-	var sum float64
-	for i, id := range concurrent {
-		ci := idx.mustPos(id)
-		tau := idx.tauSlot(si, ci, concurrent)
-		term := idx.intensitySlot(ci, idx.omega[base+ci], tau)
-		buf.Neighbors[i] = id
-		buf.Intensity[i] = term
-		sum += term
-	}
+	copy(buf.Neighbors, concurrent)
 	m := float64(len(concurrent))
-	r := sum / m
-
 	buf.Primary = primary
 	buf.MPL = len(concurrent) + 1
 	buf.CQI = r

@@ -90,6 +90,7 @@ func TestPredictExplainErrors(t *testing.T) {
 		{"empty mix", 1, nil, ErrEmptyMix},
 		{"untrained MPL", 1, []int{2, 3, 4}, ErrUntrainedMPL},
 		{"unknown primary", 999, []int{2}, ErrUnknownTemplate},
+		{"unknown concurrent", 1, []int{2, 999}, ErrUnknownTemplate},
 	}
 	for _, tc := range cases {
 		if _, err := p.PredictExplain(&buf, 1, []int{2, 3}); err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"contender/internal/obs"
@@ -10,54 +9,14 @@ import (
 
 // Batch prediction: schedulers and admission controllers evaluate many
 // candidate mixes per decision (which queued query to dispatch next, which
-// MPL keeps the SLO). PredictBatch runs the whole decision through a
-// vectorized kernel behind a reusable buffer:
-//
-//   - Candidate mixes are sorted by a content signature and deduplicated,
-//     so a mix the scheduler proposes repeatedly (common when candidate
-//     sets are generated combinatorially) is priced once and its result
-//     fanned out to every duplicate. Only byte-identical sequences merge:
-//     CQI sums floats in mix order, so permutations of one set may differ
-//     in the last bit and are deliberately not coalesced.
-//   - The ω partial sum of Eq. 4's numerator (ioSecs − ω, the part that
-//     depends only on the primary and one concurrent template) is cached
-//     per template slot across the whole batch — and across successive
-//     batches for the same primary.
-//   - The h_f sharing counts of Eq. 3 are built once per mix in a scratch
-//     table indexed by interned table ID, turning the τ computation from
-//     O(|mix|²·scans) membership tests into O(|mix|·scans) array ops.
-//
-// Results are bit-identical to calling PredictKnown per mix; the batch
-// kernel only reassociates work, never floats.
+// MPL keeps the SLO). PredictBatch prices them all through the same body
+// as PredictKnown, so results are bit-identical by construction, into a
+// reusable result slice so the decision loop stays allocation-free.
 
-// PredictBuffer is reusable scratch for batch prediction. The zero value is
-// ready to use; a buffer must not be shared between goroutines. Scratch is
-// keyed by the knowledge snapshot and primary it last served, so reuse
-// across different primaries or knowledge mutations is safe and detected
-// automatically.
+// PredictBuffer holds the result slice of PredictBatch. The zero value is
+// ready to use; a buffer must not be shared between goroutines.
 type PredictBuffer struct {
 	out []float64
-
-	// Scratch validity keys: the index snapshot sizes the slot/table
-	// scratch; the primary keys the slack cache.
-	idx     *cqiIndex
-	primary int
-
-	// slack[ci] caches ioSecs(ci) − ω(primary, ci) for the current
-	// primary; slackStamp/slackEpoch version entries so switching
-	// primaries is O(1).
-	slack      []float64
-	slackStamp []uint32
-	slackEpoch uint32
-
-	// hcnt[tid] counts the concurrent queries of the current mix truly
-	// scanning interned table tid (the h_f of Eq. 3), epoch-versioned per
-	// mix.
-	hcnt   []int32
-	hStamp []uint32
-	hEpoch uint32
-
-	sorter mixSorter
 }
 
 // Results returns the predictions of the most recent successful
@@ -65,67 +24,12 @@ type PredictBuffer struct {
 // buffer; after a failed call it is empty.
 func (b *PredictBuffer) Results() []float64 { return b.out }
 
-// mixSorter orders batch positions by mix signature, then lexicographic
-// content, then original position — grouping identical mixes adjacently
-// and deterministically. It lives inside PredictBuffer so sort.Sort sees a
-// pre-boxed pointer and the hot path stays allocation-free.
-type mixSorter struct {
-	ord   []int32
-	keys  []uint64
-	mixes [][]int
-}
-
-func (s *mixSorter) Len() int      { return len(s.ord) }
-func (s *mixSorter) Swap(i, j int) { s.ord[i], s.ord[j] = s.ord[j], s.ord[i] }
-func (s *mixSorter) Less(i, j int) bool {
-	a, b := s.ord[i], s.ord[j]
-	if s.keys[a] != s.keys[b] {
-		return s.keys[a] < s.keys[b]
-	}
-	ma, mb := s.mixes[a], s.mixes[b]
-	if len(ma) != len(mb) {
-		return len(ma) < len(mb)
-	}
-	for k := range ma {
-		if ma[k] != mb[k] {
-			return ma[k] < mb[k]
-		}
-	}
-	return a < b
-}
-
-// mixKey is an FNV-1a fold of a mix's exact ID sequence — a grouping
-// signature for the dedup sort, always confirmed by eqMix.
-//
-//contender:hotpath
-func mixKey(mix []int) uint64 {
-	h := uint64(14695981039346656037)
-	for _, id := range mix {
-		h ^= uint64(id)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// eqMix reports whether two mixes are the same ID sequence.
-//
-//contender:hotpath
-func eqMix(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // PredictBatch is PredictKnown evaluated for each candidate mix of the
 // same primary, writing into buf's storage. The returned slice aliases
 // the buffer and is valid until the next call. Mixes may have different
-// MPLs; each must have a trained reference model and continuum.
+// MPLs; each must have a trained reference model and continuum. The call
+// is all-or-nothing: the first failing mix (in input order) is named in
+// the error and no partial results remain in the buffer.
 // A batch emits a single serve.predict_batch span (Value = number of
 // mixes) rather than one serve.predict_known span per mix, so observer
 // overhead stays O(1) per scheduling decision.
@@ -153,157 +57,23 @@ func (p *Predictor) predictBatch(buf *PredictBuffer, primary int, mixes [][]int)
 	if buf == nil {
 		return nil, fmt.Errorf("core: PredictBatch needs a non-nil buffer")
 	}
-	idx := p.Know.index()
-	s := p.serving(idx)
-	buf.prepare(idx, primary, len(mixes))
-
-	// Validate every mix in input order first, so errors surface with the
-	// same index and message a per-mix PredictKnown loop would report, and
-	// a mid-batch failure never leaves partial results behind.
+	buf.out = growSlice(buf.out, len(mixes))
 	for i, mix := range mixes {
-		if _, _, err := p.cellFor(s, idx, primary, len(mix)); err != nil {
+		cell, r, err := p.price(primary, mix, nil)
+		if err != nil {
 			buf.out = buf.out[:0]
 			return nil, fmt.Errorf("core: batch mix %d: %w", i, err)
 		}
+		buf.out[i] = cell.latency(r)
 	}
-
-	// Group identical mixes adjacently; compute each group once.
-	st := &buf.sorter
-	st.mixes = mixes
-	for i := range mixes {
-		st.ord[i] = int32(i)
-		st.keys[i] = mixKey(mixes[i])
-	}
-	sort.Sort(st)
-
-	out := buf.out
-	rep := int32(-1) // representative position of the current equal-run
-	for _, cur := range st.ord {
-		if rep >= 0 && st.keys[cur] == st.keys[rep] && eqMix(mixes[cur], mixes[rep]) {
-			out[cur] = out[rep]
-			continue
-		}
-		cell, si, _ := p.cellFor(s, idx, primary, len(mixes[cur]))
-		out[cur] = cell.latency(buf.cqiBatch(idx, si, mixes[cur]))
-		rep = cur
-	}
-	st.mixes = nil
-	return out, nil
+	return buf.out, nil
 }
 
-// prepare sizes the buffer's scratch for an index snapshot, primary, and
-// batch size, invalidating caches whose keys changed. It may allocate on
-// growth; the steady state (same snapshot, warm capacity) does not.
-func (b *PredictBuffer) prepare(idx *cqiIndex, primary, n int) {
-	if b.idx != idx {
-		b.idx = idx
-		b.primary = primary
-		b.slack = growSlice(b.slack, idx.n)
-		b.slackStamp = growSlice(b.slackStamp, idx.n)
-		clearSlice(b.slackStamp)
-		b.slackEpoch = 1
-		b.hcnt = growSlice(b.hcnt, len(idx.tables))
-		b.hStamp = growSlice(b.hStamp, len(idx.tables))
-		clearSlice(b.hStamp)
-		b.hEpoch = 0
-	} else if b.primary != primary {
-		b.primary = primary
-		b.slackEpoch++
-		if b.slackEpoch == 0 {
-			clearSlice(b.slackStamp)
-			b.slackEpoch = 1
-		}
-	}
-	b.out = growSlice(b.out, n)
-	b.sorter.ord = growSlice(b.sorter.ord, n)
-	b.sorter.keys = growSlice(b.sorter.keys, n)
-}
-
+// growSlice returns s resized to n, reallocating only when its capacity
+// is short — the steady state (warm capacity) does not allocate.
 func growSlice[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-func clearSlice[T any](s []T) {
-	var zero T
-	for i := range s {
-		s[i] = zero
-	}
-}
-
-// cqiBatch is cqiSlot with the batch caches applied: the per-slot slack
-// term ioSecs − ω is reused across mixes, and the h_f counts of Eq. 3 are
-// tabulated once per mix instead of rescanning the mix per concurrent
-// query. The float operations and their order are exactly cqiSlot's, so
-// the result is bit-identical.
-//
-//contender:hotpath
-func (b *PredictBuffer) cqiBatch(idx *cqiIndex, pi int, concurrent []int) float64 {
-	b.hEpoch++
-	if b.hEpoch == 0 {
-		clearSlice(b.hStamp)
-		b.hEpoch = 1
-	}
-	for _, id := range concurrent {
-		ci := idx.mustPos(id)
-		h := &idx.hot[ci]
-		for k := h.scanOff; k < h.scanEnd; k++ {
-			tid := idx.scanTID[k]
-			if !idx.scanBit(ci, int(tid)) {
-				continue
-			}
-			if b.hStamp[tid] != b.hEpoch {
-				b.hStamp[tid] = b.hEpoch
-				b.hcnt[tid] = 0
-			}
-			b.hcnt[tid]++
-		}
-	}
-
-	base := pi * idx.n
-	var sum float64
-	for _, id := range concurrent {
-		ci := idx.mustPos(id)
-		h := &idx.hot[ci]
-		var tau float64
-		for k := h.scanOff; k < h.scanEnd; k++ {
-			tid := idx.scanTID[k]
-			if idx.scanBit(pi, int(tid)) {
-				continue
-			}
-			hf := int32(0)
-			if b.hStamp[tid] == b.hEpoch {
-				hf = b.hcnt[tid]
-			}
-			if hf > 1 {
-				tau += (1 - 1/float64(hf)) * idx.scanSec[k]
-			}
-		}
-		if h.iso <= 0 {
-			continue
-		}
-		var slack float64
-		if b.slackStamp[ci] == b.slackEpoch {
-			slack = b.slack[ci]
-		} else {
-			slack = h.ioSecs - idx.omega[base+ci]
-			b.slack[ci] = slack
-			b.slackStamp[ci] = b.slackEpoch
-		}
-		r := (slack - tau) / h.iso
-		if r < 0 {
-			r = 0
-		}
-		sum += r
-	}
-	return sum / float64(len(concurrent))
-}
-
-// Prime forces the knowledge base's hot-path index and the serving index
-// to be built now, so the first prediction served to a latency-sensitive
-// caller does not pay the one-time construction cost.
-func (p *Predictor) Prime() {
-	p.serving(p.Know.index())
 }

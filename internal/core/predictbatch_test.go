@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	obspkg "contender/internal/obs"
@@ -46,10 +48,9 @@ func TestPredictBatchMatchesPredictKnown(t *testing.T) {
 }
 
 // TestPredictBufferReuseAcrossPrimaries reuses one buffer for different
-// primaries and after knowledge mutations: the slack cache is keyed by
-// (index snapshot, primary), so stale entries surviving either switch
-// would skew results. Every batch must stay bit-identical to per-mix
-// PredictKnown.
+// primaries and after knowledge mutations: nothing a buffer carries over
+// from a previous call may skew results. Every batch must stay
+// bit-identical to per-mix PredictKnown.
 func TestPredictBufferReuseAcrossPrimaries(t *testing.T) {
 	k, obs := predictorFixture(t)
 	p, err := Train(k, obs, TrainOptions{})
@@ -75,10 +76,10 @@ func TestPredictBufferReuseAcrossPrimaries(t *testing.T) {
 		}
 	}
 	check(2)
-	check(5) // different primary, same buffer: slack cache must reset
+	check(5) // different primary, same buffer
 	check(2) // and back
-	// A knowledge mutation invalidates the index; the buffer must detect
-	// the new snapshot and rebuild its scratch.
+	// A knowledge mutation invalidates the index; the next batch must
+	// price against the new snapshot.
 	k.SetScanTime("F", 140)
 	check(2)
 	check(5)
@@ -100,10 +101,12 @@ func TestPredictBatchErrorRecovery(t *testing.T) {
 		primary int
 		mixes   [][]int
 		sent    error
+		at      int // index of the failing mix the error must name
 	}{
-		{"empty mix mid-batch", 1, [][]int{{2}, {}, {3}}, ErrEmptyMix},
-		{"untrained MPL mid-batch", 1, [][]int{{2}, {2, 3, 4}, {3}}, ErrUntrainedMPL},
-		{"unknown primary", 999, [][]int{{2}, {3}}, ErrUnknownTemplate},
+		{"empty mix mid-batch", 1, [][]int{{2}, {}, {3}}, ErrEmptyMix, 1},
+		{"untrained MPL mid-batch", 1, [][]int{{2}, {2, 3, 4}, {3}}, ErrUntrainedMPL, 1},
+		{"unknown primary", 999, [][]int{{2}, {3}}, ErrUnknownTemplate, 0},
+		{"unknown concurrent mid-batch", 1, [][]int{{2}, {3}, {4, 999}, {5}}, ErrUnknownTemplate, 2},
 	}
 	for _, tc := range fail {
 		if _, err := p.PredictBatch(&buf, 1, good); err != nil {
@@ -112,6 +115,9 @@ func TestPredictBatchErrorRecovery(t *testing.T) {
 		_, err := p.PredictBatch(&buf, tc.primary, tc.mixes)
 		if !errors.Is(err, tc.sent) {
 			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.sent)
+		}
+		if want := fmt.Sprintf("batch mix %d:", tc.at); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err %q does not name %q", tc.name, err, want)
 		}
 		if res := buf.Results(); len(res) != 0 {
 			t.Errorf("%s: Results() holds %d entries after a failed batch, want 0", tc.name, len(res))
@@ -132,10 +138,10 @@ func TestPredictBatchErrorRecovery(t *testing.T) {
 	}
 }
 
-// TestPredictBatchDuplicates checks the dedup stage: identical mixes get
-// identical (shared) results in input order, while permutations of one
-// set are computed independently — CQI sums in mix order, so they are
-// only equal if the float sums happen to agree.
+// TestPredictBatchDuplicates checks repeated and permuted mixes: identical
+// mixes get identical results in input order, while permutations of one
+// set are priced independently — CQI sums in mix order, so they are only
+// equal if the float sums happen to agree.
 func TestPredictBatchDuplicates(t *testing.T) {
 	k, obs := predictorFixture(t)
 	p, err := Train(k, obs, TrainOptions{})
@@ -177,6 +183,9 @@ func TestPredictBatchErrors(t *testing.T) {
 	}
 	if _, err := p.PredictBatch(&buf, 1, [][]int{{2}, {}}); err == nil {
 		t.Error("empty mix accepted (MPL 1 has no model)")
+	}
+	if _, err := p.PredictBatch(&buf, 1, [][]int{{2}, {3, 999}}); !errors.Is(err, ErrUnknownTemplate) {
+		t.Errorf("unknown concurrent template: err = %v, want ErrUnknownTemplate", err)
 	}
 }
 

@@ -142,14 +142,36 @@ func (p *Predictor) PredictKnown(primary int, concurrent []int) (float64, error)
 
 //contender:hotpath
 func (p *Predictor) predictKnown(primary int, concurrent []int) (float64, error) {
+	cell, r, err := p.price(primary, concurrent, nil)
+	if err != nil {
+		return 0, err
+	}
+	return cell.latency(r), nil
+}
+
+// price is the one body behind every known-template prediction
+// (PredictKnown, PredictBatch, PredictExplain, Feedback, Shard.Observe).
+// It loads the knowledge and serving snapshots once, resolves the
+// (primary, MPL) cell, rejects unknown concurrent IDs with
+// ErrUnknownTemplate, and runs the CQI kernel on that same snapshot — so
+// no swap or mutation can slip between validating a mix and pricing it.
+// It returns the cell and the mix's CQI; terms is cqiSlot's optional
+// per-neighbor sink (nil for plain predictions).
+//
+//contender:hotpath
+func (p *Predictor) price(primary int, concurrent []int, terms []float64) (*servCell, float64, error) {
 	idx := p.Know.index()
 	s := p.serving(idx)
 	cell, si, err := p.cellFor(s, idx, primary, len(concurrent))
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	r := idx.cqiSlot(si, concurrent)
-	return cell.latency(r), nil
+	for _, id := range concurrent {
+		if idx.posOf(id) < 0 {
+			return nil, 0, fmt.Errorf("core: %w: concurrent template %d", ErrUnknownTemplate, id)
+		}
+	}
+	return cell, idx.cqiSlot(si, concurrent, terms), nil
 }
 
 // NewTemplateOptions selects how the pipeline fills in the two unknowns of

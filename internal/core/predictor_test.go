@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -150,6 +151,9 @@ func TestPredictKnownErrors(t *testing.T) {
 	}
 	if _, err := p.PredictKnown(999, []int{2}); err == nil {
 		t.Fatal("expected error for unknown template")
+	}
+	if _, err := p.PredictKnown(1, []int{2, 999}); !errors.Is(err, ErrUnknownTemplate) {
+		t.Fatalf("unknown concurrent template: err = %v, want ErrUnknownTemplate", err)
 	}
 }
 

@@ -69,6 +69,13 @@ func (p *Predictor) serving(idx *cqiIndex) *servIndex {
 	return s
 }
 
+// Prime forces the knowledge base's hot-path index and the serving index
+// to be built now, so the first prediction served to a latency-sensitive
+// caller does not pay the one-time construction cost.
+func (p *Predictor) Prime() {
+	p.serving(p.Know.index())
+}
+
 func (p *Predictor) buildServing(idx *cqiIndex) *servIndex {
 	mpls := p.MPLs()
 	s := &servIndex{idx: idx, nm: len(mpls)}

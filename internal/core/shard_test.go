@@ -79,6 +79,9 @@ func TestShardedBasics(t *testing.T) {
 	if _, err := sh.Observe(999, mix, 1.5); !errors.Is(err, ErrUnknownTemplate) {
 		t.Errorf("unknown template: err = %v, want ErrUnknownTemplate", err)
 	}
+	if _, err := sh.Observe(1, []int{2, 999}, 1.5); !errors.Is(err, ErrUnknownTemplate) {
+		t.Errorf("unknown concurrent template: err = %v, want ErrUnknownTemplate", err)
+	}
 	res, err := sh.Observe(1, mix, want*2)
 	if err != nil {
 		t.Fatal(err)

@@ -506,9 +506,49 @@ func writePromHistogram(w io.Writer, f *family, lv string, s HistogramSnapshot) 
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // ExpvarFunc adapts the registry to expvar: publish it once with
-// expvar.Publish(name, registry.ExpvarFunc()).
+// expvar.Publish(name, registry.ExpvarFunc()). JSON has no infinity, so
+// in this form each histogram's implicit last bucket bound renders as
+// the string "+Inf" (the Prometheus spelling); every other value is the
+// Snapshot's.
 func (r *Registry) ExpvarFunc() expvar.Func {
-	return expvar.Func(func() any { return r.Snapshot() })
+	return expvar.Func(func() any {
+		snap := r.Snapshot()
+		view := expvarSnapshot{
+			Counters:   snap.Counters,
+			Gauges:     snap.Gauges,
+			Histograms: make(map[string]expvarHistogram, len(snap.Histograms)),
+		}
+		for key, h := range snap.Histograms {
+			buckets := make([]expvarBucket, len(h.Buckets))
+			for i, b := range h.Buckets {
+				buckets[i] = expvarBucket{Le: b.Le, Count: b.Count}
+				if math.IsInf(b.Le, 1) {
+					buckets[i].Le = "+Inf"
+				}
+			}
+			view.Histograms[key] = expvarHistogram{Count: h.Count, Sum: h.Sum, Buckets: buckets}
+		}
+		return view
+	})
+}
+
+// expvarSnapshot mirrors Snapshot with JSON-encodable bucket bounds.
+type expvarSnapshot struct {
+	Counters   map[string]int64           `json:"counters,omitempty"`
+	Gauges     map[string]float64         `json:"gauges,omitempty"`
+	Histograms map[string]expvarHistogram `json:"histograms,omitempty"`
+}
+
+type expvarHistogram struct {
+	Count   uint64         `json:"count"`
+	Sum     float64        `json:"sum"`
+	Buckets []expvarBucket `json:"buckets"`
+}
+
+// expvarBucket is Bucket with Le a float64, or "+Inf" for the last bound.
+type expvarBucket struct {
+	Le    any    `json:"le"`
+	Count uint64 `json:"count"`
 }
 
 // ServeHTTP exposes the registry in Prometheus text format, making a

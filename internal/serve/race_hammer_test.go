@@ -1,7 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -113,5 +119,152 @@ func TestSwapHammerUnderLoad(t *testing.T) {
 	wg.Wait()
 	if lerr != nil {
 		t.Fatalf("loadgen under swap hammer: %v (result %+v)", lerr, res)
+	}
+}
+
+// TestShrinkingSwapHammer swaps the serving snapshot between the fixture
+// predictor and a clone whose knowledge base lacks one template, while
+// binary and HTTP clients keep naming that template as a neighbor. The
+// core validates and prices each request against a single snapshot load,
+// so every answer must be a success (the request saw the full snapshot)
+// or unknown_template (it saw the shrunken one) — never a transient
+// failure born in a gap between validation and pricing.
+func TestShrinkingSwapHammer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("swap hammer: skipped in -short")
+	}
+	const removed = 5
+	full, shrunk := trainedPredictor(t), trainedPredictor(t)
+	know := shrunk.Know.Clone()
+	if _, ok := know.Remove(removed); !ok {
+		t.Fatalf("fixture has no template %d", removed)
+	}
+	shrunk.Know = know
+
+	s, _, addr := testServer(t, Config{})
+	h := s.Handler()
+	swap := func(p *core.Predictor) {
+		if _, err := s.Sharded().Swap(p); err != nil {
+			t.Errorf("Swap: %v", err)
+		}
+	}
+
+	// Primaries stay inside the shrunken universe so the removed
+	// template is only ever named as a neighbor; mixes without it must
+	// always succeed.
+	mixFor := func(i int) []int {
+		switch i % 4 {
+		case 0:
+			return []int{removed}
+		case 1:
+			return []int{1 + i%4, removed}
+		case 2:
+			return []int{removed, 1 + i%4}
+		default:
+			return []int{1 + i%4}
+		}
+	}
+	names := func(mix []int) bool {
+		for _, id := range mix {
+			if id == removed {
+				return true
+			}
+		}
+		return false
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				swap(shrunk)
+			} else {
+				swap(full)
+			}
+			runtime.Gosched()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 400; i++ {
+			primary, mix := 1+i%4, mixFor(i/4)
+			var path string
+			var body any
+			switch i % 4 {
+			case 0:
+				path, body = "/v1/predict", PredictRequest{Primary: primary, Concurrent: mix}
+			case 1:
+				path, body = "/v1/predict", PredictRequest{Primary: primary, Concurrent: mix, Explain: true}
+			case 2:
+				path, body = "/v1/predict_batch", BatchRequest{Primary: primary, Mixes: [][]int{{1}, mix, {2, 3}}}
+			default:
+				path, body = "/v1/feedback", FeedbackRequest{Primary: primary, Concurrent: mix, Observed: 500}
+			}
+			data, _ := json.Marshal(body)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data)))
+			if rec.Code == http.StatusOK {
+				continue
+			}
+			var env ErrorEnvelope
+			_ = json.Unmarshal(rec.Body.Bytes(), &env)
+			if rec.Code != http.StatusNotFound || env.Error.Code != CodeUnknownTemplate.String() || !names(mix) {
+				t.Errorf("http %s %v: %d %s", path, mix, rec.Code, rec.Body.Bytes())
+				return
+			}
+		}
+	}()
+
+	c := dialBinary(t, addr)
+	for i := 0; i < 400; i++ {
+		primary, mix := 1+i%4, mixFor(i/4)
+		op := []uint8{OpPredict, OpPredict | FlagExplain, OpBatch, OpFeedback}[i%4]
+		c.send(op, uint32(i), func(b []byte) []byte {
+			switch op {
+			case OpBatch:
+				b = binary.LittleEndian.AppendUint32(b, uint32(primary))
+				b = binary.LittleEndian.AppendUint16(b, 2)
+				for _, m := range [][]int{mix, {1}} {
+					b = binary.LittleEndian.AppendUint16(b, uint16(len(m)))
+					for _, id := range m {
+						b = binary.LittleEndian.AppendUint32(b, uint32(id))
+					}
+				}
+				return b
+			case OpFeedback:
+				return appendF64(appendMix(b, primary, mix), 500)
+			default:
+				return appendMix(b, primary, mix)
+			}
+		})
+		code, reqID, payload := c.recv()
+		if reqID != uint32(i) {
+			t.Fatalf("binary req %d: reply for %d", i, reqID)
+		}
+		if code != CodeOK && (code != CodeUnknownTemplate || !names(mix)) {
+			t.Fatalf("binary op %d %v: code %s (%q)", op, mix, code, payload)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	// Both outcomes are reachable: pin each snapshot and check the answer.
+	for _, tc := range []struct {
+		p    *core.Predictor
+		want Code
+	}{{shrunk, CodeUnknownTemplate}, {full, CodeOK}} {
+		swap(tc.p)
+		c.send(OpPredict, 0, func(b []byte) []byte { return appendMix(b, 1, []int{removed}) })
+		if code, _, _ := c.recv(); code != tc.want {
+			t.Errorf("pinned snapshot: code %s, want %s", code, tc.want)
+		}
 	}
 }

@@ -454,69 +454,6 @@ func TestBinaryOversizedFrameRejected(t *testing.T) {
 	}
 }
 
-// TestCoalescerMatchesDirect pins that coalesced predictions are
-// bit-identical to direct PredictKnown and that one request's bad mix
-// never contaminates its batch-mates.
-func TestCoalescerMatchesDirect(t *testing.T) {
-	s, p, _ := testServer(t, Config{BatchWindow: 2 * time.Millisecond})
-	h := s.Handler()
-
-	var wg sync.WaitGroup
-	type result struct {
-		status int
-		pred   float64
-		code   string
-	}
-	reqs := []PredictRequest{
-		{Primary: 1, Concurrent: []int{2}},
-		{Primary: 1, Concurrent: []int{3, 4}},
-		{Primary: 2, Concurrent: []int{5}},
-		{Primary: 999, Concurrent: []int{2}}, // bad: unknown template
-		{Primary: 3, Concurrent: []int{1, 2}},
-	}
-	results := make([]result, len(reqs))
-	for i, rq := range reqs {
-		wg.Add(1)
-		go func(i int, rq PredictRequest) {
-			defer wg.Done()
-			body, _ := json.Marshal(rq)
-			req := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
-			w := httptest.NewRecorder()
-			h.ServeHTTP(w, req)
-			data, _ := io.ReadAll(w.Result().Body)
-			results[i].status = w.Code
-			if w.Code == http.StatusOK {
-				var pr PredictResponse
-				_ = json.Unmarshal(data, &pr)
-				results[i].pred = pr.Prediction
-			} else {
-				var env ErrorEnvelope
-				_ = json.Unmarshal(data, &env)
-				results[i].code = env.Error.Code
-			}
-		}(i, rq)
-	}
-	wg.Wait()
-	for i, rq := range reqs {
-		want, err := p.PredictKnown(rq.Primary, rq.Concurrent)
-		if err != nil {
-			if results[i].status == http.StatusOK {
-				t.Errorf("req %d: served %g, want error %v", i, results[i].pred, err)
-			} else if results[i].code != CodeFor(err).String() {
-				t.Errorf("req %d: code %q, want %q", i, results[i].code, CodeFor(err))
-			}
-			continue
-		}
-		if results[i].status != http.StatusOK {
-			t.Errorf("req %d: status %d code %q, want OK", i, results[i].status, results[i].code)
-			continue
-		}
-		if results[i].pred != want {
-			t.Errorf("req %d: coalesced %g != direct %g", i, results[i].pred, want)
-		}
-	}
-}
-
 // TestIdleBinaryConnsDontStarveHTTP pins per-burst shard affinity:
 // binary connections that served a burst and went quiet must return
 // their shard, so the HTTP front keeps working even with more open
@@ -527,9 +464,9 @@ func TestIdleBinaryConnsDontStarveHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// BatchWindow -1 disables the coalescer so every front must borrow
-	// the single shard — the starvation-prone configuration.
-	s, err := New(sh, Config{BatchWindow: -1})
+	// Every front must borrow the single shard — the starvation-prone
+	// configuration.
+	s, err := New(sh, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,59 +518,6 @@ func TestHTTPBodyTooLarge(t *testing.T) {
 	}
 }
 
-// TestBatcherCloseStrandsNoWaiter races predict against close: every
-// in-flight predict must return (a result or overloaded), and close
-// must not hang — the regression was a request enqueued concurrently
-// with the run loop's exit waiting forever on its done channel.
-func TestBatcherCloseStrandsNoWaiter(t *testing.T) {
-	p := trainedPredictor(t)
-	sh, err := core.NewSharded(p, core.ShardOptions{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 20; round++ {
-		b := newBatcher(sh, 0, 8)
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; ; i++ {
-					if _, err := b.predict(1, []int{2}); errors.Is(err, ErrOverloaded) {
-						return
-					} else if err != nil {
-						t.Errorf("predict: %v", err)
-						return
-					}
-					if i > 10000 { // batcher closed under us eventually
-						return
-					}
-				}
-			}()
-		}
-		closed := make(chan struct{})
-		go func() {
-			b.close()
-			close(closed)
-		}()
-		done := make(chan struct{})
-		go func() {
-			wg.Wait()
-			close(done)
-		}()
-		for _, w := range []struct {
-			name string
-			ch   chan struct{}
-		}{{"close hung", closed}, {"a waiter was stranded", done}} {
-			select {
-			case <-w.ch:
-			case <-time.After(10 * time.Second):
-				t.Fatal(w.name)
-			}
-		}
-	}
-}
-
 // TestShutdownUnderLoad drains a server while HTTP requests hammer it:
 // every response must be either a success (request caught the drain
 // window) or the shutting-down overload — never a hang, never an
@@ -644,7 +528,7 @@ func TestShutdownUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(sh, Config{BatchWindow: time.Millisecond})
+	s, err := New(sh, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -738,7 +622,7 @@ func TestHTTPOverload(t *testing.T) {
 // generator over both protocols: the checksums must agree (payload
 // parity) and a re-run with the same seed must reproduce them.
 func TestLoadgenParityAndDeterminism(t *testing.T) {
-	s, _, addr := testServer(t, Config{BatchWindow: time.Millisecond})
+	s, _, addr := testServer(t, Config{})
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
@@ -775,7 +659,7 @@ func TestLoadgenParityAndDeterminism(t *testing.T) {
 // (both snapshots know the fixture templates). Run under -race this is
 // the serving/swap interleaving test.
 func TestServeAcrossHotSwap(t *testing.T) {
-	s, _, addr := testServer(t, Config{BatchWindow: time.Millisecond})
+	s, _, addr := testServer(t, Config{})
 	h := s.Handler()
 
 	stop := make(chan struct{})
@@ -937,7 +821,7 @@ func BenchmarkBinaryBatch64(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := New(sh, Config{BatchWindow: -1, DrainEvery: -1})
+	s, err := New(sh, Config{DrainEvery: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -961,4 +845,33 @@ func BenchmarkBinaryBatch64(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(res.PredictionsPerSec, "preds/s")
 	_ = fmt.Sprintf("%v", res)
+}
+
+// TestDecodeMixesWarmAllocFree pins that a warm connection decodes a
+// binary batch frame without allocating: mix IDs, mix views and their
+// boundaries all live in buffers the connection reuses across frames.
+func TestDecodeMixesWarmAllocFree(t *testing.T) {
+	const m = 256
+	var payload []byte
+	for i := 0; i < m; i++ {
+		mix := []int{1 + i%5, 1 + (i/5)%5}[:1+i%2]
+		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(mix)))
+		for _, id := range mix {
+			payload = binary.LittleEndian.AppendUint32(payload, uint32(id))
+		}
+	}
+	st := &connState{}
+	decode := func() {
+		r := frameReader{b: payload}
+		if !st.decodeMixes(&r, m) || !r.done() {
+			t.Fatal("batch frame did not decode")
+		}
+	}
+	decode() // warm the connection's buffers
+	if allocs := testing.AllocsPerRun(100, decode); allocs != 0 {
+		t.Errorf("warm batch decode: %g allocs/op, want 0", allocs)
+	}
+	if len(st.mixes) != m || len(st.mixes[m-1]) != 2 || st.mixes[m-1][1] != 1+((m-1)/5)%5 {
+		t.Errorf("decoded %d mixes, last %v", len(st.mixes), st.mixes[len(st.mixes)-1])
+	}
 }

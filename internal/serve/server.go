@@ -35,17 +35,16 @@ import (
 //   - HTTP handlers borrow shards from the same free list, sized to the
 //     shard count; a borrowed shard is used single-threadedly. Borrows
 //     wait at most Config.BorrowWait before answering overloaded.
-//   - Single-prediction requests may be coalesced across connections
-//     into vectorized PredictBatch calls by the deadline-bounded
-//     batcher (Config.BatchWindow). Batch requests execute directly on
-//     the owning connection's shard — they are already batches.
+//   - Every request is priced directly on its shard. Untrusted mixes
+//     need no separate validation pass: the core prices each request
+//     against one snapshot load and reports unknown templates as
+//     core.ErrUnknownTemplate, which maps to the unknown_template code.
 //   - Snapshot hot-swaps (Sharded.Swap, the lifecycle loop) never block
 //     serving: every prediction reads the atomic snapshot pointer, so a
 //     request straddling a swap simply completes on the old model.
 type Server struct {
 	cfg   Config
 	sh    *core.Sharded
-	bat   *batcher
 	httpA *admitter // admission for the HTTP front
 	free  chan *core.Shard
 
@@ -56,9 +55,8 @@ type Server struct {
 
 	// connWg tracks serving work (accept loops, binary connections,
 	// in-flight HTTP requests); drainWg tracks the feedback-drain loop.
-	// Shutdown waits out connWg before stopping the batcher and drain
-	// loop, so requests in flight during the drain window complete
-	// normally instead of failing overloaded.
+	// Shutdown waits out connWg before stopping the drain loop, so
+	// feedback accepted during the drain window is still folded.
 	connWg  sync.WaitGroup
 	drainWg sync.WaitGroup
 	drain   chan struct{} // closes to stop the feedback-drain loop
@@ -85,14 +83,6 @@ type Config struct {
 	// MaxBatch caps the mixes of one predict_batch request (default
 	// 4096; CodeBatchTooLarge beyond it).
 	MaxBatch int
-	// BatchWindow is the coalescing deadline for single-prediction
-	// requests: requests arriving within the window merge into one
-	// vectorized PredictBatch. Zero disables the timer (bursts still
-	// coalesce when they queue faster than the batcher drains);
-	// negative disables coalescing entirely.
-	BatchWindow time.Duration
-	// MaxCoalesce caps one coalesced batch (default 256).
-	MaxCoalesce int
 	// BorrowWait bounds how long an HTTP request or a binary frame
 	// waits for a free shard before answering overloaded (default 1s).
 	BorrowWait time.Duration
@@ -116,7 +106,6 @@ type serveMetrics struct {
 	predictions *obs.Counter
 	overloads   *obs.Counter
 	connections *obs.Counter
-	coalesced   *obs.Histogram
 }
 
 func newServeMetrics(m *obs.Metrics) serveMetrics {
@@ -130,7 +119,6 @@ func newServeMetrics(m *obs.Metrics) serveMetrics {
 		predictions: reg.Counter("contender_serve_predictions_total", "Predictions served across both protocols."),
 		overloads:   reg.Counter("contender_serve_overload_total", "Requests rejected by admission control."),
 		connections: reg.Counter("contender_serve_connections_total", "Binary protocol connections accepted."),
-		coalesced:   reg.Histogram("contender_serve_coalesced_batch", "Coalesced batch sizes executed by the request batcher.", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
 	}
 }
 
@@ -161,16 +149,6 @@ func New(sh *core.Sharded, cfg Config) (*Server, error) {
 	}
 	if cfg.Admission.enabled() {
 		s.httpA = newAdmitter(cfg.Admission, cfg.Now)
-	}
-	if cfg.BatchWindow >= 0 {
-		// The batcher prices on its own PredictBuffer, never on a Shard:
-		// every shard in the set is in the free list above, and Acquire
-		// round-robins over that same set, so handing the batcher a
-		// shard would alias one free-list entry and race its scratch.
-		s.bat = newBatcher(sh, cfg.BatchWindow, cfg.MaxCoalesce)
-		if s.met.coalesced != nil {
-			s.bat.onBatch = func(n int) { s.met.coalesced.Observe(float64(n)) }
-		}
 	}
 	if cfg.DrainEvery > 0 {
 		s.drainWg.Add(1)
@@ -338,7 +316,7 @@ func (s *Server) handleJSON(w http.ResponseWriter, r *http.Request, op string, f
 		return
 	}
 	// Register with connWg so Shutdown's drain window waits for this
-	// request before it stops the batcher; a request arriving after
+	// request before it stops the drain loop; a request arriving after
 	// Shutdown began is refused (transient — retry another replica).
 	s.mu.Lock()
 	if s.closed {
@@ -400,43 +378,29 @@ func writeJSONError(w http.ResponseWriter, err error) {
 	_ = json.NewEncoder(w).Encode(ErrorEnvelope{Error: WireError{Code: code.String(), Message: err.Error()}})
 }
 
-// predictOne routes a single prediction through the coalescing batcher
-// when one is running, else prices it directly on a borrowed shard.
-func (s *Server) predictOne(primary int, mix []int) (v float64, err error) {
-	if err := s.validateMix(mix); err != nil {
-		return 0, err
-	}
-	if s.bat != nil {
-		return s.bat.predict(primary, mix)
-	}
+// predictOne prices a single prediction on a borrowed shard.
+func (s *Server) predictOne(primary int, mix []int) (float64, error) {
 	sh, err := s.borrow()
 	if err != nil {
 		return 0, err
 	}
 	defer s.giveBack(sh)
-	defer guardErr(&err)
 	return sh.Predict(primary, mix)
 }
 
 // predictExplain prices one prediction with its per-neighbor blame
-// breakdown. Explained predictions execute directly on a borrowed shard
-// — the coalescing batcher's pending protocol carries a bare float64,
-// and explain traffic is diagnostic, not throughput-bound, so it does
-// not justify widening that protocol. The prediction itself is
-// bit-identical to the non-explain path by construction
-// (core.PredictExplain replays PredictKnown's summation verbatim). The
-// breakdown slices are copied out of the shard's buffer before the
-// shard returns to the free list.
+// breakdown on a borrowed shard. The prediction itself is bit-identical
+// to the non-explain path by construction (core.PredictExplain prices
+// through PredictKnown's body with a term sink). The breakdown slices
+// are copied out of the shard's buffer before the shard returns to the
+// free list.
 func (s *Server) predictExplain(primary int, mix []int) (PredictResponse, error) {
-	if err := s.validateMix(mix); err != nil {
-		return PredictResponse{}, err
-	}
 	sh, err := s.borrow()
 	if err != nil {
 		return PredictResponse{}, err
 	}
 	defer s.giveBack(sh)
-	eb, err := shardExplain(sh, primary, mix)
+	eb, err := sh.Explain(primary, mix)
 	if err != nil {
 		return PredictResponse{}, err
 	}
@@ -452,80 +416,33 @@ func (s *Server) predictExplain(primary int, mix []int) (PredictResponse, error)
 	}, nil
 }
 
-// shardExplain runs Shard.Explain under guardErr. The returned buffer
-// belongs to the shard: read it before the shard is given back or used
-// again.
-func shardExplain(sh *core.Shard, primary int, mix []int) (eb *core.ExplainBuffer, err error) {
-	defer guardErr(&err)
-	return sh.Explain(primary, mix)
-}
-
-// batchPredict validates and executes one predict_batch request on a
-// borrowed shard, copying the results out of the shard's scratch. Both
-// protocol fronts call it, which is what makes their payloads
-// byte-identical for the same request.
-func (s *Server) batchPredict(primary int, mixes [][]int) (out []float64, err error) {
-	for i, mix := range mixes {
-		if err := s.validateMix(mix); err != nil {
-			return nil, fmt.Errorf("serve: batch mix %d: %w", i, err)
-		}
-	}
+// batchPredict executes one predict_batch request on a borrowed shard,
+// copying the results out of the shard's scratch. Both protocol fronts
+// price batches through core.PredictBatch, which is what makes their
+// payloads byte-identical for the same request.
+func (s *Server) batchPredict(primary int, mixes [][]int) ([]float64, error) {
 	sh, err := s.borrow()
 	if err != nil {
 		return nil, err
 	}
 	defer s.giveBack(sh)
-	defer guardErr(&err)
 	res, err := sh.BatchPredict(primary, mixes)
 	if err != nil {
 		return nil, err
 	}
-	out = make([]float64, len(res))
+	out := make([]float64, len(res))
 	copy(out, res)
 	return out, nil
 }
 
-// observe validates and executes one feedback request on a borrowed
-// shard.
-func (s *Server) observe(primary int, mix []int, observed float64) (res core.FeedbackResult, err error) {
-	if err := s.validateMix(mix); err != nil {
-		return core.FeedbackResult{}, err
-	}
+// observe executes one feedback request on a borrowed shard.
+func (s *Server) observe(primary int, mix []int, observed float64) (core.FeedbackResult, error) {
 	sh, err := s.borrow()
 	if err != nil {
 		return core.FeedbackResult{}, err
 	}
 	defer s.giveBack(sh)
-	defer guardErr(&err)
 	return sh.Observe(primary, mix, observed)
-}
-
-// validateMix rejects unknown concurrent template IDs before they
-// reach the CQI kernel. The kernel treats an unknown ID as a
-// programming error (panic) because in-process callers control their
-// inputs; the wire layer does not, so it turns untrusted mixes into
-// the same ErrUnknownTemplate a bad primary produces. The primary
-// itself is validated by the core (cellFor), keeping its error text.
-func (s *Server) validateMix(mix []int) error {
-	know := s.sh.Snapshot().Know
-	for _, id := range mix {
-		if _, ok := know.Template(id); !ok {
-			return fmt.Errorf("serve: concurrent template %d: %w", id, core.ErrUnknownTemplate)
-		}
-	}
-	return nil
-}
-
-// guardErr converts a kernel panic into an error on the deferring
-// call's named return. Validation makes kernel panics unreachable in
-// steady state, but a hot-swap that shrank the template universe can
-// land between validation and execution; losing that one request beats
-// losing the serving goroutine (and, behind the batcher, every waiter
-// queued after it).
-func guardErr(err *error) {
-	if r := recover(); r != nil {
-		*err = resilience.Transient(fmt.Errorf("serve: prediction failed: %v", r))
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -590,6 +507,7 @@ type connState struct {
 
 	mixes   [][]int // decoded batch mixes, reused across frames
 	mixArea []int   // backing storage for mixes, reused across frames
+	mixOffs []int   // mix boundaries in mixArea, reused across frames
 }
 
 var respBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
@@ -716,6 +634,7 @@ func (st *connState) handleFrame(op uint8, reqID uint32, payload []byte) {
 	}
 	var n int
 	var err error
+	var sh *core.Shard
 	r := frameReader{b: payload}
 	if explain && op != OpPredict {
 		err = fmt.Errorf("%w: explain flag on opcode %d", ErrBadRequest, op)
@@ -730,17 +649,15 @@ func (st *connState) handleFrame(op uint8, reqID uint32, payload []byte) {
 			err = fmt.Errorf("%w: malformed predict payload", ErrBadRequest)
 			break
 		}
+		if sh, err = st.ensureShard(); err != nil {
+			break
+		}
 		if explain {
-			// Explained predictions execute on the connection's burst
-			// shard (never the batcher — see Server.predictExplain). The
-			// shard's explain buffer stays valid while the shard is held,
-			// and it is held across this whole frame, so the reply frames
-			// straight out of the buffer with no copies.
+			// The shard's explain buffer stays valid while the shard is
+			// held, and it is held across this whole frame, so the reply
+			// frames straight out of the buffer with no copies.
 			var eb *core.ExplainBuffer
-			if err = s.validateMix(mix); err == nil {
-				eb, err = st.shardExplain(primary, mix)
-			}
-			if err == nil {
+			if eb, err = sh.Explain(primary, mix); err == nil {
 				n = 1
 				s.cfg.Blame.Observe(primary, eb.Neighbors, eb.Seconds)
 				st.replyOK(reqID, func(b []byte) []byte {
@@ -758,14 +675,7 @@ func (st *connState) handleFrame(op uint8, reqID uint32, payload []byte) {
 			break
 		}
 		var v float64
-		if err = s.validateMix(mix); err == nil {
-			if s.bat != nil {
-				v, err = s.bat.predict(primary, mix)
-			} else {
-				v, err = st.shardPredict(primary, mix)
-			}
-		}
-		if err == nil {
+		if v, err = sh.Predict(primary, mix); err == nil {
 			n = 1
 			st.replyOK(reqID, func(b []byte) []byte { return appendF64(b, v) })
 		}
@@ -780,18 +690,11 @@ func (st *connState) handleFrame(op uint8, reqID uint32, payload []byte) {
 			err = fmt.Errorf("%w: malformed batch payload", ErrBadRequest)
 			break
 		}
-		for j, mix := range st.mixes {
-			if verr := s.validateMix(mix); verr != nil {
-				err = fmt.Errorf("serve: batch mix %d: %w", j, verr)
-				break
-			}
-		}
-		if err != nil {
+		if sh, err = st.ensureShard(); err != nil {
 			break
 		}
 		var res []float64
-		res, err = st.shardBatch(primary)
-		if err == nil {
+		if res, err = sh.BatchPredict(primary, st.mixes); err == nil {
 			n = len(res)
 			st.replyOK(reqID, func(b []byte) []byte {
 				b = binary.LittleEndian.AppendUint16(b, uint16(len(res)))
@@ -808,11 +711,11 @@ func (st *connState) handleFrame(op uint8, reqID uint32, payload []byte) {
 			err = fmt.Errorf("%w: malformed feedback payload", ErrBadRequest)
 			break
 		}
-		var res core.FeedbackResult
-		if err = s.validateMix(mix); err == nil {
-			res, err = st.shardObserve(primary, mix, observed)
+		if sh, err = st.ensureShard(); err != nil {
+			break
 		}
-		if err == nil {
+		var res core.FeedbackResult
+		if res, err = sh.Observe(primary, mix, observed); err == nil {
 			st.replyOK(reqID, func(b []byte) []byte {
 				return appendF64(appendF64(b, res.Predicted), res.SignedError)
 			})
@@ -872,44 +775,6 @@ func frameBuffered(br *bufio.Reader) bool {
 	return br.Buffered() >= 4+n
 }
 
-// shardPredict / shardBatch / shardObserve run the connection's burst
-// shard under guardErr (see its comment for why the guard exists).
-func (st *connState) shardPredict(primary int, mix []int) (v float64, err error) {
-	sh, err := st.ensureShard()
-	if err != nil {
-		return 0, err
-	}
-	defer guardErr(&err)
-	return sh.Predict(primary, mix)
-}
-
-func (st *connState) shardExplain(primary int, mix []int) (eb *core.ExplainBuffer, err error) {
-	sh, err := st.ensureShard()
-	if err != nil {
-		return nil, err
-	}
-	defer guardErr(&err)
-	return sh.Explain(primary, mix)
-}
-
-func (st *connState) shardBatch(primary int) (res []float64, err error) {
-	sh, err := st.ensureShard()
-	if err != nil {
-		return nil, err
-	}
-	defer guardErr(&err)
-	return sh.BatchPredict(primary, st.mixes)
-}
-
-func (st *connState) shardObserve(primary int, mix []int, observed float64) (res core.FeedbackResult, err error) {
-	sh, err := st.ensureShard()
-	if err != nil {
-		return core.FeedbackResult{}, err
-	}
-	defer guardErr(&err)
-	return sh.Observe(primary, mix, observed)
-}
-
 // decodeMix reads (primary, mix) reusing the connection's arena.
 func (st *connState) decodeMix(r *frameReader) (int, []int) {
 	primary := int(r.u32())
@@ -929,8 +794,9 @@ func (st *connState) decodeMix(r *frameReader) (int, []int) {
 func (st *connState) decodeMixes(r *frameReader, m int) bool {
 	st.mixes = st.mixes[:0]
 	st.mixArea = st.mixArea[:0]
-	offs := make([]int, 0, m+1) // offsets into mixArea; small, amortized by conn reuse? kept simple
-	offs = append(offs, 0)
+	// Mixes are sliced out of mixArea only after it stops growing, so
+	// record the boundaries first.
+	st.mixOffs = append(st.mixOffs[:0], 0)
 	for i := 0; i < m; i++ {
 		k := int(r.u16())
 		if k > MaxMix || r.err {
@@ -939,13 +805,13 @@ func (st *connState) decodeMixes(r *frameReader, m int) bool {
 		for j := 0; j < k; j++ {
 			st.mixArea = append(st.mixArea, int(r.u32()))
 		}
-		offs = append(offs, len(st.mixArea))
+		st.mixOffs = append(st.mixOffs, len(st.mixArea))
 	}
 	if r.err {
 		return false
 	}
 	for i := 0; i < m; i++ {
-		st.mixes = append(st.mixes, st.mixArea[offs[i]:offs[i+1]])
+		st.mixes = append(st.mixes, st.mixArea[st.mixOffs[i]:st.mixOffs[i+1]])
 	}
 	return true
 }
@@ -990,9 +856,8 @@ func opName(op uint8) string {
 }
 
 // Shutdown stops accepting, waits for open connections and in-flight
-// HTTP requests to finish (they keep the batcher and shards at their
-// disposal, so requests caught in the drain window complete normally),
-// and only then stops the batcher and feedback-drain loop. When ctx
+// HTTP requests to finish (requests caught in the drain window complete
+// normally), and only then stops the feedback-drain loop. When ctx
 // expires first, remaining connections are severed and Shutdown waits
 // for their goroutines to notice. Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -1018,10 +883,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	select {
 	case <-done:
 	case <-ctx.Done():
-		// Drain deadline expired: sever what is left. The remaining
-		// waits below stay bounded — severed readers exit on their next
-		// read, and any request already executing finishes against a
-		// still-live batcher and shard set.
+		// Drain deadline expired: sever what is left. The wait below
+		// stays bounded — severed readers exit on their next read, and
+		// any request already executing finishes on its shard.
 		s.mu.Lock()
 		for c := range s.conns {
 			c.Close()
@@ -1031,10 +895,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		err = ctx.Err()
 	}
 
-	// No serving work remains: stop the coalescer and the drain loop.
-	if s.bat != nil {
-		s.bat.close()
-	}
+	// No serving work remains: stop the drain loop.
 	close(s.drain)
 	s.drainWg.Wait()
 	return err

@@ -15,8 +15,8 @@ import (
 // stack — NewSharded (the in-process serving set), NewServer (the
 // wire-protocol server over it), and Workbench.Serve (the one-call
 // path from a trained workbench to a listening service) — so shard
-// count, feedback-ring size, request coalescing, and admission control
-// are named once and mean the same thing everywhere.
+// count, feedback-ring size, batch limits, and admission control are
+// named once and mean the same thing everywhere.
 //
 // The server speaks the versioned v1 wire schema on two protocols
 // backed by the same core: HTTP/JSON (POST /v1/predict,
@@ -33,18 +33,15 @@ import (
 type ServeOption func(*serveConfig)
 
 type serveConfig struct {
-	shards      int
-	ringSize    int
-	batchWindow time.Duration
-	maxCoalesce int
-	maxBatch    int
-	borrowWait  time.Duration
-	admission   serve.AdmissionConfig
-	drainEvery  time.Duration
-	observer    Observer
-	blame       *obs.Blame
-	slowLog     *obs.SlowLog
-	haveWindow  bool
+	shards     int
+	ringSize   int
+	maxBatch   int
+	borrowWait time.Duration
+	admission  serve.AdmissionConfig
+	drainEvery time.Duration
+	observer   Observer
+	blame      *obs.Blame
+	slowLog    *obs.SlowLog
 }
 
 func buildServeConfig(opts []ServeOption) serveConfig {
@@ -64,19 +61,6 @@ func WithShards(n int) ServeOption {
 // up to a power of two (default 1024).
 func WithFeedbackRing(n int) ServeOption {
 	return func(c *serveConfig) { c.ringSize = n }
-}
-
-// WithBatchWindow enables deadline-bounded request coalescing on the
-// server: single predictions arriving within d of each other merge
-// into one vectorized batch call. Zero coalesces bursts without a
-// timer; a negative d disables coalescing.
-func WithBatchWindow(d time.Duration) ServeOption {
-	return func(c *serveConfig) { c.batchWindow = d; c.haveWindow = true }
-}
-
-// WithMaxCoalesce caps one coalesced batch (default 256).
-func WithMaxCoalesce(n int) ServeOption {
-	return func(c *serveConfig) { c.maxCoalesce = n }
 }
 
 // WithMaxBatch caps the mixes of one predict_batch request (default
@@ -148,21 +132,15 @@ type Server struct {
 // It starts serving when Handler is mounted or ListenBinary is called.
 func NewServer(s *Sharded, opts ...ServeOption) (*Server, error) {
 	cfg := buildServeConfig(opts)
-	window := cfg.batchWindow
-	if !cfg.haveWindow {
-		window = -1 // coalescing is opt-in: no window option, no batcher
-	}
 	inner, err := serve.New(s.inner, serve.Config{
-		Observer:    cfg.observer,
-		Metrics:     obs.FindMetrics(cfg.observer),
-		Blame:       cfg.blame,
-		SlowLog:     cfg.slowLog,
-		MaxBatch:    cfg.maxBatch,
-		BatchWindow: window,
-		MaxCoalesce: cfg.maxCoalesce,
-		BorrowWait:  cfg.borrowWait,
-		Admission:   cfg.admission,
-		DrainEvery:  cfg.drainEvery,
+		Observer:   cfg.observer,
+		Metrics:    obs.FindMetrics(cfg.observer),
+		Blame:      cfg.blame,
+		SlowLog:    cfg.slowLog,
+		MaxBatch:   cfg.maxBatch,
+		BorrowWait: cfg.borrowWait,
+		Admission:  cfg.admission,
+		DrainEvery: cfg.drainEvery,
 	})
 	if err != nil {
 		return nil, err
