@@ -475,12 +475,10 @@ var (
 )
 
 // The serving facade's unified option vocabulary: NewSharded and
-// NewServer share ServeOption, and the pre-facade struct constructor
-// survives as a deprecated shim with its original shape. A signature
-// change to any of the three is a compile error here.
+// NewServer share ServeOption. A signature change to either, or to a
+// duration option, is a compile error here.
 var (
 	_ func(*Predictor, ...ServeOption) (*Sharded, error) = NewSharded
-	_ func(*Predictor, ShardOptions) (*Sharded, error)   = NewShardedWithOptions
 	_ func(*Sharded, ...ServeOption) (*Server, error)    = NewServer
-	_ func(time.Duration) ServeOption                    = WithBorrowWait
+	_ func(time.Duration) ServeOption                    = WithDrainInterval
 )

@@ -11,7 +11,6 @@
 //	obsemit        Observer.Event goes through the panic-isolating obs.Emit
 //	errtaxonomy    transient/permanent/corrupt error classification
 //	ctxplumb       exported ctx-accepting functions plumb ctx through
-//	borrowpair     free-list shard borrows release before any blocking call
 //	lockblock      no mutex held across a blocking call or observer emission
 //	snapshotsafe   atomic snapshot loads are read-only outside priming
 //	goroleak       serve/lifecycle goroutines tie to WaitGroup/done/ctx
@@ -33,10 +32,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"contender/internal/analysis"
-	"contender/internal/analysis/borrowpair"
 	"contender/internal/analysis/ctxplumb"
 	"contender/internal/analysis/errtaxonomy"
 	"contender/internal/analysis/goroleak"
@@ -56,7 +55,6 @@ func suite() []*analysis.Analyzer {
 		obsemit.Analyzer,
 		errtaxonomy.Analyzer,
 		ctxplumb.Analyzer,
-		borrowpair.Analyzer,
 		lockblock.Analyzer,
 		snapshotsafe.Analyzer,
 		goroleak.Analyzer,
@@ -148,10 +146,16 @@ func main() {
 		for _, a := range analyzers {
 			if keep[a.Name] {
 				filtered = append(filtered, a)
+				delete(keep, a.Name)
 			}
 		}
-		if len(filtered) == 0 {
-			fmt.Fprintf(os.Stderr, "contender-vet: -only %q matches no analyzer\n", *only)
+		if len(keep) > 0 {
+			unknown := make([]string, 0, len(keep))
+			for name := range keep {
+				unknown = append(unknown, fmt.Sprintf("%q", name))
+			}
+			sort.Strings(unknown)
+			fmt.Fprintf(os.Stderr, "contender-vet: -only names unknown analyzer(s) %s (see -list)\n", strings.Join(unknown, ", "))
 			os.Exit(1)
 		}
 		analyzers = filtered

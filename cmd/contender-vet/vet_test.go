@@ -199,74 +199,40 @@ func Frame(n int) string {
 	}
 }
 
-// TestBorrowBugRegressionFails reintroduces the idle-connection
-// starvation bug the serving layer shipped with: a serve loop that
-// holds a borrowed shard across the blocking client read. The suite
-// must reject it so the bug class cannot come back.
-func TestBorrowBugRegressionFails(t *testing.T) {
+// TestOnlyRejectsUnknownNames pins -only's contract: every name must
+// be an analyzer in the suite. A typo or a deleted analyzer exits 1
+// naming it instead of silently running a smaller subset.
+func TestOnlyRejectsUnknownNames(t *testing.T) {
 	bin := buildVet(t)
-	dir := writeModule(t, map[string]string{
-		"go.mod": "module fake\n\ngo 1.22\n",
-		"internal/core/core.go": `package core
+	dir := writeModule(t, injectedModule)
 
-type Shard struct{ n int }
-
-func (s *Shard) Predict(primary int, mix []int) float64 { return float64(s.n) }
-`,
-		"internal/serve/serve.go": `package serve
-
-import (
-	"bufio"
-	"io"
-
-	"fake/internal/core"
-)
-
-type connState struct {
-	free  chan *core.Shard
-	shard *core.Shard
-}
-
-func (st *connState) ensureShard() *core.Shard {
-	if st.shard == nil {
-		st.shard = <-st.free
-	}
-	return st.shard
-}
-
-func (st *connState) releaseShard() {
-	if st.shard != nil {
-		st.free <- st.shard
-		st.shard = nil
-	}
-}
-
-// serveConn keeps the previous burst's shard parked across the next
-// client read: the reintroduced starvation bug.
-func (st *connState) serveConn(br *bufio.Reader) {
-	var header [4]byte
-	for {
-		if _, err := io.ReadFull(br, header[:]); err != nil {
-			break
+	for _, only := range []string{"wirecompat,nosuchcheck", "nodeterminsm", "errtaxonomy,"} {
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, "-C", dir, "-only", only, "./...")
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 1 {
+			t.Errorf("-only %q: want exit 1, got err=%v\n%s", only, err, &stderr)
+			continue
 		}
-		st.ensureShard().Predict(1, nil)
+		if !strings.Contains(stderr.String(), "unknown analyzer") {
+			t.Errorf("-only %q: stderr does not name the unknown analyzer:\n%s", only, &stderr)
+		}
 	}
-	st.releaseShard()
-}
-`,
-	})
 
-	cmd := exec.Command(bin, "-C", dir, "./...")
+	// A known subset runs just those analyzers.
+	cmd := exec.Command(bin, "-C", dir, "-only", "errtaxonomy,wirecompat", "./...")
 	var stdout bytes.Buffer
 	cmd.Stdout = &stdout
 	err := cmd.Run()
 	ee, ok := err.(*exec.ExitError)
 	if !ok || ee.ExitCode() != 2 {
-		t.Fatalf("want exit 2 on reintroduced borrow bug, got err=%v\n%s", err, &stdout)
+		t.Fatalf("-only errtaxonomy,wirecompat: want exit 2, got err=%v\n%s", err, &stdout)
 	}
 	out := stdout.String()
-	if !strings.Contains(out, "borrowpair: loop borrows a shard and blocks") {
-		t.Errorf("missing borrowpair starvation diagnostic; got:\n%s", out)
+	if !strings.Contains(out, "errtaxonomy:") || strings.Contains(out, "nodeterminism:") {
+		t.Errorf("-only errtaxonomy,wirecompat ran the wrong analyzers; got:\n%s", out)
 	}
 }
 

@@ -12,22 +12,22 @@ import (
 
 // Sharded serving: one immutable predictor snapshot shared by every core,
 // per-shard scratch so cores never contend, and feedback ingestion that
-// stays off every lock.
+// stays off the quality aggregator's locks.
 //
 //   - The snapshot is published through an atomic.Pointer. Swap installs a
 //     freshly trained (and pre-primed) predictor without ever blocking a
 //     serving goroutine; readers at worst finish their current call on the
 //     old snapshot.
 //   - Each Shard owns a PredictBuffer (batch scratch) and a fixed-size
-//     SPSC feedback ring. A shard is handed to exactly one serving
-//     goroutine at a time (Acquire round-robins), which makes the ring
-//     single-producer by construction; the drain side is serialized by
-//     the aggregator's mutex.
+//     SPSC feedback ring. Observe keeps the ring single-producer with a
+//     per-shard mutex held only for the push, so any number of
+//     goroutines may share a shard's ring; the drain side is serialized
+//     by the parent's drain mutex.
 //   - Shards are per-P, not per-goroutine: serving systems run a bounded
-//     worker pool sized to GOMAXPROCS, and scratch sized to the pool is
-//     both bounded (a goroutine-keyed table would grow with churn and
-//     need eviction) and contention-free (a worker keeps its shard for
-//     its lifetime, so the ring needs no MPSC coordination).
+//     worker pool sized to GOMAXPROCS, and rings sized to the pool are
+//     bounded (a goroutine-keyed table would grow with churn and need
+//     eviction). Acquire round-robins, so the push lock is uncontended
+//     until workers outnumber shards.
 //
 // Feedback samples are buffered as (template, MPL, signed error) triples
 // and folded into the obs.Quality aggregator only when DrainFeedback runs
@@ -59,9 +59,9 @@ type feedbackSample struct {
 }
 
 // feedbackRing is a fixed-size single-producer single-consumer ring.
-// The owning shard's goroutine pushes; DrainFeedback (serialized by the
-// Sharded drain mutex) pops. Cache-line padding keeps the producer- and
-// consumer-owned counters off each other's lines.
+// Shard.Observe pushes under the shard's push mutex; DrainFeedback
+// (serialized by the Sharded drain mutex) pops. Cache-line padding keeps
+// the producer- and consumer-owned counters off each other's lines.
 type feedbackRing struct {
 	buf     []feedbackSample
 	mask    uint64
@@ -102,14 +102,16 @@ func (r *feedbackRing) pop(out *feedbackSample) bool {
 }
 
 // Shard is one serving replica's handle: private batch scratch plus a
-// private feedback ring, all backed by the shared snapshot. A shard must
-// be used by one goroutine at a time (like a PredictBuffer); different
-// shards are fully independent.
+// private feedback ring, all backed by the shared snapshot. Predict and
+// Observe are safe for concurrent use. BatchPredict and Explain reuse the
+// shard's scratch and must be called by one goroutine at a time (like a
+// PredictBuffer). Different shards are fully independent.
 type Shard struct {
 	parent *Sharded
 	id     int
 	buf    PredictBuffer
 	ebuf   ExplainBuffer
+	pushMu sync.Mutex // serializes ring producers; held only for the push
 	ring   feedbackRing
 
 	// drainedDropped is the ring drop count already folded into the
@@ -150,12 +152,13 @@ func (h *Shard) BatchPredict(primary int, mixes [][]int) ([]float64, error) {
 	return h.parent.snap.Load().PredictBatch(&h.buf, primary, mixes)
 }
 
-// Observe is the contention-free Feedback: it prices the mix on the
+// Observe is the aggregator-free Feedback: it prices the mix on the
 // current snapshot, computes the signed relative error, and buffers the
 // sample in the shard's ring for the next DrainFeedback. Unlike
 // Predictor.Feedback it never touches the quality aggregator, so the
 // returned FeedbackResult carries no drift state — drift is resolved at
 // drain time. When the ring is full the sample is dropped and counted.
+// Only the push itself runs under the shard's lock.
 //
 //contender:hotpath
 func (h *Shard) Observe(primary int, concurrent []int, observed float64) (FeedbackResult, error) {
@@ -168,7 +171,9 @@ func (h *Shard) Observe(primary int, concurrent []int, observed float64) (Feedba
 		return FeedbackResult{}, err
 	}
 	signed := (observed - predicted) / observed
+	h.pushMu.Lock()
 	h.ring.push(feedbackSample{template: int32(primary), mpl: int32(len(concurrent) + 1), signed: signed})
+	h.pushMu.Unlock()
 	return FeedbackResult{Predicted: predicted, Observed: observed, SignedError: signed}, nil
 }
 
@@ -229,8 +234,9 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 func (s *Sharded) Snapshot() *Predictor { return s.snap.Load() }
 
 // Acquire hands out a shard round-robin. A serving worker acquires one
-// shard at startup and keeps it for its lifetime; two workers sharing one
-// shard must externally serialize, exactly like sharing a PredictBuffer.
+// shard at startup and keeps it for its lifetime. Workers sharing a shard
+// may Predict and Observe freely but must serialize BatchPredict and
+// Explain, exactly like sharing a PredictBuffer.
 func (s *Sharded) Acquire() *Shard {
 	n := s.next.Add(1) - 1
 	return s.shards[n%uint64(len(s.shards))]

@@ -237,6 +237,56 @@ func TestShardedRingOverflow(t *testing.T) {
 	}
 }
 
+// TestShardObserveConcurrent pins the single-producer rule on a shared
+// shard: several goroutines Observe on one Shard while another drains.
+// Every accepted sample must be accounted for exactly once, either
+// drained or counted as dropped; a lost or doubled push breaks the sum,
+// and -race flags any unserialized ring write.
+func TestShardObserveConcurrent(t *testing.T) {
+	p := trainedFixture(t)
+	s, err := NewSharded(p, ShardOptions{Shards: 1, RingSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := s.Acquire()
+	const producers, perProducer = 8, 4000
+	var wg sync.WaitGroup
+	for w := 0; w < producers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			mix := []int{2, 3}
+			for i := 0; i < perProducer; i++ {
+				if _, err := sh.Observe(1+(w+i)%3, mix, 700); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	drained := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-done:
+				drained <- n + s.DrainFeedback()
+				return
+			default:
+				n += s.DrainFeedback()
+			}
+		}
+	}()
+	wg.Wait()
+	close(done)
+	total := <-drained
+	if got := uint64(total) + s.FeedbackDropped(); got != producers*perProducer {
+		t.Errorf("drained %d + dropped %d = %d, want %d accepted Observe calls",
+			total, s.FeedbackDropped(), got, producers*perProducer)
+	}
+}
+
 // TestShardedConcurrentSwapFeedbackQuality hammers serving, feedback
 // ingestion, draining, and quality reporting while the snapshot is
 // hot-swapped — the -race CI job turns any unsynchronized access into a

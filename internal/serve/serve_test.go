@@ -454,18 +454,17 @@ func TestBinaryOversizedFrameRejected(t *testing.T) {
 	}
 }
 
-// TestIdleBinaryConnsDontStarveHTTP pins per-burst shard affinity:
-// binary connections that served a burst and went quiet must return
-// their shard, so the HTTP front keeps working even with more open
-// connections than shards.
+// TestIdleBinaryConnsDontStarveHTTP pins the ownership rule on a single
+// shard, the configuration where every front shares one feedback ring:
+// idle binary connections hold nothing another request waits for, and
+// busy ones pipelining every opcode beside HTTP feedback never answer
+// anything but success — no request waits on another for a shard.
 func TestIdleBinaryConnsDontStarveHTTP(t *testing.T) {
 	p := trainedPredictor(t)
 	sh, err := core.NewSharded(p, core.ShardOptions{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every front must borrow the single shard — the starvation-prone
-	// configuration.
 	s, err := New(sh, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -491,7 +490,7 @@ func TestIdleBinaryConnsDontStarveHTTP(t *testing.T) {
 		}
 	}
 
-	// The single shard must be back in the free list: HTTP succeeds.
+	// HTTP succeeds past the idle connections.
 	h := s.Handler()
 	for i := 0; i < 3; i++ {
 		w, data := postJSON(t, h, "/v1/predict", PredictRequest{Primary: 1, Concurrent: []int{2}})
@@ -499,6 +498,77 @@ func TestIdleBinaryConnsDontStarveHTTP(t *testing.T) {
 			t.Fatalf("http predict %d blocked by idle conns: %d %s", i, w.Code, data)
 		}
 	}
+
+	// Busy connections pipeline predict, feedback, explain, and batch
+	// frames, a round at a time, while HTTP feedback runs beside them.
+	const busy, rounds = 3, 100
+	ops := []struct {
+		op      uint8
+		payload func(b []byte) []byte
+	}{
+		{OpPredict, func(b []byte) []byte { return appendMix(b, 1, []int{2, 3}) }},
+		{OpFeedback, func(b []byte) []byte { return appendF64(appendMix(b, 2, []int{4}), 900) }},
+		{OpPredict | FlagExplain, func(b []byte) []byte { return appendMix(b, 3, []int{1, 5}) }},
+		{OpBatch, func(b []byte) []byte {
+			b = binary.LittleEndian.AppendUint32(b, 4)
+			b = binary.LittleEndian.AppendUint16(b, 2)
+			b = binary.LittleEndian.AppendUint16(b, 1)
+			b = binary.LittleEndian.AppendUint32(b, 2)
+			b = binary.LittleEndian.AppendUint16(b, 2)
+			b = binary.LittleEndian.AppendUint32(b, 1)
+			return binary.LittleEndian.AppendUint32(b, 5)
+		}},
+	}
+	conns := make([]net.Conn, busy)
+	for i := range conns {
+		conns[i] = dialBinary(t, addr).conn
+	}
+	var wg sync.WaitGroup
+	for i, conn := range conns {
+		wg.Add(1)
+		go func(i int, conn net.Conn) {
+			defer wg.Done()
+			bw, br := bufio.NewWriter(conn), bufio.NewReader(conn)
+			var header [4]byte
+			for round := 0; round < rounds; round++ {
+				for k, o := range ops {
+					frame, lenOff := appendFrameHeader(nil, o.op, uint32(k))
+					frame = o.payload(frame)
+					patchFrameLen(frame, lenOff)
+					if _, err := bw.Write(frame); err != nil {
+						t.Errorf("busy conn %d write: %v", i, err)
+						return
+					}
+				}
+				if err := bw.Flush(); err != nil {
+					t.Errorf("busy conn %d flush: %v", i, err)
+					return
+				}
+				for range ops {
+					if _, err := io.ReadFull(br, header[:]); err != nil {
+						t.Errorf("busy conn %d read: %v", i, err)
+						return
+					}
+					payload := make([]byte, binary.LittleEndian.Uint32(header[:]))
+					if _, err := io.ReadFull(br, payload); err != nil {
+						t.Errorf("busy conn %d read: %v", i, err)
+						return
+					}
+					if code, id := Code(payload[1]), binary.LittleEndian.Uint32(payload[2:6]); code != CodeOK {
+						t.Errorf("busy conn %d round %d op %d: code %s", i, round, id, code)
+						return
+					}
+				}
+			}
+		}(i, conn)
+	}
+	for i := 0; i < busy*rounds; i++ {
+		w, data := postJSON(t, h, "/v1/feedback", FeedbackRequest{Primary: 1, Concurrent: []int{2}, Observed: 800})
+		if w.Code != http.StatusOK {
+			t.Fatalf("http feedback %d beside busy conns: %d %s", i, w.Code, data)
+		}
+	}
+	wg.Wait()
 }
 
 // TestHTTPBodyTooLarge pins explicit over-limit rejection: a body past

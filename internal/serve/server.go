@@ -26,19 +26,19 @@ import (
 // Concurrency model:
 //
 //   - Each accepted binary connection is owned by one reader goroutine
-//     plus one writer goroutine flushing framed responses. The reader
-//     borrows a shard from the free list only while complete frames are
-//     buffered (per-burst affinity — the shard's scratch stays hot
-//     across a pipelined burst) and returns it before any read that can
-//     block, so idle connections never pin shards: a handful of
-//     silent TCP connections cannot starve the HTTP front.
-//   - HTTP handlers borrow shards from the same free list, sized to the
-//     shard count; a borrowed shard is used single-threadedly. Borrows
-//     wait at most Config.BorrowWait before answering overloaded.
-//   - Every request is priced directly on its shard. Untrusted mixes
-//     need no separate validation pass: the core prices each request
-//     against one snapshot load and reports unknown templates as
-//     core.ErrUnknownTemplate, which maps to the unknown_template code.
+//     plus one writer goroutine flushing framed responses. The
+//     connection owns its batch and explain scratch, and Acquires one
+//     shard when it connects for its feedback ring, keeping it until it
+//     closes. HTTP handlers price on request-local scratch and Acquire a
+//     shard per feedback request.
+//   - No request waits for scratch or a shard held by another
+//     connection. When connections outnumber shards they share feedback
+//     rings; Shard.Observe serializes producers with a per-shard lock
+//     held only for the ring push, never across I/O.
+//   - Every request prices against one snapshot load. Untrusted mixes
+//     need no separate validation pass: the core reports unknown
+//     templates as core.ErrUnknownTemplate, which maps to the
+//     unknown_template code.
 //   - Snapshot hot-swaps (Sharded.Swap, the lifecycle loop) never block
 //     serving: every prediction reads the atomic snapshot pointer, so a
 //     request straddling a swap simply completes on the old model.
@@ -46,7 +46,6 @@ type Server struct {
 	cfg   Config
 	sh    *core.Sharded
 	httpA *admitter // admission for the HTTP front
-	free  chan *core.Shard
 
 	mu        sync.Mutex
 	listeners []net.Listener
@@ -83,9 +82,6 @@ type Config struct {
 	// MaxBatch caps the mixes of one predict_batch request (default
 	// 4096; CodeBatchTooLarge beyond it).
 	MaxBatch int
-	// BorrowWait bounds how long an HTTP request or a binary frame
-	// waits for a free shard before answering overloaded (default 1s).
-	BorrowWait time.Duration
 	// Admission bounds each binary connection and the HTTP front as a
 	// whole. The zero value admits everything.
 	Admission AdmissionConfig
@@ -133,19 +129,12 @@ func New(sh *core.Sharded, cfg Config) (*Server, error) {
 	if cfg.DrainEvery == 0 {
 		cfg.DrainEvery = 100 * time.Millisecond
 	}
-	if cfg.BorrowWait <= 0 {
-		cfg.BorrowWait = time.Second
-	}
 	s := &Server{
 		cfg:   cfg,
 		sh:    sh,
 		conns: map[net.Conn]struct{}{},
 		drain: make(chan struct{}),
-		free:  make(chan *core.Shard, sh.NumShards()),
 		met:   newServeMetrics(cfg.Metrics),
-	}
-	for i := 0; i < sh.NumShards(); i++ {
-		s.free <- sh.Acquire()
 	}
 	if cfg.Admission.enabled() {
 		s.httpA = newAdmitter(cfg.Admission, cfg.Now)
@@ -178,28 +167,6 @@ func (s *Server) drainLoop() {
 		}
 	}
 }
-
-// borrow takes a shard from the free list. The list bounds shard users
-// to the shard count; when every shard is busy the wait is bounded by
-// BorrowWait, after which the request answers overloaded instead of
-// parking a goroutine indefinitely.
-func (s *Server) borrow() (*core.Shard, error) {
-	select {
-	case sh := <-s.free:
-		return sh, nil
-	default:
-	}
-	t := time.NewTimer(s.cfg.BorrowWait)
-	defer t.Stop()
-	select {
-	case sh := <-s.free:
-		return sh, nil
-	case <-t.C:
-		return nil, fmt.Errorf("%w: no shard free within %v", ErrOverloaded, s.cfg.BorrowWait)
-	}
-}
-
-func (s *Server) giveBack(sh *core.Shard) { s.free <- sh }
 
 // timed reports whether request handlers need wall-clock timing: either
 // an observer wants the serve.request span or a slow log wants to judge
@@ -268,7 +235,7 @@ func (s *Server) Handler() http.Handler {
 				}
 				return resp, 1, nil
 			}
-			v, err := s.predictOne(req.Primary, req.Concurrent)
+			v, err := s.sh.Snapshot().PredictKnown(req.Primary, req.Concurrent)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -284,7 +251,11 @@ func (s *Server) Handler() http.Handler {
 			if len(req.Mixes) > s.cfg.MaxBatch {
 				return nil, 0, fmt.Errorf("%w: %d mixes > max %d", ErrBatchTooLarge, len(req.Mixes), s.cfg.MaxBatch)
 			}
-			out, err := s.batchPredict(req.Primary, req.Mixes)
+			// Both protocol fronts price batches through
+			// core.PredictBatch, which is what makes their payloads
+			// byte-identical for the same request.
+			var buf core.PredictBuffer
+			out, err := s.sh.Snapshot().PredictBatch(&buf, req.Primary, req.Mixes)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -297,7 +268,7 @@ func (s *Server) Handler() http.Handler {
 			if err := json.Unmarshal(body, &req); err != nil {
 				return nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
 			}
-			res, err := s.observe(req.Primary, req.Concurrent, req.Observed)
+			res, err := s.sh.Acquire().Observe(req.Primary, req.Concurrent, req.Observed)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -378,30 +349,14 @@ func writeJSONError(w http.ResponseWriter, err error) {
 	_ = json.NewEncoder(w).Encode(ErrorEnvelope{Error: WireError{Code: code.String(), Message: err.Error()}})
 }
 
-// predictOne prices a single prediction on a borrowed shard.
-func (s *Server) predictOne(primary int, mix []int) (float64, error) {
-	sh, err := s.borrow()
-	if err != nil {
-		return 0, err
-	}
-	defer s.giveBack(sh)
-	return sh.Predict(primary, mix)
-}
-
 // predictExplain prices one prediction with its per-neighbor blame
-// breakdown on a borrowed shard. The prediction itself is bit-identical
-// to the non-explain path by construction (core.PredictExplain prices
-// through PredictKnown's body with a term sink). The breakdown slices
-// are copied out of the shard's buffer before the shard returns to the
-// free list.
+// breakdown. The prediction itself is bit-identical to the non-explain
+// path by construction (core.PredictExplain prices through
+// PredictKnown's body with a term sink). The breakdown slices belong to
+// the request-local buffer, so the response carries them as they are.
 func (s *Server) predictExplain(primary int, mix []int) (PredictResponse, error) {
-	sh, err := s.borrow()
-	if err != nil {
-		return PredictResponse{}, err
-	}
-	defer s.giveBack(sh)
-	eb, err := sh.Explain(primary, mix)
-	if err != nil {
+	var eb core.ExplainBuffer
+	if _, err := s.sh.Snapshot().PredictExplain(&eb, primary, mix); err != nil {
 		return PredictResponse{}, err
 	}
 	s.cfg.Blame.Observe(primary, eb.Neighbors, eb.Seconds)
@@ -410,39 +365,10 @@ func (s *Server) predictExplain(primary int, mix []int) (PredictResponse, error)
 		Explain: &ExplainBreakdown{
 			Baseline:  eb.Baseline,
 			CQI:       eb.CQI,
-			Neighbors: append([]int(nil), eb.Neighbors...),
-			Seconds:   append([]float64(nil), eb.Seconds...),
+			Neighbors: eb.Neighbors,
+			Seconds:   eb.Seconds,
 		},
 	}, nil
-}
-
-// batchPredict executes one predict_batch request on a borrowed shard,
-// copying the results out of the shard's scratch. Both protocol fronts
-// price batches through core.PredictBatch, which is what makes their
-// payloads byte-identical for the same request.
-func (s *Server) batchPredict(primary int, mixes [][]int) ([]float64, error) {
-	sh, err := s.borrow()
-	if err != nil {
-		return nil, err
-	}
-	defer s.giveBack(sh)
-	res, err := sh.BatchPredict(primary, mixes)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(res))
-	copy(out, res)
-	return out, nil
-}
-
-// observe executes one feedback request on a borrowed shard.
-func (s *Server) observe(primary int, mix []int, observed float64) (core.FeedbackResult, error) {
-	sh, err := s.borrow()
-	if err != nil {
-		return core.FeedbackResult{}, err
-	}
-	defer s.giveBack(sh)
-	return sh.Observe(primary, mix, observed)
 }
 
 // ---------------------------------------------------------------------------
@@ -493,14 +419,16 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// connState is one binary connection's working set: its (per-burst
-// borrowed) shard, its admission bucket, and reusable request/response
-// buffers. Everything is single-goroutine (the reader), except the
-// response channel feeding the writer.
+// connState is one binary connection's working set: the shard whose
+// feedback ring it feeds, its admission bucket, its pricing scratch,
+// and reusable request/response buffers. Everything is single-goroutine
+// (the reader), except the response channel feeding the writer.
 type connState struct {
 	srv   *Server
-	shard *core.Shard // nil when not borrowed; held only across buffered bursts
+	shard *core.Shard // Acquired at connect, kept until close
 	adm   *admitter
+	pbuf  core.PredictBuffer
+	ebuf  core.ExplainBuffer
 
 	respCh chan *[]byte
 	wErr   chan error
@@ -523,10 +451,10 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	st := &connState{
 		srv:    s,
+		shard:  s.sh.Acquire(),
 		respCh: make(chan *[]byte, 64),
 		wErr:   make(chan error, 1),
 	}
-	defer st.releaseShard()
 	if s.cfg.Admission.enabled() {
 		st.adm = newAdmitter(s.cfg.Admission, s.cfg.Now)
 	}
@@ -565,13 +493,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	payload := make([]byte, 0, 512)
 	var header [4]byte
 	for {
-		// Return the shard before any read that can block: a borrowed
-		// shard may only be held while complete frames are buffered
-		// (per-burst affinity), never across a wait on the client —
-		// otherwise idle connections would pin the free list dry.
-		if st.shard != nil && !frameBuffered(br) {
-			st.releaseShard()
-		}
 		if _, err := io.ReadFull(br, header[:]); err != nil {
 			break // EOF or connection torn down
 		}
@@ -602,10 +523,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 	}
 done:
-	// Return any borrowed shard before waiting on the writer: the wait
-	// can outlast a slow flush, and a shard parked here is invisible to
-	// every other connection (found by contender-vet's borrowpair).
-	st.releaseShard()
 	close(st.respCh)
 	wwg.Wait()
 }
@@ -634,7 +551,6 @@ func (st *connState) handleFrame(op uint8, reqID uint32, payload []byte) {
 	}
 	var n int
 	var err error
-	var sh *core.Shard
 	r := frameReader{b: payload}
 	if explain && op != OpPredict {
 		err = fmt.Errorf("%w: explain flag on opcode %d", ErrBadRequest, op)
@@ -649,15 +565,11 @@ func (st *connState) handleFrame(op uint8, reqID uint32, payload []byte) {
 			err = fmt.Errorf("%w: malformed predict payload", ErrBadRequest)
 			break
 		}
-		if sh, err = st.ensureShard(); err != nil {
-			break
-		}
 		if explain {
-			// The shard's explain buffer stays valid while the shard is
-			// held, and it is held across this whole frame, so the reply
-			// frames straight out of the buffer with no copies.
-			var eb *core.ExplainBuffer
-			if eb, err = sh.Explain(primary, mix); err == nil {
+			// The connection owns its explain buffer, so the reply
+			// frames straight out of it with no copies.
+			eb := &st.ebuf
+			if _, err = s.sh.Snapshot().PredictExplain(eb, primary, mix); err == nil {
 				n = 1
 				s.cfg.Blame.Observe(primary, eb.Neighbors, eb.Seconds)
 				st.replyOK(reqID, func(b []byte) []byte {
@@ -675,7 +587,7 @@ func (st *connState) handleFrame(op uint8, reqID uint32, payload []byte) {
 			break
 		}
 		var v float64
-		if v, err = sh.Predict(primary, mix); err == nil {
+		if v, err = s.sh.Snapshot().PredictKnown(primary, mix); err == nil {
 			n = 1
 			st.replyOK(reqID, func(b []byte) []byte { return appendF64(b, v) })
 		}
@@ -690,11 +602,8 @@ func (st *connState) handleFrame(op uint8, reqID uint32, payload []byte) {
 			err = fmt.Errorf("%w: malformed batch payload", ErrBadRequest)
 			break
 		}
-		if sh, err = st.ensureShard(); err != nil {
-			break
-		}
 		var res []float64
-		if res, err = sh.BatchPredict(primary, st.mixes); err == nil {
+		if res, err = s.sh.Snapshot().PredictBatch(&st.pbuf, primary, st.mixes); err == nil {
 			n = len(res)
 			st.replyOK(reqID, func(b []byte) []byte {
 				b = binary.LittleEndian.AppendUint16(b, uint16(len(res)))
@@ -711,11 +620,8 @@ func (st *connState) handleFrame(op uint8, reqID uint32, payload []byte) {
 			err = fmt.Errorf("%w: malformed feedback payload", ErrBadRequest)
 			break
 		}
-		if sh, err = st.ensureShard(); err != nil {
-			break
-		}
 		var res core.FeedbackResult
-		if res, err = sh.Observe(primary, mix, observed); err == nil {
+		if res, err = st.shard.Observe(primary, mix, observed); err == nil {
 			st.replyOK(reqID, func(b []byte) []byte {
 				return appendF64(appendF64(b, res.Predicted), res.SignedError)
 			})
@@ -731,48 +637,6 @@ func (st *connState) handleFrame(op uint8, reqID uint32, payload []byte) {
 	if err != nil {
 		st.reply(reqID, err)
 	}
-}
-
-// ensureShard borrows a shard for the current burst if the connection
-// does not already hold one. The borrow is bounded (BorrowWait), so a
-// frame arriving while every shard is busy answers overloaded instead
-// of parking the connection's reader.
-func (st *connState) ensureShard() (*core.Shard, error) {
-	if st.shard == nil {
-		sh, err := st.srv.borrow()
-		if err != nil {
-			return nil, err
-		}
-		st.shard = sh
-	}
-	return st.shard, nil
-}
-
-// releaseShard returns the burst's shard to the free list, if held.
-func (st *connState) releaseShard() {
-	if st.shard != nil {
-		st.srv.giveBack(st.shard)
-		st.shard = nil
-	}
-}
-
-// frameBuffered reports whether the reader already holds one complete
-// frame — i.e. the next loop iteration will not block on the client.
-// A bogus length prefix counts as buffered: the loop answers the error
-// and hangs up without another read.
-func frameBuffered(br *bufio.Reader) bool {
-	if br.Buffered() < 4 {
-		return false
-	}
-	h, err := br.Peek(4)
-	if err != nil {
-		return false
-	}
-	n := int(binary.LittleEndian.Uint32(h))
-	if n < frameHeaderSize || n > MaxFrame {
-		return true
-	}
-	return br.Buffered() >= 4+n
 }
 
 // decodeMix reads (primary, mix) reusing the connection's arena.

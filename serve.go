@@ -36,7 +36,6 @@ type serveConfig struct {
 	shards     int
 	ringSize   int
 	maxBatch   int
-	borrowWait time.Duration
 	admission  serve.AdmissionConfig
 	drainEvery time.Duration
 	observer   Observer
@@ -67,15 +66,6 @@ func WithFeedbackRing(n int) ServeOption {
 // 4096); larger requests answer batch_too_large.
 func WithMaxBatch(n int) ServeOption {
 	return func(c *serveConfig) { c.maxBatch = n }
-}
-
-// WithBorrowWait bounds how long one request (an HTTP handler or a
-// binary frame) waits for a free serving shard before answering the
-// stable "overloaded" code (default 1s). The wait only engages when
-// every shard is busy; it keeps a saturated server shedding load
-// instead of parking goroutines.
-func WithBorrowWait(d time.Duration) ServeOption {
-	return func(c *serveConfig) { c.borrowWait = d }
 }
 
 // WithAdmission bounds each binary connection (and the HTTP front as a
@@ -138,7 +128,6 @@ func NewServer(s *Sharded, opts ...ServeOption) (*Server, error) {
 		Blame:      cfg.blame,
 		SlowLog:    cfg.slowLog,
 		MaxBatch:   cfg.maxBatch,
-		BorrowWait: cfg.borrowWait,
 		Admission:  cfg.admission,
 		DrainEvery: cfg.drainEvery,
 	})

@@ -4,24 +4,18 @@ import "contender/internal/core"
 
 // Sharded serving facade: wrap a trained Predictor in per-core serving
 // shards sharing one immutable snapshot. Serving workers each Acquire a
-// Shard and use it exclusively — predictions read the snapshot lock-free,
-// batch scratch is per-shard, and Observe buffers feedback in a per-shard
-// ring instead of touching the quality aggregator. Retraining swaps in a
-// new predictor atomically (Swap) without blocking a single serving call;
-// a maintenance loop periodically folds buffered feedback into the
-// quality aggregator with DrainFeedback.
-
-// ShardOptions is the pre-ServeOption configuration struct, kept for
-// NewShardedWithOptions.
-//
-// Deprecated: use ServeOption (WithShards, WithFeedbackRing) with
-// NewSharded instead; the struct remains only so existing callers keep
-// compiling.
-type ShardOptions = core.ShardOptions
+// Shard — predictions read the snapshot lock-free, batch scratch is
+// per-shard, and Observe buffers feedback in a per-shard ring instead of
+// touching the quality aggregator; a per-shard lock held only for the
+// ring push keeps the ring single-producer when workers share a shard.
+// Retraining swaps in a new predictor atomically (Swap) without blocking
+// a single serving call; a maintenance loop periodically folds buffered
+// feedback into the quality aggregator with DrainFeedback.
 
 // Shard is one serving replica's handle: Predict, BatchPredict, and
-// Observe, each allocation-free once warm. A shard must be used by one
-// goroutine at a time.
+// Observe, each allocation-free once warm. Predict and Observe are safe
+// for concurrent use; BatchPredict and Explain reuse the shard's scratch
+// and must be called by one goroutine at a time.
 type Shard = core.Shard
 
 // Sharded fans one predictor snapshot out to per-core serving shards.
@@ -35,15 +29,7 @@ type Sharded struct {
 // relevant options here are WithShards and WithFeedbackRing.
 func NewSharded(p *Predictor, opts ...ServeOption) (*Sharded, error) {
 	cfg := buildServeConfig(opts)
-	return NewShardedWithOptions(p, ShardOptions{Shards: cfg.shards, RingSize: cfg.ringSize})
-}
-
-// NewShardedWithOptions is NewSharded with the pre-facade options
-// struct.
-//
-// Deprecated: use NewSharded with ServeOption values instead.
-func NewShardedWithOptions(p *Predictor, opts ShardOptions) (*Sharded, error) {
-	s, err := core.NewSharded(p.inner, opts)
+	s, err := core.NewSharded(p.inner, core.ShardOptions{Shards: cfg.shards, RingSize: cfg.ringSize})
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +37,8 @@ func NewShardedWithOptions(p *Predictor, opts ShardOptions) (*Sharded, error) {
 }
 
 // Acquire hands out a shard round-robin; a serving worker acquires one at
-// startup and keeps it for its lifetime.
+// startup and keeps it for its lifetime. Shards are shared round-robin
+// once workers outnumber them.
 func (s *Sharded) Acquire() *Shard { return s.inner.Acquire() }
 
 // NumShards returns the number of serving shards.
