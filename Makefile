@@ -66,6 +66,7 @@ BENCH_GUARD_ROWS = \
 	BenchmarkPredictBatch/mixes=4 \
 	BenchmarkPredictBatch/mixes=16 \
 	BenchmarkPredictBatch/mixes=64 \
+	BenchmarkPredictBatch/random256 \
 	BenchmarkPredictKnownFeedback \
 	BenchmarkShardedPredict \
 	BenchmarkShardedObserve

@@ -13,6 +13,7 @@ package contender
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -284,12 +285,13 @@ var (
 )
 
 // trainedPredictor trains a predictor once per process for the serving
-// benchmarks.
+// benchmarks: quick sampling at MPLs 2–5, so mixes of up to four
+// concurrent templates have a model.
 func trainedPredictor(b *testing.B) *Predictor {
 	b.Helper()
 	predOnce.Do(func() {
 		var wb *Workbench
-		wb, predErr = NewWorkbench(QuickSampling(), WithSeed(42))
+		wb, predErr = NewWorkbench(QuickSampling(), WithMPLs(2, 3, 4, 5), WithSeed(42))
 		if predErr != nil {
 			return
 		}
@@ -382,8 +384,7 @@ func BenchmarkPredictKnownFeedback(b *testing.B) {
 
 // benchMixes builds n candidate mixes (MPL 2–3) over the trained template
 // pool, deterministically, duplicates included — the shape a scheduler's
-// combinatorial candidate generator produces and the batch kernel's
-// dedup/sort stage exists for.
+// combinatorial candidate generator produces.
 func benchMixes(n int) [][]int {
 	pool := []int{2, 22, 26, 61, 62, 71}
 	mixes := make([][]int, n)
@@ -398,10 +399,27 @@ func benchMixes(n int) [][]int {
 	return mixes
 }
 
-// BenchmarkPredictBatch is the vectorized batch kernel over a reusable
-// buffer — the shape a scheduler probing candidate mixes uses. Every
-// sub-benchmark must report 0 allocs/op; the per-mix cost falling as the
-// batch grows is the dedup/partial-sum amortization at work.
+// randomMixes draws n mixes of 1–4 concurrent templates, each uniform
+// over ids, from a fixed seed: the request shape of the serving
+// benchmark's batch workload.
+func randomMixes(ids []int, n int) [][]int {
+	rng := rand.New(rand.NewSource(1))
+	mixes := make([][]int, n)
+	for i := range mixes {
+		mix := make([]int, 1+rng.Intn(4))
+		for j := range mix {
+			mix[j] = ids[rng.Intn(len(ids))]
+		}
+		mixes[i] = mix
+	}
+	return mixes
+}
+
+// BenchmarkPredictBatch is PredictBatch (a loop over the PredictKnown
+// pricing body) over a reusable buffer — the shape a scheduler probing
+// candidate mixes uses. Every sub-benchmark must report 0 allocs/op.
+// random256 prices 256 random mixes of 1–4 concurrents for primary 71;
+// divide its ns/op by 256 for the per-mix cost.
 func BenchmarkPredictBatch(b *testing.B) {
 	pred := trainedPredictor(b)
 	for _, tc := range []struct {
@@ -411,6 +429,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 		{"mixes=4", [][]int{{2}, {2, 22}, {22, 62}, {26, 61}}},
 		{"mixes=16", benchMixes(16)},
 		{"mixes=64", benchMixes(64)},
+		{"random256", randomMixes(pred.Knowledge().IDs(), 256)},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var buf PredictBuffer

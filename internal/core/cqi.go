@@ -45,19 +45,29 @@ func (idx *cqiIndex) intensitySlot(ci int, omega, tau float64) float64 {
 // cqiSlot is the one CQI kernel: mean competing intensity of the
 // concurrent templates against the primary in slot pi. ω comes from one
 // row of the pairwise slab; τ is mix-dependent (Eq. 3) and computed per
-// concurrent query without allocating. When terms is non-nil (it must
-// hold len(concurrent) entries), each neighbor's r_c term (Eq. 4) is
-// recorded into it in summation order, so PredictExplain's decomposition
-// comes from the very loop that sums the CQI.
+// concurrent query without allocating, from sh (shareOf's summary of the
+// same mix). A concurrent whose scan list misses every table in sh.cand
+// has τ = 0, so its term is term0's, computed by the same expression at
+// index build. When terms is non-nil (it must hold len(concurrent)
+// entries), each neighbor's r_c term (Eq. 4) is recorded into it in
+// summation order, so PredictExplain's decomposition comes from the very
+// loop that sums the CQI.
 //
 //contender:hotpath
-func (idx *cqiIndex) cqiSlot(pi int, concurrent []int, terms []float64) float64 {
+func (idx *cqiIndex) cqiSlot(pi int, concurrent []int, sh *mixShare, terms []float64) float64 {
 	base := pi * idx.n
 	var sum float64
 	for i, id := range concurrent {
 		ci := idx.mustPos(id)
-		tau := idx.tauSlot(pi, ci, concurrent)
-		term := idx.intensitySlot(ci, idx.omega[base+ci], tau)
+		var term float64
+		switch {
+		case !sh.exact:
+			term = idx.intensitySlot(ci, idx.omega[base+ci], idx.tauSlot(pi, ci, concurrent))
+		case idx.listFold[ci]&sh.cand == 0:
+			term = idx.term0[base+ci]
+		default:
+			term = idx.intensitySlot(ci, idx.omega[base+ci], idx.tauShared(ci, sh))
+		}
 		if terms != nil {
 			terms[i] = term
 		}
@@ -79,7 +89,12 @@ func (k *Knowledge) CQI(primary int, concurrent []int) float64 {
 		return 0
 	}
 	idx := k.index()
-	return idx.cqiSlot(idx.mustPos(primary), concurrent, nil)
+	pi := idx.mustPos(primary)
+	var sh mixShare
+	if bad := idx.shareOf(&sh, pi, concurrent); bad >= 0 {
+		panicUnknownTemplate(concurrent[bad])
+	}
+	return idx.cqiSlot(pi, concurrent, &sh, nil)
 }
 
 // CQIForStats is CQI with an explicit primary — used when the primary is an
@@ -130,12 +145,10 @@ func (k *Knowledge) PositiveIO(primary int, concurrent []int) float64 {
 		return 0
 	}
 	idx := k.index()
-	pi := idx.mustPos(primary)
-	base := pi * idx.n
+	base := idx.mustPos(primary) * idx.n
 	var sum float64
 	for _, id := range concurrent {
-		ci := idx.mustPos(id)
-		sum += idx.intensitySlot(ci, idx.omega[base+ci], 0)
+		sum += idx.term0[base+idx.mustPos(id)]
 	}
 	return sum / float64(len(concurrent))
 }

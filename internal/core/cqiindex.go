@@ -21,6 +21,13 @@ import "sort"
 //   - masks: per-slot scan-set bitsets (maskW words per slot), so the
 //     "does template t scan table f" membership tests of Eq. 2/3 are a
 //     shift and an AND instead of a string-keyed map lookup.
+//   - fold/listFold: with at most 64 interned tables (maskW == 1), each
+//     slot's scan set and scan *list* (explicit-false entries included)
+//     folded into one word each; a mix's sharer counts are built from
+//     fold in one walk (shareOf).
+//   - term0: the n×n slab of τ-free r_c terms, term0[i*n+j] =
+//     intensitySlot(j, ω(i,j), 0), served whenever none of j's scans is
+//     shared by two concurrents and unread by the primary.
 //
 // With it, CQI, PositiveIO, BaselineIO, and the prediction pipeline run
 // allocation-free, touch memory sequentially, and sum floating-point
@@ -73,6 +80,13 @@ type cqiIndex struct {
 
 	maskW int      // bitset words per slot
 	masks []uint64 // n×maskW slab; bit t set ⇔ template truly scans table t
+
+	// fold and listFold are nil when maskW > 1: folding more than 64
+	// tables into one word is not exact, so those indexes keep counting
+	// sharers over masks.
+	fold     []uint64  // one word per slot: the slot's masks word (maskW == 1)
+	listFold []uint64  // one word per slot: bit t set ⇔ t is in the scan list
+	term0    []float64 // n×n slab: term0[i*n+j] = intensitySlot(j, omega[i*n+j], 0)
 
 	tables  []string
 	tableID map[string]int
@@ -164,6 +178,10 @@ func (k *Knowledge) buildIndex() *cqiIndex {
 		idx.maskW = 1
 	}
 	idx.masks = make([]uint64, n*idx.maskW)
+	if idx.maskW == 1 {
+		idx.fold = idx.masks
+		idx.listFold = make([]uint64, n)
+	}
 	idx.hot = make([]tmplHot, n)
 	for i := range idx.tmpl {
 		ts := &idx.tmpl[i].stats
@@ -174,6 +192,9 @@ func (k *Knowledge) buildIndex() *cqiIndex {
 			idx.scanSec = append(idx.scanSec, sc.seconds)
 			if ts.Scans[sc.table] {
 				idx.masks[i*idx.maskW+tid>>6] |= 1 << (uint(tid) & 63)
+			}
+			if idx.listFold != nil {
+				idx.listFold[i] |= 1 << uint(tid)
 			}
 		}
 		idx.hot[i] = tmplHot{
@@ -186,8 +207,10 @@ func (k *Knowledge) buildIndex() *cqiIndex {
 	}
 
 	// Pairwise ω slab (Eq. 2): shared-scan seconds between every primary i
-	// and concurrent j, in j's canonical scan order.
+	// and concurrent j, in j's canonical scan order; and the τ-free term
+	// each ω yields.
 	idx.omega = make([]float64, n*n)
+	idx.term0 = make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		row := idx.omega[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
@@ -199,6 +222,7 @@ func (k *Knowledge) buildIndex() *cqiIndex {
 				}
 			}
 			row[j] = w
+			idx.term0[i*n+j] = idx.intensitySlot(j, w, 0)
 		}
 	}
 	return idx
@@ -240,6 +264,69 @@ func (idx *cqiIndex) mustPos(id int) int {
 		panicUnknownTemplate(id)
 	}
 	return p
+}
+
+// maxSharers is the longest mix mixShare's 3-bit sharer counters hold.
+const maxSharers = 7
+
+// mixShare summarizes which tables a mix shares. For each interned table
+// t, h_f (Eq. 3's count of concurrents truly scanning t) is bit t of
+// c0 + 2·c1 + 4·c2. cand holds the tables where τ can be non-zero:
+// h_f > 1 and the primary does not read t. When exact is false (the
+// index has more than 64 tables, or the mix is longer than maxSharers)
+// the counters are unset and τ is counted per scan over masks.
+type mixShare struct {
+	c0, c1, c2 uint64
+	cand       uint64
+	exact      bool
+}
+
+// shareOf resolves every concurrent ID and, in the same walk, fills sh
+// with the mix's sharer counts against the primary in slot pi. It
+// returns the position of the first unknown ID, or -1 when all resolve.
+//
+//contender:hotpath
+func (idx *cqiIndex) shareOf(sh *mixShare, pi int, concurrent []int) int {
+	exact := idx.fold != nil && len(concurrent) <= maxSharers
+	var c0, c1, c2 uint64
+	for i, id := range concurrent {
+		ci := idx.posOf(id)
+		if ci < 0 {
+			return i
+		}
+		if exact { // add fold[ci] to the bit-sliced counters
+			m := idx.fold[ci]
+			c := c0 & m
+			c0 ^= m
+			c2 ^= c1 & c
+			c1 ^= c
+		}
+	}
+	*sh = mixShare{c0: c0, c1: c1, c2: c2, exact: exact}
+	if exact {
+		sh.cand = (c1 | c2) &^ idx.fold[pi]
+	}
+	return -1
+}
+
+// tauShared is tauSlot for an exact mixShare: it visits only the scans
+// in sh.cand and reads h_f from the counters. The scans it skips either
+// are read by the primary or have h_f ≤ 1, and tauSlot adds nothing for
+// those, so the sum is bit-identical.
+//
+//contender:hotpath
+func (idx *cqiIndex) tauShared(ci int, sh *mixShare) float64 {
+	h := &idx.hot[ci]
+	var tau float64
+	for s := h.scanOff; s < h.scanEnd; s++ {
+		t := uint(idx.scanTID[s])
+		if sh.cand>>t&1 == 0 {
+			continue
+		}
+		hf := sh.c0>>t&1 | (sh.c1>>t&1)<<1 | (sh.c2>>t&1)<<2
+		tau += (1 - 1/float64(hf)) * idx.scanSec[s]
+	}
+	return tau
 }
 
 // tauSlot computes Eq. 3 for the concurrent template in slot ci against

@@ -191,6 +191,7 @@ func TestPredictBatchErrors(t *testing.T) {
 
 // The serving hot path must not allocate: a scheduler probing thousands of
 // candidate mixes per decision would otherwise spend its time in GC.
+// Every entry point runs on three mixes, one per cqiSlot branch.
 func TestServingPathDoesNotAllocate(t *testing.T) {
 	k, obs := predictorFixture(t)
 	p, err := Train(k, obs, TrainOptions{})
@@ -198,81 +199,94 @@ func TestServingPathDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Prime()
-	mix := []int{2, 3}
-	mixes := [][]int{{1}, {2}, {1, 3}}
+	shapes := []struct {
+		name    string
+		primary int
+		mix     []int
+		mixes   [][]int
+	}{
+		// 2 and 3 share G, which primary 1 does not read: the τ branch.
+		{"tau", 1, []int{2, 3}, [][]int{{2, 3}, {3, 2}, {2, 3}}},
+		// A single neighbor has h_f ≤ 1 everywhere: the term0 branch.
+		{"single", 3, []int{1}, [][]int{{1}, {5}, {2}}},
+		// 2 and 3 share only G, which primary 2 reads: term0 again.
+		{"read-by-primary", 2, []int{2, 3}, [][]int{{1}, {2}, {1, 3}}},
+	}
 	var buf PredictBuffer
-	if _, err := p.PredictBatch(&buf, 2, mixes); err != nil { // warm the buffer
-		t.Fatal(err)
-	}
 	p.SetQuality(obspkg.NewQuality(obspkg.DriftConfig{}))
-	if _, err := p.Feedback(2, mix, 1.5); err != nil { // warm the template tracker
-		t.Fatal(err)
-	}
 	sharded, err := NewSharded(p, ShardOptions{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sh := sharded.Acquire()
-	if _, err := sh.BatchPredict(2, mixes); err != nil { // warm the shard buffer
-		t.Fatal(err)
-	}
-	if _, err := sh.Observe(2, mix, 1.5); err != nil {
-		t.Fatal(err)
-	}
 	var ebuf ExplainBuffer
-	if _, err := p.PredictExplain(&ebuf, 2, mix); err != nil { // warm the explain buffer
-		t.Fatal(err)
-	}
-	if _, err := sh.Explain(2, mix); err != nil { // warm the shard's explain buffer
-		t.Fatal(err)
+	for _, s := range shapes { // warm every buffer and template tracker
+		if _, err := p.PredictBatch(&buf, s.primary, s.mixes); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Feedback(s.primary, s.mix, 1.5); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sh.BatchPredict(s.primary, s.mixes); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sh.Observe(s.primary, s.mix, 1.5); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.PredictExplain(&ebuf, s.primary, s.mix); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sh.Explain(s.primary, s.mix); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	cases := []struct {
 		name string
-		fn   func()
+		fn   func(primary int, mix []int, mixes [][]int)
 	}{
-		{"CQI", func() { k.CQI(1, mix) }},
-		{"PositiveIO", func() { k.PositiveIO(1, mix) }},
-		{"BaselineIO", func() { k.BaselineIO(mix) }},
-		{"PredictKnown", func() {
-			if _, err := p.PredictKnown(2, mix); err != nil {
+		{"CQI", func(primary int, mix []int, _ [][]int) { k.CQI(primary, mix) }},
+		{"PositiveIO", func(primary int, mix []int, _ [][]int) { k.PositiveIO(primary, mix) }},
+		{"BaselineIO", func(_ int, mix []int, _ [][]int) { k.BaselineIO(mix) }},
+		{"PredictKnown", func(primary int, mix []int, _ [][]int) {
+			if _, err := p.PredictKnown(primary, mix); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"PredictBatch", func() {
-			if _, err := p.PredictBatch(&buf, 2, mixes); err != nil {
+		{"PredictBatch", func(primary int, _ []int, mixes [][]int) {
+			if _, err := p.PredictBatch(&buf, primary, mixes); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"PredictExplain", func() {
-			if _, err := p.PredictExplain(&ebuf, 2, mix); err != nil {
+		{"PredictExplain", func(primary int, mix []int, _ [][]int) {
+			if _, err := p.PredictExplain(&ebuf, primary, mix); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"Feedback", func() {
-			if _, err := p.Feedback(2, mix, 1.5); err != nil {
+		{"Feedback", func(primary int, mix []int, _ [][]int) {
+			if _, err := p.Feedback(primary, mix, 1.5); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"Predict", func() {
-			if _, err := sh.Predict(2, mix); err != nil {
+		{"Predict", func(primary int, mix []int, _ [][]int) {
+			if _, err := sh.Predict(primary, mix); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"BatchPredict", func() {
-			if _, err := sh.BatchPredict(2, mixes); err != nil {
+		{"BatchPredict", func(primary int, _ []int, mixes [][]int) {
+			if _, err := sh.BatchPredict(primary, mixes); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"Observe", func() {
+		{"Observe", func(primary int, mix []int, _ [][]int) {
 			// The ring eventually fills without a drain; the drop path
 			// must be allocation-free too, so no drain here on purpose.
-			if _, err := sh.Observe(2, mix, 1.5); err != nil {
+			if _, err := sh.Observe(primary, mix, 1.5); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"Explain", func() {
-			if _, err := sh.Explain(2, mix); err != nil {
+		{"Explain", func(primary int, mix []int, _ [][]int) {
+			if _, err := sh.Explain(primary, mix); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -289,9 +303,12 @@ func TestServingPathDoesNotAllocate(t *testing.T) {
 		}
 	}
 
-	for _, tc := range cases {
-		if allocs := testing.AllocsPerRun(100, tc.fn); allocs != 0 {
-			t.Errorf("%s: %g allocs/op, want 0", tc.name, allocs)
+	for _, s := range shapes {
+		for _, tc := range cases {
+			fn := func() { tc.fn(s.primary, s.mix, s.mixes) }
+			if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+				t.Errorf("%s on %s mix: %g allocs/op, want 0", tc.name, s.name, allocs)
+			}
 		}
 	}
 }

@@ -153,7 +153,8 @@ func (p *Predictor) predictKnown(primary int, concurrent []int) (float64, error)
 // (PredictKnown, PredictBatch, PredictExplain, Feedback, Shard.Observe).
 // It loads the knowledge and serving snapshots once, resolves the
 // (primary, MPL) cell, rejects unknown concurrent IDs with
-// ErrUnknownTemplate, and runs the CQI kernel on that same snapshot — so
+// ErrUnknownTemplate in the walk that summarizes the mix's shared tables
+// (shareOf), and runs the CQI kernel on that same snapshot — so
 // no swap or mutation can slip between validating a mix and pricing it.
 // It returns the cell and the mix's CQI; terms is cqiSlot's optional
 // per-neighbor sink (nil for plain predictions).
@@ -166,12 +167,11 @@ func (p *Predictor) price(primary int, concurrent []int, terms []float64) (*serv
 	if err != nil {
 		return nil, 0, err
 	}
-	for _, id := range concurrent {
-		if idx.posOf(id) < 0 {
-			return nil, 0, fmt.Errorf("core: %w: concurrent template %d", ErrUnknownTemplate, id)
-		}
+	var sh mixShare
+	if bad := idx.shareOf(&sh, si, concurrent); bad >= 0 {
+		return nil, 0, fmt.Errorf("core: %w: concurrent template %d", ErrUnknownTemplate, concurrent[bad])
 	}
-	return cell, idx.cqiSlot(si, concurrent, terms), nil
+	return cell, idx.cqiSlot(si, concurrent, &sh, terms), nil
 }
 
 // NewTemplateOptions selects how the pipeline fills in the two unknowns of
