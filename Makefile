@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet vet-v2 fuzz-smoke wire-lock staticcheck bench-guard selfheal-golden blame-golden serve-smoke clean
+.PHONY: all build test race vet vet-v2 fuzz-smoke wire-lock staticcheck bench-guard selfheal-golden blame-golden bench-record clean
 
 all: build test vet
 
@@ -101,23 +101,21 @@ blame-golden:
 	diff -u /tmp/blame-w1.txt /tmp/blame-w4.txt
 	rm -f /tmp/blame-w1.txt /tmp/blame-w4.txt
 
-# The serving layer's end-to-end gate: drive both protocol fronts with
-# the deterministic load generator, require binary/HTTP payload parity
-# and a conservative throughput floor, and require the checksum to
-# reproduce across two runs (mirrors the CI serve-smoke job).
-serve-smoke:
-	$(GO) run ./cmd/contender-serve -quick -loadgen -loadgen-ops 500 \
-		-min-rate 100000 -bench-out /tmp/serve-smoke-1.json
-	$(GO) run ./cmd/contender-serve -quick -loadgen -loadgen-ops 500 \
-		-min-rate 100000 -bench-out /tmp/serve-smoke-2.json
-	@c1=$$(grep '"checksum"' /tmp/serve-smoke-1.json); \
-	c2=$$(grep '"checksum"' /tmp/serve-smoke-2.json); \
-	if [ "$$c1" != "$$c2" ]; then \
-		echo "serve-smoke: checksum not reproducible: $$c1 vs $$c2" >&2; \
-		exit 1; \
-	fi; \
-	echo "serve-smoke: reproducible $$c1"
-	rm -f /tmp/serve-smoke-1.json /tmp/serve-smoke-2.json
+# Record the serving benchmark: every workload of BENCHMARK.json, run
+# untraced (the gated end-to-end metrics) and traced (the per-layer
+# ladder), each for 20 s at seed 1. Each BENCH_<workload>.json names the
+# machine and holds the two result lines bench/run.sh printed; commit
+# them so every throughput figure in the docs cites a recorded row.
+bench-record:
+	@machine="$$(grep -m1 'model name' /proc/cpuinfo | cut -d: -f2 | sed 's/^ *//'), $$(nproc) CPUs, $$(uname -sr), $$($(GO) env GOVERSION)"; \
+	for w in point batch mixed http; do \
+		echo "bench-record: $$w" >&2; \
+		untraced=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 20 --trace 0) || exit 1; \
+		traced=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 20 --trace 1) || exit 1; \
+		traced=$$(echo "$$traced" | tail -n 1); \
+		printf '{\n  "workload": "%s",\n  "machine": "%s",\n  "command": "bash bench/run.sh --workload %s --seed 1 --seconds 20 --trace 0|1",\n  "untraced": %s,\n  "traced": %s\n}\n' \
+			"$$w" "$$machine" "$$w" "$$untraced" "$$traced" > BENCH_$$w.json; \
+	done
 
 clean:
 	rm -rf bin

@@ -461,14 +461,9 @@ func TestScheduleBatchMPLFallback(t *testing.T) {
 	}
 }
 
-// The deprecated pre-observability surface must keep compiling with its
-// original shape. Behavior of the shim is covered by TestTrainFromSimSystem
-// and TestDeprecatedShimEquivalence; this pin makes an accidental signature
-// change a compile error in this file.
-var _ func(System, TrainConfig) (*Predictor, error) = TrainPredictorFromSystem
-
-// And the redesigned path returns the consistent result shape on both the
-// plain and the context-first entry points.
+// The System training path returns one result shape on both the plain
+// and the context-first entry points; this pin makes an accidental
+// signature change a compile error in this file.
 var (
 	_ func(System, TrainConfig, ...Option) (*TrainResult, error)                  = TrainFromSystem
 	_ func(context.Context, System, TrainConfig, ...Option) (*TrainResult, error) = TrainFromSystemContext

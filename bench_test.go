@@ -285,9 +285,9 @@ var (
 )
 
 // trainedPredictor trains a predictor once per process for the serving
-// benchmarks: quick sampling at MPLs 2–5, so mixes of up to four
-// concurrent templates have a model.
-func trainedPredictor(b *testing.B) *Predictor {
+// benchmarks and tests: quick sampling at MPLs 2–5, so mixes of up to
+// four concurrent templates have a model.
+func trainedPredictor(b testing.TB) *Predictor {
 	b.Helper()
 	predOnce.Do(func() {
 		var wb *Workbench
@@ -503,8 +503,7 @@ func BenchmarkShardedObserve(b *testing.B) {
 }
 
 // BenchmarkShardedPredictParallel scales the snapshot across GOMAXPROCS
-// shards via RunParallel — the per-core throughput story the sweep driver
-// (contender-bench -sweep) measures as a full matrix.
+// shards via RunParallel: the per-core throughput story.
 func BenchmarkShardedPredictParallel(b *testing.B) {
 	pred := trainedPredictor(b)
 	s, err := NewSharded(pred)

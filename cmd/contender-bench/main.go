@@ -6,8 +6,6 @@
 // Usage:
 //
 //	contender-bench [-experiments table2,fig8] [-mpls 2,3,4,5] [-lhs 4] [-seed 42] [-quick]
-//	contender-bench -perf            # micro-benchmarks → BENCH_*.json
-//	contender-bench -sweep           # sharded-serving throughput matrix → BENCH_serve_sweep.json
 //	contender-bench -checkpoint bench.ckpt   # Ctrl-C-safe: rerunning resumes the campaign
 //	contender-bench -cpuprofile cpu.out -memprofile mem.out
 //	contender-bench -metrics-addr :9090  # live Prometheus /metrics + /debug/pprof while sampling
@@ -47,13 +45,6 @@ func main() {
 		list        = flag.Bool("list", false, "list experiment IDs and exit")
 		format      = flag.String("format", "table", "output format: table or json")
 		charts      = flag.Bool("charts", false, "also render each result as an ASCII bar chart")
-		perf        = flag.Bool("perf", false, "run micro-benchmarks and write BENCH_envbuild.json / BENCH_predict.json")
-		sweep       = flag.Bool("sweep", false, "run the sharded-serving throughput matrix and write -sweep-out")
-		sweepProcs  = flag.String("sweep-procs", "1,2,4", "GOMAXPROCS values for -sweep")
-		sweepShards = flag.String("sweep-shards", "", "shard counts for -sweep (default: match each procs value)")
-		sweepBatch  = flag.String("sweep-batches", "4,16,64", "batch sizes for -sweep")
-		sweepOps    = flag.Int("sweep-ops", 2000, "BatchPredict calls per shard per -sweep cell")
-		sweepOut    = flag.String("sweep-out", "BENCH_serve_sweep.json", "output path for the -sweep report")
 		checkpoint  = flag.String("checkpoint", "", "checkpoint file for the sampling campaign; an interrupted run (Ctrl-C) resumes from it when rerun with the same flags")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -115,17 +106,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	var sweepCfg *sweepConfig
-	if *sweep {
-		sweepCfg = &sweepConfig{
-			procs:   parseInts(*sweepProcs),
-			shards:  parseInts(*sweepShards),
-			batches: parseInts(*sweepBatch),
-			ops:     *sweepOps,
-			out:     *sweepOut,
-		}
-	}
-	code := run(ctx, opts, *expFlag, *format, *charts, *perf, sweepCfg)
+	code := run(ctx, opts, *expFlag, *format, *charts)
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile()
 	}
@@ -154,22 +135,7 @@ func main() {
 	os.Exit(code)
 }
 
-func run(ctx context.Context, opts experiments.Options, expFlag, format string, charts, perf bool, sweep *sweepConfig) int {
-	if sweep != nil {
-		if err := runSweep(opts, *sweep); err != nil {
-			fmt.Fprintln(os.Stderr, "contender-bench:", err)
-			return 1
-		}
-		return 0
-	}
-	if perf {
-		if err := runPerf(opts); err != nil {
-			fmt.Fprintln(os.Stderr, "contender-bench:", err)
-			return 1
-		}
-		return 0
-	}
-
+func run(ctx context.Context, opts experiments.Options, expFlag, format string, charts bool) int {
 	fmt.Fprintf(os.Stderr, "profiling workload and sampling mixes (MPLs %v, %d LHS runs)...\n", opts.MPLs, opts.LHSRuns)
 	start := time.Now()
 	env, err := experiments.NewEnvContext(ctx, opts)

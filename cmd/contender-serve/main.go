@@ -9,23 +9,18 @@
 //	contender-serve -quick                         # train, serve binary on -addr
 //	contender-serve -quick -metrics-addr :9090     # + HTTP front beside /metrics
 //	contender-serve -load model.json -addr :7341   # serve a saved snapshot
-//	contender-serve -quick -loadgen                # benchmark both protocols,
-//	                                               # verify parity, write BENCH_serve.json
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"time"
 
 	"contender"
 	"contender/internal/cliutil"
-	"contender/internal/serve"
 )
 
 func main() {
@@ -45,15 +40,6 @@ func main() {
 		inflight = flag.Int("max-inflight", 0, "admission cap on in-flight requests per connection (0 disables)")
 		slowLog  = flag.Duration("slowlog", -1, "log requests slower than this to stderr, admission to reply (0 logs every request; negative disables)")
 		blameTop = flag.Int("blame-top", 0, "blame-ranking depth of the /blame report (0 = default 5)")
-
-		loadgen  = flag.Bool("loadgen", false, "run the deterministic load generator against an in-process server and exit")
-		lgConns  = flag.Int("loadgen-conns", 2, "loadgen: concurrent binary connections")
-		lgBatch  = flag.Int("loadgen-batch", 64, "loadgen: mixes per predict_batch frame")
-		lgOps    = flag.Int("loadgen-ops", 2000, "loadgen: batch frames per connection")
-		lgSeed   = flag.Int64("loadgen-seed", 7, "loadgen: stream seed (conn i replays seed+i)")
-		benchOut = flag.String("bench-out", "BENCH_serve.json", "loadgen: write the benchmark row to this file (empty disables)")
-		minRate  = flag.Float64("min-rate", 0, "loadgen: exit non-zero below this many predictions/s (0 disables)")
-		note     = flag.String("note", "", "loadgen: free-form note recorded in the benchmark file")
 	)
 	flag.Parse()
 
@@ -88,7 +74,6 @@ func main() {
 	// Obtain a predictor: snapshot load is instant; otherwise train the
 	// bundled workload on the simulated host.
 	var pred *contender.Predictor
-	var pool []int
 	if *load != "" {
 		var err error
 		pred, err = contender.LoadPredictorFile(*load)
@@ -118,23 +103,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		pool = wb.TemplateIDs()
-		if *loadgen {
-			srv, err := wb.Serve(ctx, pred, "127.0.0.1:0", sopts...)
-			if err != nil {
-				fatal(err)
-			}
-			runLoadgen(srv, metrics, quality, blame, pool, loadgenConfig{
-				conns: *lgConns, batch: *lgBatch, ops: *lgOps, seed: *lgSeed,
-				mixMax: *maxMPL - 1, out: *benchOut, minRate: *minRate, note: *note,
-			})
-			return
-		}
 		serveForever(ctx, wb, pred, *addr, *maddr, metrics, quality, blame, sopts)
 		return
-	}
-	if *loadgen {
-		fatal(fmt.Errorf("-loadgen needs a trained workbench (drop -load): the generator draws mixes from the trained template pool"))
 	}
 	// Snapshot path: no workbench, build the stack piecewise.
 	sharded, err := contender.NewSharded(pred, sopts...)
@@ -183,91 +153,6 @@ func runServer(ctx context.Context, srv *contender.Server, binaryAddr, maddr str
 	if err := srv.Shutdown(sctx); err != nil {
 		fmt.Fprintln(os.Stderr, "contender-serve: shutdown:", err)
 	}
-}
-
-type loadgenConfig struct {
-	conns, batch, ops int
-	seed              int64
-	mixMax            int
-	out               string
-	minRate           float64
-	note              string
-}
-
-// serveRow is one BENCH_serve.json benchmark row; it embeds the
-// loadgen result (predictions/s, checksums, parity) under a stable
-// row name.
-type serveRow struct {
-	Name string `json:"name"`
-	serve.LoadgenResult
-}
-
-type serveReport struct {
-	GOOS       string     `json:"goos"`
-	GOARCH     string     `json:"goarch"`
-	NumCPU     int        `json:"num_cpu"`
-	GOMAXPROCS int        `json:"gomaxprocs"`
-	GoVersion  string     `json:"go_version"`
-	Note       string     `json:"note,omitempty"`
-	Rows       []serveRow `json:"rows"`
-}
-
-// runLoadgen drives both protocol fronts of an in-process server with
-// the deterministic generator, verifies binary/HTTP payload parity,
-// and writes the benchmark row. Exits non-zero on parity violation or
-// a throughput floor miss.
-func runLoadgen(srv *contender.BoundServer, metrics *contender.Metrics, quality *contender.Quality, blame *contender.Blame, pool []int, cfg loadgenConfig) {
-	httpAddr, stopHTTP, err := cliutil.ServeMetrics("127.0.0.1:0", metrics, quality, blame,
-		cliutil.Mount{Pattern: "/v1/", Handler: srv.Handler()})
-	if err != nil {
-		fatal(err)
-	}
-	defer stopHTTP()
-
-	res, err := serve.RunLoadgen(serve.LoadgenConfig{
-		Addr:     srv.BinaryAddr(),
-		HTTPBase: "http://" + httpAddr,
-		Conns:    cfg.conns,
-		Batch:    cfg.batch,
-		Ops:      cfg.ops,
-		Seed:     cfg.seed,
-		Pool:     pool,
-		MixMax:   cfg.mixMax,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("loadgen: %d predictions in %.3fs over %d conns (batch %d)\n",
-		res.Predictions, res.ElapsedSec, res.Conns, res.Batch)
-	fmt.Printf("loadgen: %.0f predictions/s (binary protocol)\n", res.PredictionsPerSec)
-	fmt.Printf("loadgen: checksum %s, http parity %v\n", res.Checksum, res.Parity)
-
-	if cfg.out != "" {
-		rep := serveReport{
-			GOOS:       runtime.GOOS,
-			GOARCH:     runtime.GOARCH,
-			NumCPU:     runtime.NumCPU(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			GoVersion:  runtime.Version(),
-			Note:       cfg.note,
-			Rows:       []serveRow{{Name: "ServeBinaryBatch", LoadgenResult: res}},
-		}
-		if err := writeJSONFile(cfg.out, rep); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "loadgen: wrote %s\n", cfg.out)
-	}
-	if cfg.minRate > 0 && res.PredictionsPerSec < cfg.minRate {
-		fatal(fmt.Errorf("throughput %.0f predictions/s below the -min-rate floor %.0f", res.PredictionsPerSec, cfg.minRate))
-	}
-}
-
-func writeJSONFile(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func fatal(err error) {

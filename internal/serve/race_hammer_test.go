@@ -3,8 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -111,14 +111,48 @@ func TestSwapHammerUnderLoad(t *testing.T) {
 		}
 	}()
 
-	res, lerr := RunLoadgen(LoadgenConfig{
-		Addr: addr, Pool: []int{1, 2, 3, 4, 5},
-		Conns: 4, Batch: 16, Ops: 300, Seed: 42,
-	})
-	close(stop)
-	wg.Wait()
-	if lerr != nil {
-		t.Fatalf("loadgen under swap hammer: %v (result %+v)", lerr, res)
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	// The load: 4 connections, each carrying 300 frames of 16 seeded
+	// mixes (1–2 concurrents over the fixture pool). This goroutine
+	// drives them in rounds so the binaryConn helpers may fail the test:
+	// each round puts a window of frames in flight on every connection
+	// before it reads any reply, and every reply must be a full success.
+	const conns, frames, batch, window = 4, 300, 16, 10
+	pool := []int{1, 2, 3, 4, 5}
+	cs := make([]*binaryConn, conns)
+	rngs := make([]*rand.Rand, conns)
+	for i := range cs {
+		cs[i] = dialBinary(t, addr)
+		rngs[i] = rand.New(rand.NewSource(42 + int64(i)))
+	}
+	for op := 0; op < frames; op += window {
+		for i, c := range cs {
+			for k := op; k < op+window; k++ {
+				rng := rngs[i]
+				primary := pool[rng.Intn(len(pool))]
+				mixes := make([][]int, batch)
+				for j := range mixes {
+					mixes[j] = make([]int, 1+rng.Intn(2))
+					for n := range mixes[j] {
+						mixes[j][n] = pool[rng.Intn(len(pool))]
+					}
+				}
+				c.send(OpBatch, uint32(k), func(b []byte) []byte { return appendBatch(b, primary, mixes) })
+			}
+		}
+		for i, c := range cs {
+			for k := op; k < op+window; k++ {
+				code, reqID, payload := c.recv()
+				r := frameReader{b: payload}
+				if code != CodeOK || reqID != uint32(k) || int(r.u16()) != batch || len(payload) != 2+8*batch {
+					t.Fatalf("conn %d frame %d: code %s reqID %d (%q)", i, k, code, reqID, payload)
+				}
+			}
+		}
 	}
 }
 
@@ -230,15 +264,7 @@ func TestShrinkingSwapHammer(t *testing.T) {
 		c.send(op, uint32(i), func(b []byte) []byte {
 			switch op {
 			case OpBatch:
-				b = binary.LittleEndian.AppendUint32(b, uint32(primary))
-				b = binary.LittleEndian.AppendUint16(b, 2)
-				for _, m := range [][]int{mix, {1}} {
-					b = binary.LittleEndian.AppendUint16(b, uint16(len(m)))
-					for _, id := range m {
-						b = binary.LittleEndian.AppendUint32(b, uint32(id))
-					}
-				}
-				return b
+				return appendBatch(b, primary, [][]int{mix, {1}})
 			case OpFeedback:
 				return appendF64(appendMix(b, primary, mix), 500)
 			default:

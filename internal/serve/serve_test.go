@@ -7,7 +7,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -319,6 +318,19 @@ func appendMix(b []byte, primary int, mix []int) []byte {
 	return b
 }
 
+// appendBatch appends an OpBatch payload: the primary, then each mix.
+func appendBatch(b []byte, primary int, mixes [][]int) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(primary))
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(mixes)))
+	for _, mix := range mixes {
+		b = binary.LittleEndian.AppendUint16(b, uint16(len(mix)))
+		for _, t := range mix {
+			b = binary.LittleEndian.AppendUint32(b, uint32(t))
+		}
+	}
+	return b
+}
+
 func TestBinaryProtocol(t *testing.T) {
 	_, p, addr := testServer(t, Config{})
 	c := dialBinary(t, addr)
@@ -342,17 +354,7 @@ func TestBinaryProtocol(t *testing.T) {
 
 	// Batch.
 	mixes := [][]int{{2}, {4, 5}}
-	c.send(OpBatch, 8, func(b []byte) []byte {
-		b = binary.LittleEndian.AppendUint32(b, 1)
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(mixes)))
-		for _, mix := range mixes {
-			b = binary.LittleEndian.AppendUint16(b, uint16(len(mix)))
-			for _, id := range mix {
-				b = binary.LittleEndian.AppendUint32(b, uint32(id))
-			}
-		}
-		return b
-	})
+	c.send(OpBatch, 8, func(b []byte) []byte { return appendBatch(b, 1, mixes) })
 	code, reqID, payload = c.recv()
 	if code != CodeOK || reqID != 8 {
 		t.Fatalf("batch: code %s reqID %d", code, reqID)
@@ -688,42 +690,6 @@ func TestHTTPOverload(t *testing.T) {
 	}
 }
 
-// TestLoadgenParityAndDeterminism runs the deterministic load
-// generator over both protocols: the checksums must agree (payload
-// parity) and a re-run with the same seed must reproduce them.
-func TestLoadgenParityAndDeterminism(t *testing.T) {
-	s, _, addr := testServer(t, Config{})
-	hs := httptest.NewServer(s.Handler())
-	defer hs.Close()
-
-	cfg := LoadgenConfig{
-		Addr:     addr,
-		HTTPBase: hs.URL,
-		Conns:    2,
-		Batch:    16,
-		Ops:      20,
-		Seed:     42,
-		Pool:     []int{1, 2, 3, 4, 5},
-	}
-	res, err := RunLoadgen(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Parity {
-		t.Fatalf("parity violation: binary %s http %s", res.Checksum, res.HTTPChecksum)
-	}
-	if res.Predictions != int64(cfg.Conns*cfg.Batch*cfg.Ops) {
-		t.Errorf("predictions %d, want %d", res.Predictions, cfg.Conns*cfg.Batch*cfg.Ops)
-	}
-	res2, err := RunLoadgen(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Checksum != res.Checksum {
-		t.Errorf("same seed, different checksum: %s vs %s", res2.Checksum, res.Checksum)
-	}
-}
-
 // TestServeAcrossHotSwap hammers both protocols while the serving set
 // hot-swaps snapshots; every response must be a well-formed success
 // (both snapshots know the fixture templates). Run under -race this is
@@ -883,38 +849,6 @@ func TestServeMetricsFamilies(t *testing.T) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
 	}
-}
-
-func BenchmarkBinaryBatch64(b *testing.B) {
-	p := trainedPredictor(b)
-	sh, err := core.NewSharded(p, core.ShardOptions{Shards: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := New(sh, Config{DrainEvery: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	addr, err := s.ListenBinary("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	}()
-	ops := b.N/64 + 1
-	b.ResetTimer()
-	res, err := RunLoadgen(LoadgenConfig{
-		Addr: addr, Conns: 1, Batch: 64, Ops: ops, Seed: 1, Pool: []int{1, 2, 3, 4, 5},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	b.ReportMetric(res.PredictionsPerSec, "preds/s")
-	_ = fmt.Sprintf("%v", res)
 }
 
 // TestDecodeMixesWarmAllocFree pins that a warm connection decodes a

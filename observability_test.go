@@ -403,23 +403,6 @@ func TestSlowLogOnCampaign(t *testing.T) {
 	}
 }
 
-// TestDeprecatedShimEquivalence: TrainPredictorFromSystem (the
-// pre-observability signature) must produce a predictor byte-identical
-// to TrainFromSystem's.
-func TestDeprecatedShimEquivalence(t *testing.T) {
-	viaShim, err := TrainPredictorFromSystem(freshChaosSystem(5), chaosTrainConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaNew, err := TrainFromSystem(freshChaosSystem(5), chaosTrainConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if predictorBytes(t, viaShim) != predictorBytes(t, viaNew.Predictor) {
-		t.Fatal("deprecated shim diverged from TrainFromSystem")
-	}
-}
-
 // TestObserverIsNotInCheckpointFingerprint: a campaign checkpointed
 // WITHOUT an observer must resume cleanly WITH one — observation is
 // outside the configuration identity.

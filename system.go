@@ -265,25 +265,8 @@ type TrainResult struct {
 // Workbench-style options (WithRetry, WithCheckpoint, WithFaults,
 // WithObserver, …) are applied on top of cfg; see TrainConfig for the
 // mapping.
-//
-// Before the observability release this function returned a bare
-// *Predictor; TrainPredictorFromSystem preserves that signature.
 func TrainFromSystem(sys System, cfg TrainConfig, options ...Option) (*TrainResult, error) {
 	return TrainFromSystemContext(context.Background(), sys, cfg, options...)
-}
-
-// TrainPredictorFromSystem is the pre-observability TrainFromSystem: it
-// trains with cfg and returns only the predictor, discarding the campaign
-// report.
-//
-// Deprecated: use TrainFromSystem, which returns the predictor together
-// with its TrainReport.
-func TrainPredictorFromSystem(sys System, cfg TrainConfig) (*Predictor, error) {
-	res, err := TrainFromSystemContext(context.Background(), sys, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return res.Predictor, nil
 }
 
 // TrainFromSystemContext is TrainFromSystem with cancellation. The context

@@ -27,12 +27,11 @@ func TestTrainFromSimSystem(t *testing.T) {
 		t.Fatal("fact tables missing")
 	}
 
-	// Train through the deprecated shim: it must keep returning a bare,
-	// fully functional *Predictor.
-	pred, err := TrainPredictorFromSystem(sys, TrainConfig{MPLs: []int{2}, Seed: 9})
+	res, err := TrainFromSystem(sys, TrainConfig{MPLs: []int{2}, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pred := res.Predictor
 	// The system-trained predictor predicts a mix close to the simulated
 	// ground truth.
 	mix := []int{26, 62}
