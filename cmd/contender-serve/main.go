@@ -37,7 +37,7 @@ func main() {
 		maxBatch = flag.Int("max-batch", 0, "cap the mixes of one predict_batch request (0 = default 4096)")
 		rate     = flag.Float64("rate", 0, "admission token-bucket rate per connection, requests/s (0 disables)")
 		burst    = flag.Int("burst", 0, "admission token-bucket burst (0 = one second of rate)")
-		inflight = flag.Int("max-inflight", 0, "admission cap on in-flight requests per connection (0 disables)")
+		inflight = flag.Int("max-inflight", 0, "admission cap on in-flight HTTP requests (0 disables); a binary connection answers one frame at a time, so only -rate bounds it")
 		slowLog  = flag.Duration("slowlog", -1, "log requests slower than this to stderr, admission to reply (0 logs every request; negative disables)")
 		blameTop = flag.Int("blame-top", 0, "blame-ranking depth of the /blame report (0 = default 5)")
 	)

@@ -9,9 +9,11 @@ import (
 // Admission control: every connection (binary) or protocol front (HTTP,
 // whose connections are multiplexed by net/http) gets a token bucket
 // plus an in-flight cap. The bucket bounds sustained request rate, the
-// cap bounds queued work; a request that fails either check is rejected
-// immediately with CodeOverloaded (HTTP 429 / an overload frame) so the
-// client sheds load instead of queuing into a latency collapse.
+// cap bounds concurrent HTTP requests (a binary connection answers one
+// frame at a time, so its cap never trips); a request that fails either
+// check is rejected immediately with CodeOverloaded (HTTP 429 / an
+// overload frame) so the client sheds load instead of queuing into a
+// latency collapse.
 // Overload is classified transient in the resilience taxonomy
 // (ErrOverloaded wraps resilience.ErrTransient): back off and retry.
 
@@ -25,7 +27,9 @@ type AdmissionConfig struct {
 	// to Rate (one second of burst) when zero and the bucket is enabled.
 	Burst int
 	// MaxInflight caps requests admitted but not yet answered. Zero or
-	// negative disables the cap.
+	// negative disables the cap. It bounds the HTTP front only: a binary
+	// connection answers one frame at a time, so its cap never trips
+	// there and only Rate applies.
 	MaxInflight int
 }
 

@@ -280,10 +280,7 @@ func dialBinary(t *testing.T, addr string) *binaryConn {
 
 func (c *binaryConn) send(op uint8, reqID uint32, payload func(b []byte) []byte) {
 	c.t.Helper()
-	buf, lenOff := appendFrameHeader(nil, op, reqID)
-	buf = payload(buf)
-	patchFrameLen(buf, lenOff)
-	if _, err := c.bw.Write(buf); err != nil {
+	if _, err := c.bw.Write(frame(op, reqID, payload)); err != nil {
 		c.t.Fatal(err)
 	}
 	if err := c.bw.Flush(); err != nil {
@@ -307,6 +304,14 @@ func (c *binaryConn) recv() (Code, uint32, []byte) {
 		c.t.Fatalf("response version %d", payload[0])
 	}
 	return Code(payload[1]), binary.LittleEndian.Uint32(payload[2:6]), payload[frameHeaderSize:]
+}
+
+// frame builds one request frame.
+func frame(op uint8, reqID uint32, payload func(b []byte) []byte) []byte {
+	buf, lenOff := appendFrameHeader(nil, op, reqID)
+	buf = payload(buf)
+	patchFrameLen(buf, lenOff)
+	return buf
 }
 
 func appendMix(b []byte, primary int, mix []int) []byte {
@@ -877,5 +882,58 @@ func TestDecodeMixesWarmAllocFree(t *testing.T) {
 	}
 	if len(st.mixes) != m || len(st.mixes[m-1]) != 2 || st.mixes[m-1][1] != 1+((m-1)/5)%5 {
 		t.Errorf("decoded %d mixes, last %v", len(st.mixes), st.mixes[len(st.mixes)-1])
+	}
+}
+
+// TestHandleFrameWarmAllocFree pins that a warm connection prices and
+// frames every kind of request into its output buffer without
+// allocating: predict, a 256-mix batch, explain, feedback, and an error
+// reply (an overload rejection, whose error is a sentinel).
+func TestHandleFrameWarmAllocFree(t *testing.T) {
+	p := trainedPredictor(t)
+	sh, err := core.NewSharded(p, core.ShardOptions{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(sh, Config{DrainEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	mixes := make([][]int, 256)
+	for i := range mixes {
+		mixes[i] = []int{1 + i%5, 1 + (i/5)%5}[:1+i%2]
+	}
+	mix := []int{2, 3}
+	cases := []struct {
+		name    string
+		op      uint8
+		payload []byte
+		adm     *admitter
+		code    Code
+	}{
+		{"predict", OpPredict, appendMix(nil, 1, mix), nil, CodeOK},
+		{"batch", OpBatch, appendBatch(nil, 1, mixes), nil, CodeOK},
+		{"explain", OpPredict | FlagExplain, appendMix(nil, 1, mix), nil, CodeOK},
+		{"feedback", OpFeedback, appendF64(appendMix(nil, 1, mix), 500), nil, CodeOK},
+		{"overload", OpPredict, appendMix(nil, 1, mix),
+			newAdmitter(AdmissionConfig{Rate: 1, Burst: 1}, func() time.Time { return time.Unix(0, 0) }), CodeOverloaded},
+	}
+	for _, tc := range cases {
+		st := &connState{srv: s, shard: sh.Acquire(), adm: tc.adm}
+		if tc.adm != nil {
+			tc.adm.admit() // spend the only token
+		}
+		handle := func() {
+			st.out = st.out[:0]
+			st.handleFrame(tc.op, 7, tc.payload)
+		}
+		handle() // warm the connection's buffers
+		if code := Code(st.out[5]); code != tc.code {
+			t.Fatalf("%s: answered %s, want %s", tc.name, code, tc.code)
+		}
+		if allocs := testing.AllocsPerRun(100, handle); allocs != 0 {
+			t.Errorf("%s: %g allocs/op on a warm connection, want 0", tc.name, allocs)
+		}
 	}
 }

@@ -25,12 +25,19 @@ import (
 //
 // Concurrency model:
 //
-//   - Each accepted binary connection is owned by one reader goroutine
-//     plus one writer goroutine flushing framed responses. The
-//     connection owns its batch and explain scratch, and Acquires one
-//     shard when it connects for its feedback ring, keeping it until it
-//     closes. HTTP handlers price on request-local scratch and Acquire a
-//     shard per feedback request.
+//   - Each accepted binary connection is owned by one reader goroutine.
+//     It prices each frame and frames the response into the
+//     connection's output buffer, then writes that buffer to the socket
+//     itself once no whole frame is left to read. Output of at least
+//     handOffSize bytes (a batch response) goes instead to a writer
+//     goroutine, started on the first such hand-off and kept until the
+//     connection closes, so the reader prices the next frame while it is
+//     sent. While the writer holds output, later responses queue behind
+//     it: a connection answers in request order. The connection owns its
+//     batch and explain scratch, and Acquires one shard when it connects
+//     for its feedback ring, keeping it until it closes. HTTP handlers
+//     price on request-local scratch and Acquire a shard per feedback
+//     request.
 //   - No request waits for scratch or a shard held by another
 //     connection. When connections outnumber shards they share feedback
 //     rings; Shard.Observe serializes producers with a per-shard lock
@@ -419,26 +426,45 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
+// handOffSize is the output, in bytes, at which the reader stops
+// framing and hands what it holds to the connection's writer: about one
+// 128-mix batch response. Output this large is worth pricing the next
+// frame beside its send rather than behind it.
+const handOffSize = 1 << 10
+
+// maxPending bounds the output queued behind a busy writer. Past it a
+// hand-off waits for the writer to drain, so a client that sends but
+// never reads stalls its own connection instead of growing the queue.
+const maxPending = 64 << 10
+
 // connState is one binary connection's working set: the shard whose
 // feedback ring it feeds, its admission bucket, its pricing scratch,
-// and reusable request/response buffers. Everything is single-goroutine
-// (the reader), except the response channel feeding the writer.
+// the decoded request and the framed responses. Everything but the
+// write queue belongs to the reader goroutine.
 type connState struct {
 	srv   *Server
+	conn  net.Conn
 	shard *core.Shard // Acquired at connect, kept until close
 	adm   *admitter
 	pbuf  core.PredictBuffer
 	ebuf  core.ExplainBuffer
 
-	respCh chan *[]byte
-	wErr   chan error
-
 	mixes   [][]int // decoded batch mixes, reused across frames
 	mixArea []int   // backing storage for mixes, reused across frames
 	mixOffs []int   // mix boundaries in mixArea, reused across frames
-}
 
-var respBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+	out []byte // responses framed but not yet sent or handed off
+
+	// The write queue, shared with the writer goroutine. Whoever set
+	// busy owns the socket: while it is set, the reader appends to
+	// pending instead of writing, so responses leave in request order.
+	wmu     sync.Mutex
+	pending []byte
+	busy    bool
+	werr    error         // first write error of the writer
+	kick    chan struct{} // wakes the writer; nil until the first hand-off
+	wwg     sync.WaitGroup
+}
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.connWg.Done()
@@ -449,45 +475,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 
-	st := &connState{
-		srv:    s,
-		shard:  s.sh.Acquire(),
-		respCh: make(chan *[]byte, 64),
-		wErr:   make(chan error, 1),
-	}
+	st := &connState{srv: s, conn: conn, shard: s.sh.Acquire()}
 	if s.cfg.Admission.enabled() {
 		st.adm = newAdmitter(s.cfg.Admission, s.cfg.Now)
 	}
-
-	// Writer goroutine: flush coalesces — one syscall per quiet moment,
-	// not per response — which is what lets a pipelined client sustain
-	// millions of predictions per second over one descriptor.
-	var wwg sync.WaitGroup
-	wwg.Add(1)
-	go func() {
-		defer wwg.Done()
-		bw := bufio.NewWriterSize(conn, 64<<10)
-		for bp := range st.respCh {
-			_, err := bw.Write(*bp)
-			*bp = (*bp)[:0]
-			respBufPool.Put(bp)
-			if err == nil && len(st.respCh) == 0 {
-				err = bw.Flush()
-			}
-			if err != nil {
-				select {
-				case st.wErr <- err:
-				default:
-				}
-				for bp := range st.respCh {
-					*bp = (*bp)[:0]
-					respBufPool.Put(bp)
-				} // drain until close so the reader never blocks
-				return
-			}
-		}
-		_ = bw.Flush()
-	}()
 
 	br := bufio.NewReaderSize(conn, 64<<10)
 	payload := make([]byte, 0, 512)
@@ -516,15 +507,97 @@ func (s *Server) serveConn(conn net.Conn) {
 			break
 		}
 		st.handleFrame(op, reqID, payload[frameHeaderSize:])
-		select {
-		case <-st.wErr:
-			goto done
-		default:
+		// Large output goes to the writer so the next frame prices beside
+		// its send; small output waits for the frames already buffered,
+		// so a pipelined burst leaves in one write.
+		if large := len(st.out) >= handOffSize; large || !frameBuffered(br) {
+			if st.send(large) != nil {
+				break
+			}
 		}
 	}
-done:
-	close(st.respCh)
-	wwg.Wait()
+	if len(st.out) > 0 {
+		_ = st.send(false) // the final error reply, if any
+	}
+	if st.kick != nil {
+		close(st.kick)
+		st.wwg.Wait()
+	}
+}
+
+// frameBuffered reports whether br holds a whole next frame, so that
+// framing it cannot block on the network.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	h, _ := br.Peek(4)
+	return uint64(br.Buffered()) >= 4+uint64(binary.LittleEndian.Uint32(h))
+}
+
+// send passes the framed output on. When the writer is idle and
+// handOff is false, the reader writes it to the socket itself;
+// otherwise it joins the write queue and the writer, started on the
+// first hand-off, sends it. It reports the connection's write error.
+func (st *connState) send(handOff bool) error {
+	st.wmu.Lock()
+	if err := st.werr; err != nil {
+		st.wmu.Unlock()
+		return err
+	}
+	if !st.busy && !handOff {
+		// The writer is idle and pending is empty: the socket is ours.
+		st.wmu.Unlock()
+		_, err := st.conn.Write(st.out)
+		st.out = st.out[:0]
+		return err
+	}
+	st.pending = append(st.pending, st.out...)
+	st.out = st.out[:0]
+	// An idle writer needs a kick. A full queue kicks too: the send
+	// blocks while an earlier kick is still unconsumed, that is until
+	// the writer has drained what it was given.
+	kick := !st.busy || len(st.pending) >= maxPending
+	st.busy = true
+	st.wmu.Unlock()
+	if kick {
+		if st.kick == nil {
+			st.kick = make(chan struct{}, 1)
+			st.wwg.Add(1)
+			go st.writeLoop()
+		}
+		st.kick <- struct{}{}
+	}
+	return nil
+}
+
+// writeLoop is the connection's writer. Each kick makes it drain the
+// write queue: it takes everything pending, writes it in one call, and
+// repeats until the queue is empty, then gives the socket back by
+// clearing busy. It exits when the reader closes the kick channel.
+func (st *connState) writeLoop() {
+	defer st.wwg.Done()
+	var spare []byte // the buffer of the previous write, reused as pending
+	for range st.kick {
+		for {
+			st.wmu.Lock()
+			buf := st.pending
+			if len(buf) == 0 || st.werr != nil {
+				st.busy = false
+				st.wmu.Unlock()
+				break
+			}
+			st.pending = spare[:0]
+			st.wmu.Unlock()
+			_, err := st.conn.Write(buf)
+			spare = buf
+			if err != nil {
+				st.wmu.Lock()
+				st.werr = err
+				st.wmu.Unlock()
+			}
+		}
+	}
 }
 
 // handleFrame decodes and executes one request frame. Malformed
@@ -680,21 +753,20 @@ func (st *connState) decodeMixes(r *frameReader, m int) bool {
 	return true
 }
 
-// replyOK frames a success response; fill appends the payload.
+// replyOK frames a success response onto st.out; fill appends the
+// payload.
 func (st *connState) replyOK(reqID uint32, fill func([]byte) []byte) {
-	bp := respBufPool.Get().(*[]byte)
-	buf, lenOff := appendFrameHeader((*bp)[:0], byte(CodeOK), reqID)
+	buf, lenOff := appendFrameHeader(st.out, byte(CodeOK), reqID)
 	buf = fill(buf)
 	patchFrameLen(buf, lenOff)
-	*bp = buf
-	st.respCh <- bp
+	st.out = buf
 }
 
-// reply frames an error response carrying the stable code and message.
+// reply frames an error response carrying the stable code and
+// message onto st.out.
 func (st *connState) reply(reqID uint32, err error) {
 	code := CodeFor(err)
-	bp := respBufPool.Get().(*[]byte)
-	buf, lenOff := appendFrameHeader((*bp)[:0], byte(code), reqID)
+	buf, lenOff := appendFrameHeader(st.out, byte(code), reqID)
 	msg := err.Error()
 	if len(msg) > 1<<12 {
 		msg = msg[:1<<12]
@@ -702,8 +774,7 @@ func (st *connState) reply(reqID uint32, err error) {
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(msg)))
 	buf = append(buf, msg...)
 	patchFrameLen(buf, lenOff)
-	*bp = buf
-	st.respCh <- bp
+	st.out = buf
 }
 
 func opName(op uint8) string {

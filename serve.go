@@ -70,7 +70,9 @@ func WithMaxBatch(n int) ServeOption {
 
 // WithAdmission bounds each binary connection (and the HTTP front as a
 // whole) with a token bucket of rate requests/second and burst
-// capacity, plus a cap on in-flight requests. Zero disables a check;
+// capacity, plus a cap on in-flight requests. The cap bounds the HTTP
+// front only: a binary connection answers one frame at a time, so only
+// the bucket applies there. Zero disables a check;
 // rejected requests answer the stable "overloaded" code (HTTP 429),
 // which is transient in the resilience taxonomy: back off and retry.
 func WithAdmission(rate float64, burst, maxInflight int) ServeOption {
