@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet vet-v2 fuzz-smoke wire-lock staticcheck bench-guard selfheal-golden blame-golden bench-record clean
+.PHONY: all build test race vet vet-v2 fuzz-smoke wire-lock staticcheck bench-guard chaos-golden selfheal-golden blame-golden bench-record clean
 
 all: build test vet
 
@@ -38,10 +38,14 @@ vet-v2: bin/contender-vet
 	fi; \
 	rm -f $$tmp; echo "wire.lock is in sync"
 
-# Thirty-second native fuzz smoke over the binary frame decoder, on top
-# of the checked-in seed corpus in internal/serve/testdata/fuzz.
+# Thirty-second native fuzz smokes: the binary frame decoder, on top of
+# the checked-in seed corpus in internal/serve/testdata/fuzz, and the
+# training-checkpoint loader, resumed into a small campaign. Every input
+# the loader accepts runs that campaign, so minimizing a new input is
+# capped at 200 runs to leave the time for fuzzing.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=30s -run '^$$' ./internal/serve/
+	$(GO) test -fuzz=FuzzLoadCheckpoint -fuzztime=30s -fuzzminimizetime=200x -run '^$$' ./internal/experiments/
 
 # Regenerate the wire-contract lock after a deliberate schema change.
 # Breaking changes (removed/retyped v1 surface) must bump serve.Version
@@ -82,6 +86,15 @@ bench-guard:
 			exit 1; \
 		fi; \
 	done
+
+# The chaos experiment (transient faults rescued by retries, a permanent
+# fault quarantined) must render byte-identically at any collection
+# worker count (mirrors the CI race job's chaos step).
+chaos-golden:
+	$(GO) run ./cmd/contender-bench -quick -mpls 2,3 -experiments ext-chaos -workers 1 > /tmp/chaos-w1.txt
+	$(GO) run ./cmd/contender-bench -quick -mpls 2,3 -experiments ext-chaos -workers 8 > /tmp/chaos-w8.txt
+	diff -u /tmp/chaos-w1.txt /tmp/chaos-w8.txt
+	rm -f /tmp/chaos-w1.txt /tmp/chaos-w8.txt
 
 # The self-healing lifecycle replay must render byte-identically at any
 # collection worker count (mirrors the CI selfheal-golden job).

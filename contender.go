@@ -162,8 +162,8 @@ func WithWorkers(n int) Option {
 	return func(c *config) { c.opts.Workers = n }
 }
 
-// WithRetry enables resilient sampling: every measurement is retried under
-// the policy, templates whose sampling budget is exhausted are quarantined
+// WithRetry enables resilient sampling: every sampling task is retried
+// under the policy, tasks whose budget is exhausted are quarantined
 // (training degrades instead of aborting), and the campaign stays
 // byte-identical to a fault-free one as long as faults are transient. See
 // Workbench.Resilience for the outcome report.
@@ -171,18 +171,18 @@ func WithRetry(p RetryPolicy) Option {
 	return func(c *config) { c.opts.Retry = &p }
 }
 
-// WithCheckpoint persists sampling progress to path after every completed
-// measurement. An interrupted campaign (crash, SIGINT, context
-// cancellation) resumes from the checkpoint when rebuilt with the same
-// options, producing a workbench byte-identical to an uninterrupted one.
-// The file is removed once the campaign completes.
+// WithCheckpoint persists sampling progress to path after every resolved
+// task. An interrupted campaign (crash, SIGINT, context cancellation)
+// resumes from the checkpoint when rebuilt with the same options,
+// producing a workbench byte-identical to an uninterrupted one. The file
+// is removed once the campaign completes.
 func WithCheckpoint(path string) Option {
 	return func(c *config) { c.opts.CheckpointPath = path }
 }
 
-// WithFaults injects deterministic faults into the sampling campaign — the
-// chaos harness behind the resilience tests, exposed for demos and for
-// validating retry configurations.
+// WithFaults injects deterministic faults into the sampling campaign's
+// task attempts — the chaos harness behind the resilience tests, exposed
+// for demos and for validating retry configurations.
 func WithFaults(f FaultConfig) Option {
 	return func(c *config) { c.opts.Faults = &f }
 }
@@ -272,13 +272,23 @@ func (w *Workbench) Observations(mpl int) []Observation {
 // train.fit span around the fit and hands the observer to the predictor
 // for its serve.* spans.
 func (w *Workbench) Train() (*Predictor, error) {
-	o := w.env.Opts.Observer
-	observations := w.env.AllObservations()
+	p, err := fit(w.env.Know, w.env.AllObservations(), w.env.Opts.Observer, w.quality)
+	if err != nil {
+		return nil, err
+	}
+	return &Predictor{inner: p, env: w.env}, nil
+}
+
+// fit trains the reference QS models over a campaign's knowledge and
+// observations inside a train.fit span, and hands the predictor the
+// observer and quality aggregator it serves with. Workbench.Train and
+// TrainFromSystem share it.
+func fit(know *core.Knowledge, observations []core.Observation, o Observer, q *Quality) (*core.Predictor, error) {
 	var start time.Time
 	if o != nil {
 		start = time.Now()
 	}
-	p, err := core.Train(w.env.Know, observations, core.TrainOptions{DropOutliers: true})
+	p, err := core.Train(know, observations, core.TrainOptions{DropOutliers: true})
 	if o != nil {
 		obs.Emit(o, Event{
 			Kind:  obs.SpanEnd,
@@ -292,8 +302,8 @@ func (w *Workbench) Train() (*Predictor, error) {
 		return nil, fmt.Errorf("contender: training: %w", err)
 	}
 	p.SetObserver(o)
-	p.SetQuality(w.quality)
-	return &Predictor{inner: p, env: w.env}, nil
+	p.SetQuality(q)
+	return p, nil
 }
 
 // Simulate executes a mix of known templates at steady state on the

@@ -1,7 +1,8 @@
 // Package errtaxonomy enforces the transient/permanent/corrupt error
 // taxonomy in the training pipeline (internal/resilience,
-// internal/experiments, the internal/store + internal/lifecycle
-// self-healing layers, and the system.go trainer). The retry and
+// internal/experiments and its campaign engine, the internal/store +
+// internal/lifecycle self-healing layers, and the system.go facade that
+// hands TrainFromSystem to that engine). The retry and
 // quarantine machinery branches on errors.Is, so every error must keep
 // its chain intact and every new error must be classified:
 //
@@ -37,8 +38,8 @@ var ScopedPackages = []string{
 }
 
 // ScopedRootFiles are file basenames checked in any other package (the
-// trainer lives in the module root next to facade files that are out of
-// scope).
+// TrainFromSystem facade lives in the module root next to facade files
+// that are out of scope).
 var ScopedRootFiles = map[string]bool{"system.go": true}
 
 // ResiliencePackage hosts the taxonomy roots and classifiers.

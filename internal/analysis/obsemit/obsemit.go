@@ -106,8 +106,8 @@ func checkRawEmit(pass *analysis.Pass, fd *ast.FuncDecl) {
 	})
 }
 
-// isFingerprintFunc matches the checkpoint fingerprint helpers
-// (trainFingerprint, envFingerprint, …) by name.
+// isFingerprintFunc matches the checkpoint fingerprint function (the
+// campaign engine's fingerprint method) by name.
 func isFingerprintFunc(fd *ast.FuncDecl) bool {
 	return strings.Contains(strings.ToLower(fd.Name.Name), "fingerprint")
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 
 	"contender/internal/core"
 	"contender/internal/lhs"
@@ -38,21 +37,24 @@ type Options struct {
 	Seed int64
 	// Config overrides the host configuration (zero value = default host).
 	Config *sim.Config
-	// Workers bounds the sampling worker pool (see parallel.go). 0 uses
+	// Workers bounds the sampling worker pool (see campaign.go). 0 uses
 	// GOMAXPROCS. The collected data is identical for every value.
+	// CollectFrom always runs one task at a time.
 	Workers int
 	// Retry, when set, wraps every sampling task in the policy's
 	// retry/backoff loop and switches collection from fail-fast to
 	// quarantine-and-degrade: a task whose retry budget is exhausted (or
 	// that fails permanently) is dropped, collection continues on the rest,
-	// and the loss is reported in Env.Resilience. Retried tasks rerun on a
-	// fresh engine with the same derived seed, so retries never change the
-	// collected data.
+	// and the loss is reported in Campaign.Resilience. A retried task is
+	// re-measured from its first measurement; on the simulator it reruns
+	// on a fresh engine with the same derived seed, so retries never
+	// change the collected data.
 	Retry *resilience.RetryPolicy
 	// Faults, when set, injects a seed-deterministic fault schedule into
-	// the sampling tasks — the chaos harness behind the fault-injection
-	// tests and the ext-chaos experiment. Injected faults fail or stall
-	// tasks before the simulator runs; they never corrupt recorded values.
+	// the sampling tasks, decided per task key and attempt — the chaos
+	// harness behind the fault-injection tests and the ext-chaos
+	// experiment. A faulted attempt fails or stalls before the backend is
+	// consulted; it never corrupts recorded values.
 	Faults *resilience.FaultConfig
 	// CheckpointPath, when non-empty, persists every completed task to this
 	// file (atomically, as it completes) and resumes an interrupted
@@ -62,7 +64,8 @@ type Options struct {
 	CheckpointPath string
 	// Observer, when set, receives a structured event stream for the whole
 	// campaign: a train.campaign span wrapping the build, a train.scan/
-	// train.profile/train.mix span per task, and train.retry/
+	// train.profile/train.mix span per task, train.isolated/train.spoiler
+	// spans per measurement inside a profile, and train.retry/
 	// train.quarantine/train.checkpoint/train.resume points from the
 	// resilience machinery. Observation never changes what is collected —
 	// the observer is outside the determinism boundary (it does not enter
@@ -143,42 +146,23 @@ func (r CollectionReport) Coverage() float64 {
 
 // Env is the shared experimental environment: the workload profiled in
 // isolation and under the spoiler, plus steady-state mix samples at every
-// MPL. Building it corresponds to the paper's entire training-data
-// collection; on the simulator it takes seconds instead of weeks, and the
-// collection fans out over a deterministic worker pool (parallel.go).
+// MPL. Building it runs the paper's entire training-data collection on
+// the campaign engine (campaign.go); on the simulator it takes seconds
+// instead of weeks, and the collection fans out over a deterministic
+// worker pool.
 type Env struct {
 	Opts     Options
 	Workload *tpcds.Workload
 	// Engine is the host used for post-build simulation (ground truth,
 	// scheduling experiments). Training-data collection runs on per-task
-	// engines instead; see parallel.go.
+	// engines instead; see campaign.go.
 	Engine *sim.Engine
-	Know   *core.Knowledge
-	// Samples maps MPL → sampled mixes, in design order.
-	Samples map[int][]MixSample
-	// SimulatedSeconds tallies the virtual time each collection phase
-	// consumed, for the Section 5.4 sampling-cost accounting.
-	SimulatedSeconds struct {
-		Isolated float64
-		Spoiler  float64
-		Mixes    float64
-	}
-	// Resilience reports how collection went under Options.Retry/Faults/
-	// CheckpointPath: retries spent, tasks resumed, coverage lost.
-	Resilience CollectionReport
+	// Campaign holds what the collection produced: Know, Samples,
+	// SimulatedSeconds and the Resilience report.
+	Campaign
 
 	// baseCfg is the host configuration before per-task reseeding.
 	baseCfg sim.Config
-	// ckpt is the campaign checkpoint (nil without CheckpointPath).
-	ckpt *envCheckpoint
-	// injector is the fault injector (nil without Opts.Faults).
-	injector *resilience.Injector
-	// Flattened observation indexes, built once after sampling:
-	// obsByMPL[mpl] is Samples[mpl] flattened; obsByPrimary[mpl][id] holds
-	// the observations whose primary is id. Both views share backing
-	// storage with the samples and are read-only.
-	obsByMPL     map[int][]core.Observation
-	obsByPrimary map[int]map[int][]core.Observation
 }
 
 // NewEnv profiles the default workload and samples mixes per opts.
@@ -187,9 +171,10 @@ func NewEnv(opts Options) (*Env, error) {
 }
 
 // NewEnvContext is NewEnv with cancellation: the context is honored
-// between sampling tasks and during retry backoff. Cancelling returns
-// ctx.Err() with all completed tasks already persisted when
-// opts.CheckpointPath is set, so the campaign can be resumed.
+// between sampling tasks, between the measurements inside a task, and
+// during retry backoff. Cancelling returns ctx.Err() with all completed
+// tasks already persisted when opts.CheckpointPath is set, so the
+// campaign can be resumed.
 func NewEnvContext(ctx context.Context, opts Options) (*Env, error) {
 	return NewEnvWithContext(ctx, tpcds.NewWorkload(), opts)
 }
@@ -202,483 +187,33 @@ func NewEnvWith(w *tpcds.Workload, opts Options) (*Env, error) {
 // NewEnvWithContext profiles an explicit workload with cancellation.
 func NewEnvWithContext(ctx context.Context, w *tpcds.Workload, opts Options) (*Env, error) {
 	opts = opts.withDefaults()
-	opts.Retry = observedRetry(opts.Retry, opts.Observer)
 	cfg := sim.DefaultConfig()
 	if opts.Config != nil {
 		cfg = *opts.Config
 	}
 	cfg.Seed = opts.Seed
-	env := &Env{
-		Opts:     opts,
-		Workload: w,
-		Engine:   sim.NewEngine(cfg),
-		Know:     core.NewKnowledge(),
-		Samples:  make(map[int][]MixSample),
-		baseCfg:  cfg,
-	}
-	var start time.Time
-	if opts.Observer != nil {
-		start = time.Now() //contender:allow nodeterminism -- campaign span duration feeds observability only, never a canonical artifact
-		obs.Emit(opts.Observer, obs.Event{Kind: obs.SpanBegin, Span: obs.SpanTrainCampaign})
-	}
-	err := env.collect(ctx)
-	if opts.Observer != nil {
-		obs.Emit(opts.Observer, obs.Event{
-			Kind:  obs.SpanEnd,
-			Span:  obs.SpanTrainCampaign,
-			Value: float64(env.Resilience.TrainedTemplates),
-			Dur:   time.Since(start), //contender:allow nodeterminism -- campaign span duration feeds observability only, never a canonical artifact
-			Err:   obs.ErrLabel(err),
-		})
-	}
+	env := &Env{Opts: opts, Workload: w, Engine: sim.NewEngine(cfg), baseCfg: cfg}
+	c, err := env.campaign(opts).run(ctx)
 	if err != nil {
 		return nil, err
 	}
-	env.buildObservationIndex()
+	env.Campaign = *c
 	return env, nil
 }
 
-// observedRetry chains a train.retry emission onto the policy's OnRetry
-// hook, copying the policy so the caller's value is never mutated. The
-// retry schedule itself (delays, jitter, attempt budget) is unchanged.
-func observedRetry(p *resilience.RetryPolicy, o obs.Observer) *resilience.RetryPolicy {
-	if p == nil || o == nil {
-		return p
+// campaign prepares the simulator campaign over the environment's
+// workload: every task attempt measures through a fresh adapter on an
+// engine seeded with sim.DeriveSeed(opts.Seed, key).
+func (e *Env) campaign(opts Options) *campaign {
+	sys := SimSystem(e.Workload, e.Engine)
+	return &campaign{
+		opts: opts,
+		plan: planTasks(opts, sys.Templates(), sys.FactTables()),
+		host: fmt.Sprintf("%+v", e.baseCfg),
+		backend: func(key string) System {
+			return SimSystem(e.Workload, sim.NewEngine(e.baseCfg.WithSeed(sim.DeriveSeed(opts.Seed, key))))
+		},
 	}
-	rp := *p
-	prev := rp.OnRetry
-	rp.OnRetry = func(site string, retry int, delay time.Duration, err error) {
-		if prev != nil {
-			prev(site, retry, delay, err)
-		}
-		obs.Emit(o, obs.Event{
-			Kind:    obs.Point,
-			Span:    obs.PointTrainRetry,
-			Key:     site,
-			Attempt: retry,
-			Value:   delay.Seconds(),
-			Err:     obs.ErrLabel(err),
-		})
-	}
-	return &rp
-}
-
-// emit forwards an event to the configured observer (no-op without one).
-func (e *Env) emit(ev obs.Event) { obs.Emit(e.Opts.Observer, ev) }
-
-// FaultStats returns what the configured fault injector actually injected
-// (zero value without Opts.Faults).
-func (e *Env) FaultStats() resilience.FaultStats {
-	if e.injector == nil {
-		return resilience.FaultStats{}
-	}
-	return e.injector.Stats()
-}
-
-// scanProfile is the result slot of one scan-time task.
-type scanProfile struct {
-	table   string
-	seconds float64
-}
-
-// templateProfile is the result slot of one template-profiling task:
-// isolated statistics plus the virtual seconds the measurements consumed.
-type templateProfile struct {
-	ts              core.TemplateStats
-	isolatedSeconds float64
-	spoilerSeconds  float64
-}
-
-// mixResult is the result slot of one steady-state mix task.
-type mixResult struct {
-	sample  MixSample
-	seconds float64
-}
-
-// collect runs the full sampling campaign — scan times, per-template
-// isolated+spoiler profiles, steady-state mixes — as one pool of
-// independent tasks, then merges the results in canonical order. With
-// Opts.Retry set, terminally failed tasks are quarantined and the merge
-// degrades (templates dropped, their mixes dropped) instead of aborting;
-// with Opts.CheckpointPath set, completed tasks are restored from the
-// checkpoint instead of re-run.
-func (e *Env) collect(ctx context.Context) error {
-	facts := e.Workload.Catalog.FactTables()
-	templates := e.Workload.Templates()
-	designs := e.mixDesigns()
-
-	scans := make([]scanProfile, len(facts))
-	profiles := make([]templateProfile, len(templates))
-	mixResults := make(map[int][]mixResult, len(designs))
-	for _, mpl := range e.Opts.MPLs {
-		mixResults[mpl] = make([]mixResult, len(designs[mpl]))
-	}
-
-	if e.Opts.Faults != nil {
-		e.injector = resilience.NewInjector(*e.Opts.Faults)
-	}
-	failedSet := map[string]bool{}
-	if e.Opts.CheckpointPath != "" {
-		ck, err := loadEnvCheckpoint(e.Opts.CheckpointPath, envFingerprint(e.Opts, e.baseCfg, e.Workload))
-		if err != nil {
-			return err
-		}
-		e.ckpt = ck
-		// Replay quarantine decisions so the resumed run skips the same
-		// units of work instead of re-failing them.
-		for _, f := range ck.state.Failed {
-			failedSet[f.Key] = true
-			e.Resilience.Quarantined = append(e.Resilience.Quarantined, f)
-			e.emit(obs.Event{Kind: obs.Point, Span: obs.PointTrainQuarantine, Key: f.Key, Err: f.Reason})
-		}
-	}
-
-	var tasks []envTask
-	for i, t := range facts {
-		i, t := i, t
-		key := "scan/" + t.Name
-		if failedSet[key] {
-			continue
-		}
-		if e.ckpt != nil {
-			if v, ok := e.ckpt.state.Scans[key]; ok {
-				scans[i] = scanProfile{table: t.Name, seconds: v}
-				e.Resilience.Resumed++
-				e.emit(obs.Event{Kind: obs.Point, Span: obs.PointTrainResume, Key: key})
-				continue
-			}
-		}
-		task := envTask{
-			key: key,
-			run: func(eng *sim.Engine) error {
-				s, err := eng.MeasureScanTime(t.Name, t.Bytes())
-				if err != nil {
-					return fmt.Errorf("measuring scan of %s: %w", t.Name, err)
-				}
-				scans[i] = scanProfile{table: t.Name, seconds: s}
-				return nil
-			},
-		}
-		if e.ckpt != nil {
-			task.done = func() error {
-				return e.ckpt.record(func(s *envCheckpointState) { s.Scans[key] = scans[i].seconds })
-			}
-		}
-		tasks = append(tasks, task)
-	}
-	for i, tpl := range templates {
-		i, tpl := i, tpl
-		key := fmt.Sprintf("template/%d", tpl.ID)
-		if failedSet[key] {
-			continue
-		}
-		if e.ckpt != nil {
-			if entry, ok := e.ckpt.state.Templates[key]; ok {
-				profiles[i] = templateProfile{
-					ts:              entry.Stats.Stats(),
-					isolatedSeconds: entry.IsolatedSeconds,
-					spoilerSeconds:  entry.SpoilerSeconds,
-				}
-				e.Resilience.Resumed++
-				e.emit(obs.Event{Kind: obs.Point, Span: obs.PointTrainResume, Key: key})
-				continue
-			}
-		}
-		task := envTask{
-			key: key,
-			run: func(eng *sim.Engine) error {
-				p, err := e.profileTemplate(eng, tpl)
-				if err != nil {
-					return err
-				}
-				profiles[i] = p
-				return nil
-			},
-		}
-		if e.ckpt != nil {
-			task.done = func() error {
-				return e.ckpt.record(func(s *envCheckpointState) {
-					s.Templates[key] = templateEntry{
-						Stats:           core.NewTemplateSnapshot(profiles[i].ts),
-						IsolatedSeconds: profiles[i].isolatedSeconds,
-						SpoilerSeconds:  profiles[i].spoilerSeconds,
-					}
-				})
-			}
-		}
-		tasks = append(tasks, task)
-	}
-	for _, mpl := range e.Opts.MPLs {
-		mpl := mpl
-		for i, mix := range designs[mpl] {
-			i, mix := i, mix
-			key := fmt.Sprintf("mix/%d/%d", mpl, i)
-			if failedSet[key] {
-				continue
-			}
-			if e.ckpt != nil {
-				if entry, ok := e.ckpt.state.Mixes[key]; ok {
-					mixResults[mpl][i] = mixResult{sample: mixSampleFromEntry(entry), seconds: entry.Seconds}
-					e.Resilience.Resumed++
-					e.emit(obs.Event{Kind: obs.Point, Span: obs.PointTrainResume, Key: key})
-					continue
-				}
-			}
-			task := envTask{
-				key: key,
-				run: func(eng *sim.Engine) error {
-					sample, dur, err := e.runMix(eng, mix)
-					if err != nil {
-						return err
-					}
-					mixResults[mpl][i] = mixResult{sample: sample, seconds: dur}
-					return nil
-				},
-			}
-			if e.ckpt != nil {
-				task.done = func() error {
-					return e.ckpt.record(func(s *envCheckpointState) {
-						r := mixResults[mpl][i]
-						entry := mixEntry{Mix: append([]int(nil), r.sample.Mix...), Seconds: r.seconds}
-						for _, o := range r.sample.Obs {
-							entry.Lats = append(entry.Lats, o.Latency)
-						}
-						s.Mixes[key] = entry
-					})
-				}
-			}
-			tasks = append(tasks, task)
-		}
-	}
-
-	failures, err := e.runTasks(ctx, tasks)
-	if err != nil {
-		return err
-	}
-	e.Resilience.Quarantined = append(e.Resilience.Quarantined, failures...)
-
-	// Templates whose profiling terminally failed are excluded from the
-	// knowledge base, and every mix containing one is dropped: its
-	// observations could neither be trained on (no continuum) nor
-	// CQI-scored. Dropping at merge time keeps the surviving data exactly
-	// what a fault-free campaign would have collected for those mixes.
-	quarantinedTemplates := map[int]bool{}
-	for _, f := range e.Resilience.Quarantined {
-		var id int
-		if n, _ := fmt.Sscanf(f.Key, "template/%d", &id); n == 1 {
-			quarantinedTemplates[id] = true
-		}
-	}
-
-	// Merge in canonical order so Knowledge, Samples, and the virtual-time
-	// tallies are identical for every worker count.
-	for _, s := range scans {
-		if s.table == "" {
-			continue // quarantined scan: CQI degrades without the shared-scan term
-		}
-		e.Know.SetScanTime(s.table, s.seconds)
-	}
-	trained := 0
-	for _, p := range profiles {
-		if p.ts.ID == 0 {
-			continue // quarantined template
-		}
-		trained++
-		e.Know.AddTemplate(p.ts)
-		e.SimulatedSeconds.Isolated += p.isolatedSeconds
-		e.SimulatedSeconds.Spoiler += p.spoilerSeconds
-	}
-	e.Resilience.TotalTemplates = len(templates)
-	e.Resilience.TrainedTemplates = trained
-	if trained < 2 {
-		return resilience.Permanent(fmt.Errorf("experiments: only %d of %d templates survived sampling (need at least 2, %d tasks quarantined)",
-			trained, len(templates), len(e.Resilience.Quarantined)))
-	}
-	for _, mpl := range e.Opts.MPLs {
-		for _, r := range mixResults[mpl] {
-			if r.sample.Mix == nil {
-				e.Resilience.DroppedMixes++
-				continue
-			}
-			dropped := false
-			for _, id := range r.sample.Mix {
-				if quarantinedTemplates[id] {
-					dropped = true
-					break
-				}
-			}
-			if dropped {
-				e.Resilience.DroppedMixes++
-				continue
-			}
-			e.Samples[mpl] = append(e.Samples[mpl], r.sample)
-			e.SimulatedSeconds.Mixes += r.seconds
-		}
-	}
-	if e.ckpt != nil {
-		e.ckpt.discard()
-	}
-	return nil
-}
-
-// mixSampleFromEntry rebuilds a mix sample from its checkpoint entry,
-// through the same observation-construction code runMix uses — so resumed
-// and freshly measured samples are indistinguishable.
-func mixSampleFromEntry(entry mixEntry) MixSample {
-	mix := lhs.Mix(append([]int(nil), entry.Mix...))
-	sample := MixSample{Mix: mix}
-	for i, id := range mix {
-		sample.Obs = append(sample.Obs, core.Observation{
-			Primary:    id,
-			Concurrent: mix.WithoutOne(id),
-			Latency:    entry.Lats[i],
-		})
-	}
-	return sample
-}
-
-// mixDesigns computes the sampling design per MPL (exhaustive pairs at
-// MPL 2, disjoint LHS designs above), with template indices translated to
-// IDs. Designs are deterministic in (Opts.Seed, MPL) alone.
-func (e *Env) mixDesigns() map[int][]lhs.Mix {
-	ids := e.Workload.IDs()
-	out := make(map[int][]lhs.Mix, len(e.Opts.MPLs))
-	for _, mpl := range e.Opts.MPLs {
-		mixes := lhs.MixesFor(len(ids), mpl, e.Opts.LHSRuns, e.Opts.Seed+int64(mpl))
-		idMixes := make([]lhs.Mix, len(mixes))
-		for i, mix := range mixes {
-			idMix := make(lhs.Mix, len(mix))
-			for j, idx := range mix {
-				idMix[j] = ids[idx]
-			}
-			idMixes[i] = idMix
-		}
-		out[mpl] = idMixes
-	}
-	return out
-}
-
-// profileTemplate measures one template's isolated statistics and spoiler
-// latencies on the task's private engine.
-func (e *Env) profileTemplate(eng *sim.Engine, tpl tpcds.Template) (templateProfile, error) {
-	spec := e.Workload.MustSpec(tpl.ID)
-	var p templateProfile
-	var latSum, ioSum float64
-	for i := 0; i < e.Opts.IsolatedRuns; i++ {
-		res, err := eng.RunIsolated(spec)
-		if err != nil {
-			return p, fmt.Errorf("isolated run of T%d: %w", tpl.ID, err)
-		}
-		latSum += res.Latency
-		ioSum += res.IOTime
-		p.isolatedSeconds += res.Latency
-	}
-	lmin := latSum / float64(e.Opts.IsolatedRuns)
-	pt := ioSum / latSum
-
-	ts := core.TemplateStats{
-		ID:              tpl.ID,
-		IsolatedLatency: lmin,
-		IOFraction:      pt,
-		WorkingSetBytes: spec.WorkingSetBytes,
-		SpoilerLatency:  make(map[int]float64),
-		Scans:           tpl.Plan.ScannedTables(),
-		PlanSteps:       tpl.Plan.Steps(),
-		RecordsAccessed: tpl.Plan.RecordsAccessed(),
-	}
-	// Restrict the scan set to fact tables: dimension scans are
-	// buffer-resident and create no I/O interactions.
-	for f := range ts.Scans {
-		if t, ok := e.Workload.Catalog.Table(f); !ok || !t.Fact {
-			delete(ts.Scans, f)
-		}
-	}
-	for _, mpl := range e.Opts.MPLs {
-		res, err := eng.RunWithSpoiler(spec, mpl)
-		if err != nil {
-			return p, fmt.Errorf("spoiler run of T%d at MPL %d: %w", tpl.ID, mpl, err)
-		}
-		ts.SpoilerLatency[mpl] = res.Latency
-		p.spoilerSeconds += res.Latency
-	}
-	p.ts = ts
-	return p, nil
-}
-
-// runMix executes one steady-state mix on the given engine and converts
-// per-stream mean latencies into observations.
-func (e *Env) runMix(eng *sim.Engine, mix lhs.Mix) (MixSample, float64, error) {
-	specs := make([]sim.QuerySpec, len(mix))
-	for i, id := range mix {
-		specs[i] = e.Workload.MustSpec(id)
-	}
-	res, err := eng.RunSteadyState(specs, sim.SteadyStateOptions{
-		Samples:     e.Opts.SteadySamples,
-		WarmupSkip:  1,
-		RestartCost: tpcds.RestartCost(),
-	})
-	if err != nil {
-		return MixSample{}, 0, fmt.Errorf("steady state %v: %w", mix, err)
-	}
-
-	sample := MixSample{Mix: mix}
-	for i, id := range mix {
-		sample.Obs = append(sample.Obs, core.Observation{
-			Primary:    id,
-			Concurrent: mix.WithoutOne(id),
-			Latency:    res.MeanLatency(i),
-		})
-	}
-	return sample, res.Duration, nil
-}
-
-// buildObservationIndex flattens the samples into the per-MPL and
-// per-primary views served by Observations and ObservationsFor.
-func (e *Env) buildObservationIndex() {
-	e.obsByMPL = make(map[int][]core.Observation, len(e.Samples))
-	e.obsByPrimary = make(map[int]map[int][]core.Observation, len(e.Samples))
-	for _, mpl := range e.Opts.MPLs {
-		var flat []core.Observation
-		byPrimary := make(map[int][]core.Observation)
-		for _, s := range e.Samples[mpl] {
-			flat = append(flat, s.Obs...)
-			for _, o := range s.Obs {
-				byPrimary[o.Primary] = append(byPrimary[o.Primary], o)
-			}
-		}
-		e.obsByMPL[mpl] = flat
-		e.obsByPrimary[mpl] = byPrimary
-	}
-}
-
-// Observations returns all observations at an MPL, in sample order. The
-// returned slice is shared with the Env's index and must not be mutated.
-func (e *Env) Observations(mpl int) []core.Observation {
-	if e.obsByMPL == nil {
-		e.buildObservationIndex()
-	}
-	return e.obsByMPL[mpl]
-}
-
-// ObservationsFor returns the observations at mpl whose primary is the
-// given template, served from the primary-keyed index (the experiment
-// drivers call this once per template — re-flattening every sample per
-// call made those loops quadratic). The returned slice is shared with the
-// index and must not be mutated.
-func (e *Env) ObservationsFor(mpl, primary int) []core.Observation {
-	if e.obsByPrimary == nil {
-		e.buildObservationIndex()
-	}
-	return e.obsByPrimary[mpl][primary]
-}
-
-// AllObservations returns observations across all sampled MPLs.
-func (e *Env) AllObservations() []core.Observation {
-	var out []core.Observation
-	for _, mpl := range e.Opts.MPLs {
-		out = append(out, e.Observations(mpl)...)
-	}
-	return out
 }
 
 // TemplateIDs returns the workload's template IDs.

@@ -4,12 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
-	"contender/internal/sim"
 	"contender/internal/tpcds"
 )
 
@@ -64,27 +62,31 @@ func TestEnvBuildDeterministic(t *testing.T) {
 	}
 }
 
+// failingMix fails every steady-state run with boom.
+type failingMix struct{ System }
+
+var errBoom = errors.New("boom")
+
+func (failingMix) RunMix([]int, int) ([]float64, error) { return nil, errBoom }
+
 // TestRunTasksErrorPropagates checks the pool surfaces a task failure
-// (wrapped with the task key) instead of hanging, at both the sequential
-// fast path and a wide pool.
+// (wrapped with the task key) instead of hanging, at width 1 and a wide
+// pool.
 func TestRunTasksErrorPropagates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		env := &Env{Opts: Options{Workers: workers}, baseCfg: sim.DefaultConfig()}
-		boom := errors.New("boom")
-		var tasks []envTask
-		for i := 0; i < 16; i++ {
-			key := fmt.Sprintf("ok/%d", i)
-			run := func(*sim.Engine) error { return nil }
-			if i == 9 {
-				key, run = "bad/9", func(*sim.Engine) error { return boom }
+		c := chaosCampaign(chaosOptions(workers))
+		measure := c.backend
+		c.backend = func(key string) System {
+			if key == "mix/3/1" {
+				return failingMix{measure(key)}
 			}
-			tasks = append(tasks, envTask{key: key, run: run})
+			return measure(key)
 		}
-		_, err := env.runTasks(context.Background(), tasks)
-		if !errors.Is(err, boom) {
+		_, err := c.run(context.Background())
+		if !errors.Is(err, errBoom) {
 			t.Fatalf("workers=%d: err = %v, want wrapped boom", workers, err)
 		}
-		if !strings.Contains(err.Error(), "bad/9") {
+		if !strings.Contains(err.Error(), "mix/3/1") {
 			t.Errorf("workers=%d: error %q does not name the failing task", workers, err)
 		}
 	}

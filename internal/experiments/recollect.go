@@ -3,11 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"contender/internal/core"
 	"contender/internal/resilience"
-	"contender/internal/sim"
 )
 
 // Targeted re-collection: when the drift detector declares templates
@@ -60,9 +60,7 @@ func (e *Env) Recollect(ctx context.Context, cfg RecollectConfig) (*core.Predict
 			len(e.Resilience.Quarantined), e.Resilience.DroppedMixes))
 	}
 	targets := map[int]bool{}
-	ids := append([]int(nil), cfg.Templates...)
-	sort.Ints(ids)
-	for _, id := range ids {
+	for _, id := range cfg.Templates {
 		if _, ok := e.Know.Template(id); !ok {
 			return nil, resilience.Permanent(fmt.Errorf("experiments: Recollect: template %d is not in the knowledge base", id))
 		}
@@ -73,139 +71,28 @@ func (e *Env) Recollect(ctx context.Context, cfg RecollectConfig) (*core.Predict
 		world = func(_, _ int, l float64) float64 { return l }
 	}
 
-	// A shallow sub-campaign: same workload, same base configuration,
-	// same observer — so per-task engine seeds derive exactly as in the
-	// original campaign — but its own retry policy and checkpoint, and
-	// no fault injection (the injector models collection-time chaos; the
-	// drifted world is modeled by World).
-	sub := &Env{Opts: e.Opts, Workload: e.Workload, Engine: e.Engine, baseCfg: e.baseCfg}
-	sub.Opts.Retry = observedRetry(cfg.Retry, e.Opts.Observer)
-	sub.Opts.Faults = nil
-	sub.Opts.CheckpointPath = cfg.CheckpointPath
-	sub.Opts.onTaskDone = nil
-
-	if cfg.CheckpointPath != "" {
-		fp := fmt.Sprintf("%s|recollect=%v", envFingerprint(sub.Opts, sub.baseCfg, sub.Workload), ids)
-		ck, err := loadEnvCheckpoint(cfg.CheckpointPath, fp)
-		if err != nil {
-			return nil, err
-		}
-		sub.ckpt = ck
-	}
-
-	// Task set: one profile task per target, plus every sampled mix that
-	// contains a target, under their ORIGINAL keys (the key alone seeds
-	// the engine, so untargeted slots reproduce byte-identically).
-	profiles := make(map[int]*templateProfile, len(ids))
-	type mixSlot struct {
-		mpl, idx int
-		sample   MixSample
-	}
-	var mixSlots []*mixSlot
-	var tasks []envTask
-
-	for _, id := range ids {
-		id := id
-		tpl, ok := e.Workload.Template(id)
-		if !ok {
-			return nil, resilience.Permanent(fmt.Errorf("experiments: Recollect: template %d is not in the workload", id))
-		}
-		key := fmt.Sprintf("template/%d", id)
-		slot := &templateProfile{}
-		profiles[id] = slot
-		if sub.ckpt != nil {
-			if entry, ok := sub.ckpt.state.Templates[key]; ok {
-				*slot = templateProfile{ts: entry.Stats.Stats(), isolatedSeconds: entry.IsolatedSeconds, spoilerSeconds: entry.SpoilerSeconds}
-				sub.Resilience.Resumed++
-				continue
-			}
-		}
-		task := envTask{
-			key: key,
-			run: func(eng *sim.Engine) error {
-				p, err := sub.profileTemplate(eng, tpl)
-				if err != nil {
-					return err
-				}
-				*slot = p
-				return nil
-			},
-		}
-		if sub.ckpt != nil {
-			task.done = func() error {
-				return sub.ckpt.record(func(s *envCheckpointState) {
-					s.Templates[key] = templateEntry{
-						Stats:           core.NewTemplateSnapshot(slot.ts),
-						IsolatedSeconds: slot.isolatedSeconds,
-						SpoilerSeconds:  slot.spoilerSeconds,
-					}
-				})
-			}
-		}
-		tasks = append(tasks, task)
-	}
-
-	designs := e.mixDesigns()
-	for _, mpl := range e.sortedMPLs() {
-		mpl := mpl
-		for i, mix := range designs[mpl] {
-			i, mix := i, mix
-			touched := false
-			for _, id := range mix {
-				if targets[id] {
-					touched = true
-					break
-				}
-			}
-			if !touched {
-				continue
-			}
-			key := fmt.Sprintf("mix/%d/%d", mpl, i)
-			slot := &mixSlot{mpl: mpl, idx: i}
-			mixSlots = append(mixSlots, slot)
-			if sub.ckpt != nil {
-				if entry, ok := sub.ckpt.state.Mixes[key]; ok {
-					slot.sample = mixSampleFromEntry(entry)
-					sub.Resilience.Resumed++
-					continue
-				}
-			}
-			task := envTask{
-				key: key,
-				run: func(eng *sim.Engine) error {
-					sample, _, err := sub.runMix(eng, mix)
-					if err != nil {
-						return err
-					}
-					slot.sample = sample
-					return nil
-				},
-			}
-			if sub.ckpt != nil {
-				task.done = func() error {
-					return sub.ckpt.record(func(s *envCheckpointState) {
-						entry := mixEntry{Mix: append([]int(nil), slot.sample.Mix...)}
-						for _, o := range slot.sample.Obs {
-							entry.Lats = append(entry.Lats, o.Latency)
-						}
-						s.Mixes[key] = entry
-					})
-				}
-			}
-			tasks = append(tasks, task)
-		}
-	}
-
-	failures, err := sub.runTasks(ctx, tasks)
+	// The subset of the campaign plan whose keys touch a target: its
+	// template tasks and every mix containing one. Same workload, host and
+	// seeds, so every re-measured value derives exactly as in the original
+	// campaign; its own retry policy and checkpoint, and no fault injection
+	// (the injector models collection-time chaos; the drifted world is
+	// modeled by World).
+	opts := e.Opts
+	opts.Retry, opts.Faults, opts.CheckpointPath, opts.onTaskDone = cfg.Retry, nil, cfg.CheckpointPath, nil
+	c := e.campaign(opts)
+	c.plan = slices.DeleteFunc(c.plan, func(t task) bool {
+		return !(t.kind == templateTask && targets[t.meta.ID]) && !(t.kind == mixTask && touches(t.mix, targets))
+	})
+	sub, err := c.run(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if len(failures) > 0 {
+	if q := sub.Resilience.Quarantined; len(q) > 0 {
 		// A re-collection with holes cannot produce a promotable
 		// candidate: unlike the initial campaign there is no "degrade
 		// coverage" option, because the caller would hot-swap the result.
 		return nil, resilience.Permanent(fmt.Errorf("experiments: re-collection quarantined %d of %d tasks (first: %s: %s)",
-			len(failures), len(tasks), failures[0].Key, failures[0].Reason))
+			len(q), len(c.plan), q[0].Key, q[0].Reason))
 	}
 	e.Resilience.Retries += sub.Resilience.Retries
 
@@ -226,7 +113,7 @@ func (e *Env) Recollect(ctx context.Context, cfg RecollectConfig) (*core.Predict
 			know.AddTemplate(ts.Stats())
 			continue
 		}
-		fresh := profiles[ts.ID].ts
+		fresh, _ := sub.Know.Template(ts.ID)
 		fresh.IsolatedLatency = world(ts.ID, 1, fresh.IsolatedLatency)
 		spoilers := make(map[int]float64, len(fresh.SpoilerLatency))
 		for mpl, lat := range fresh.SpoilerLatency {
@@ -237,35 +124,25 @@ func (e *Env) Recollect(ctx context.Context, cfg RecollectConfig) (*core.Predict
 	}
 
 	// Merge observations in canonical sample order: untouched mixes come
-	// from the original campaign; touched mixes from the re-measurement,
-	// with target-primary slots pushed through World.
-	remeasured := make(map[string]MixSample, len(mixSlots))
-	for _, s := range mixSlots {
-		remeasured[fmt.Sprintf("%d/%d", s.mpl, s.idx)] = s.sample
-	}
+	// from the original campaign; touched mixes from the re-measurement
+	// (in the same design order), with target-primary slots pushed
+	// through World.
 	var allObs []core.Observation
 	for _, mpl := range e.sortedMPLs() {
-		for i, orig := range e.Samples[mpl] {
-			sample, ok := remeasured[fmt.Sprintf("%d/%d", mpl, i)]
-			if !ok {
+		fresh := sub.Samples[mpl]
+		for _, orig := range e.Samples[mpl] {
+			if !touches(orig.Mix, targets) {
 				allObs = append(allObs, orig.Obs...)
 				continue
 			}
-			for _, o := range sample.Obs {
+			for _, o := range fresh[0].Obs {
 				if targets[o.Primary] {
 					o.Latency = world(o.Primary, mpl, o.Latency)
 				}
 				allObs = append(allObs, o)
 			}
+			fresh = fresh[1:]
 		}
 	}
-
-	cand, err := core.Train(know, allObs, core.TrainOptions{DropOutliers: true})
-	if err != nil {
-		return nil, err
-	}
-	if sub.ckpt != nil {
-		sub.ckpt.discard()
-	}
-	return cand, nil
+	return core.Train(know, allObs, core.TrainOptions{DropOutliers: true})
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"contender/internal/resilience"
+	"contender/internal/sim"
 	"contender/internal/tpcds"
 )
 
@@ -279,4 +280,121 @@ func TestEnvContextCancelStopsPromptly(t *testing.T) {
 			t.Errorf("workers=%d: %d tasks completed after cancellation", workers, finished-3)
 		}
 	}
+}
+
+// chaosCampaign is the engine run NewEnvWith prepares for the chaos
+// campaign under opts.
+func chaosCampaign(opts Options) *campaign {
+	opts = opts.withDefaults()
+	cfg := sim.DefaultConfig().WithSeed(opts.Seed)
+	env := &Env{Workload: chaosWorkload(), Engine: sim.NewEngine(cfg), baseCfg: cfg}
+	return env.campaign(opts)
+}
+
+// writeCheckpoint writes a current-version checkpoint for the chaos
+// campaign holding the given task entries.
+func writeCheckpoint(t *testing.T, path string, opts Options, tasks map[string]entry) {
+	t.Helper()
+	state := checkpointState{Version: checkpointVersion, Fingerprint: chaosCampaign(opts).fingerprint(), Tasks: tasks}
+	data, err := json.Marshal(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEnvCheckpointRejectsMalformedEntry: a replayed entry passes the
+// validation a fresh measurement does. A two-query mix recorded with one
+// latency is refused with a classified error naming the file and the
+// task, never an index panic.
+func TestEnvCheckpointRejectsMalformedEntry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "env.ckpt")
+	opts := chaosOptions(1)
+	opts.CheckpointPath = path
+	var design task
+	for _, tk := range chaosCampaign(opts).plan {
+		if tk.key == "mix/2/0" {
+			design = tk
+		}
+	}
+	writeCheckpoint(t, path, opts, map[string]entry{"mix/2/0": {Mix: design.mix, Lats: []float64{1}}})
+	_, err := NewEnvWith(chaosWorkload(), opts)
+	if !errors.Is(err, resilience.ErrPermanent) || !errors.Is(err, resilience.ErrCorruptMeasurement) {
+		t.Fatalf("err = %v, want a permanent corrupt-measurement error", err)
+	}
+	if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "mix/2/0") {
+		t.Errorf("error %q must name the file and the task", err)
+	}
+}
+
+// TestEnvCheckpointRefusesOldVersion: a file in a previous checkpoint
+// format is refused with the classified version error.
+func TestEnvCheckpointRefusesOldVersion(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "env.ckpt")
+	if err := os.WriteFile(path, []byte(`{"version":1,"fingerprint":"x","scans":{"scan/store_sales":1}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := chaosOptions(1)
+	opts.CheckpointPath = path
+	_, err := NewEnvWith(chaosWorkload(), opts)
+	if !errors.Is(err, resilience.ErrPermanent) || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("err = %v, want the classified version error", err)
+	}
+}
+
+// FuzzLoadCheckpoint feeds arbitrary bytes to the checkpoint loader and
+// resumes the chaos campaign from them: the outcome must be a classified
+// error or a completed campaign, never a panic.
+func FuzzLoadCheckpoint(f *testing.F) {
+	dir := f.TempDir()
+	valid := filepath.Join(dir, "valid.ckpt")
+	ctx, cancel := context.WithCancel(context.Background())
+	opts := chaosOptions(1)
+	opts.CheckpointPath = valid
+	// Interrupted just after the first mix (7 scans, 6 templates), and
+	// re-encoded compactly: small seeds keep minimization cheap, since
+	// every accepted input runs a campaign.
+	done := 0
+	opts.onTaskDone = func(string) {
+		if done++; done == 14 {
+			cancel()
+		}
+	}
+	if _, err := NewEnvWithContext(ctx, chaosWorkload(), opts); !errors.Is(err, context.Canceled) {
+		f.Fatalf("interrupt failed: %v", err)
+	}
+	cancel()
+	raw, err := os.ReadFile(valid)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var state checkpointState
+	if err := json.Unmarshal(raw, &state); err != nil {
+		f.Fatal(err)
+	}
+	data, _ := json.Marshal(state)
+	short := state.Tasks["mix/2/0"]
+	short.Lats = short.Lats[:1]
+	state.Tasks["mix/2/0"] = short
+	shortLats, _ := json.Marshal(state)
+	f.Add(data)
+	f.Add(data[:len(data)/2])
+	f.Add(shortLats)
+	f.Add([]byte(`{"version":1,"fingerprint":"x"}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		opts := chaosOptions(1)
+		opts.CheckpointPath = path
+		_, err := NewEnvWith(chaosWorkload(), opts)
+		if err != nil && !errors.Is(err, resilience.ErrPermanent) && !errors.Is(err, resilience.ErrTransient) &&
+			!errors.Is(err, resilience.ErrCorruptMeasurement) {
+			t.Fatalf("unclassified error: %v", err)
+		}
+	})
 }

@@ -219,17 +219,14 @@ func ExtSelfheal(e *Env) (*Result, error) {
 		}
 	}
 
-	// How targeted was the re-collection?
-	designs := e.mixDesigns()
+	// How targeted was the re-collection? Recollect succeeded, so the
+	// campaign kept full coverage and its samples are the whole design.
 	totalMixes, touchedMixes := 0, 0
 	for _, mpl := range mpls {
-		for _, mix := range designs[mpl] {
+		for _, s := range e.Samples[mpl] {
 			totalMixes++
-			for _, id := range mix {
-				if victimSet[id] {
-					touchedMixes++
-					break
-				}
+			if touches(s.Mix, victimSet) {
+				touchedMixes++
 			}
 		}
 	}

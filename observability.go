@@ -8,9 +8,10 @@ import (
 	"contender/internal/sim"
 )
 
-// Observability facade: every layer of the framework — training-data
-// collection, the System trainer, serving, scheduling, the simulator —
-// emits structured events to a single Observer interface. Install one
+// Observability facade: every layer of the framework — the sampling
+// campaign (Workbench and TrainFromSystem alike), serving, scheduling,
+// the simulator — emits structured events to a single Observer
+// interface. Install one
 // with WithObserver (Workbench path) or TrainConfig.Observer (System
 // path); the trained Predictor inherits it for serving spans.
 //
@@ -165,33 +166,6 @@ func (w *Workbench) ObserveSimulation(o Observer) {
 		return
 	}
 	w.env.Engine.SetTracer(obs.NewSimTracer(o))
-}
-
-// observedRetryPolicy chains a train.retry point emission onto the
-// policy's OnRetry hook, copying the policy so the caller's value is
-// never mutated. The retry schedule itself (delays, deterministic
-// jitter, attempt budget) is unchanged. Nil policy or observer passes
-// through.
-func observedRetryPolicy(p *RetryPolicy, o Observer) *RetryPolicy {
-	if p == nil || o == nil {
-		return p
-	}
-	rp := *p
-	prev := rp.OnRetry
-	rp.OnRetry = func(site string, retry int, delay time.Duration, err error) {
-		if prev != nil {
-			prev(site, retry, delay, err)
-		}
-		obs.Emit(o, Event{
-			Kind:    obs.Point,
-			Span:    obs.PointTrainRetry,
-			Key:     site,
-			Attempt: retry,
-			Value:   delay.Seconds(),
-			Err:     obs.ErrLabel(err),
-		})
-	}
-	return &rp
 }
 
 // Compile-time interface checks for the shipped observers.

@@ -14,10 +14,22 @@ import (
 // accordingly. Unclassified errors are treated as retryable.
 
 // RetryPolicy is the exponential-backoff schedule applied around every
-// measurement when set on TrainConfig.Retry (or via WithRetry). Jitter is
-// derived deterministically from the seed and the call site, so reruns of
-// a campaign wait the same schedule.
+// sampling task when set on TrainConfig.Retry (or via WithRetry). Jitter
+// is derived deterministically from the seed and the task key, so reruns
+// of a campaign wait the same schedule.
 type RetryPolicy = resilience.RetryPolicy
+
+// FaultConfig parameterizes the deterministic chaos of TrainConfig.Faults
+// and WithFaults: per-attempt rates for transient errors, corrupt values,
+// hangs and latency spikes, plus task-key prefixes that fail permanently
+// ("template/26" kills one template's profiling, "mix/" every
+// steady-state mix). The campaign consults the injector before each task
+// attempt, so a faulted attempt never reaches the backend. See
+// resilience.FaultConfig for field documentation.
+type FaultConfig = resilience.FaultConfig
+
+// FaultStats counts what the fault injector actually injected.
+type FaultStats = resilience.FaultStats
 
 // DefaultRetryPolicy returns the default schedule: 4 attempts, 50ms base
 // delay doubling to a 2s cap, ±25% deterministic jitter.

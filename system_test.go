@@ -3,13 +3,17 @@ package contender
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"contender/internal/experiments"
 	"contender/internal/sim"
 	"contender/internal/tpcds"
 )
@@ -74,7 +78,8 @@ func TestSimSystemErrors(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Resilience matrix: the trainer against FaultSystem's deterministic chaos.
+// Resilience matrix: the trainer against the engine's deterministic chaos
+// (TrainConfig.Faults) and against a backend that returns corrupt values.
 // ---------------------------------------------------------------------------
 
 // freshChaosSystem builds an independent simulator-backed System on a small
@@ -83,7 +88,7 @@ func TestSimSystemErrors(t *testing.T) {
 // claims rest on every run issuing the same substrate call sequence.
 func freshChaosSystem(seed int64) System {
 	w := tpcds.NewWorkload().Subset([]int{2, 22, 25, 26, 61, 71})
-	return &simSystem{workload: w, engine: sim.NewEngine(sim.DefaultConfig().WithSeed(seed))}
+	return experiments.SimSystem(w, sim.NewEngine(sim.DefaultConfig().WithSeed(seed)))
 }
 
 func chaosTrainConfig() TrainConfig {
@@ -107,8 +112,9 @@ func predictorBytes(t *testing.T, p *Predictor) string {
 
 // TestTrainFromSystemChaosByteIdentical is the acceptance property at the
 // System boundary: transient and corrupt faults, rescued by retries, leave
-// the trained predictor byte-identical to a fault-free run — faulted calls
-// never reach the substrate, so its RNG stream is unperturbed.
+// the trained predictor byte-identical to a fault-free run — a faulted
+// task attempt never reaches the backend, so its RNG stream is
+// unperturbed.
 func TestTrainFromSystemChaosByteIdentical(t *testing.T) {
 	cleanRes, err := TrainFromSystem(freshChaosSystem(5), chaosTrainConfig())
 	if err != nil {
@@ -120,14 +126,14 @@ func TestTrainFromSystemChaosByteIdentical(t *testing.T) {
 		"10% transient": {Seed: 11, TransientRate: 0.10, Sleep: func(time.Duration) {}},
 		"8% corrupt":    {Seed: 3, CorruptRate: 0.08, Sleep: func(time.Duration) {}},
 	} {
-		fs := NewFaultSystem(freshChaosSystem(5), fc)
 		cfg := chaosTrainConfig()
 		cfg.Retry = noSleepRetry()
-		res, err := TrainFromSystemContext(context.Background(), fs, cfg)
+		cfg.Faults = &fc
+		res, err := TrainFromSystemContext(context.Background(), freshChaosSystem(5), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if fs.Stats().Injected() == 0 {
+		if res.Report.FaultStats == nil || res.Report.FaultStats.Injected() == 0 {
 			t.Fatalf("%s: injector never fired", name)
 		}
 		if res.Report.Retries == 0 {
@@ -142,20 +148,40 @@ func TestTrainFromSystemChaosByteIdentical(t *testing.T) {
 	}
 }
 
-// TestTrainFromSystemPermanentQuarantines: a template whose isolated run
-// fails on every attempt is quarantined; training completes on the rest and
+// mixRecorder records every mix the backend is asked to run.
+type mixRecorder struct {
+	System
+	mixes [][]int
+}
+
+func (m *mixRecorder) RunMix(mix []int, samples int) ([]float64, error) {
+	m.mixes = append(m.mixes, append([]int(nil), mix...))
+	return m.System.RunMix(mix, samples)
+}
+
+// TestTrainFromSystemPermanentQuarantines: a template whose profiling
+// fails on every attempt is quarantined; training completes on the rest,
+// the mixes containing it are dropped without reaching the backend, and
 // the report carries the degradation.
 func TestTrainFromSystemPermanentQuarantines(t *testing.T) {
-	fs := NewFaultSystem(freshChaosSystem(5), FaultConfig{
-		Seed:           1,
-		PermanentSites: []string{"isolated/26"},
-		Sleep:          func(time.Duration) {},
-	})
 	cfg := chaosTrainConfig()
 	cfg.Retry = noSleepRetry()
-	res, err := TrainFromSystemContext(context.Background(), fs, cfg)
+	cfg.Faults = &FaultConfig{
+		Seed:           1,
+		PermanentSites: []string{"template/26"},
+		Sleep:          func(time.Duration) {},
+	}
+	sys := &mixRecorder{System: freshChaosSystem(5)}
+	res, err := TrainFromSystemContext(context.Background(), sys, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, mix := range sys.mixes {
+		for _, id := range mix {
+			if id == 26 {
+				t.Fatalf("mix %v with the quarantined template reached the backend", mix)
+			}
+		}
 	}
 	r := res.Report
 	if !r.Degraded() {
@@ -164,14 +190,14 @@ func TestTrainFromSystemPermanentQuarantines(t *testing.T) {
 	if r.TrainedTemplates != 5 || r.TotalTemplates != 6 {
 		t.Fatalf("coverage %d/%d, want 5/6", r.TrainedTemplates, r.TotalTemplates)
 	}
-	if len(r.QuarantinedTemplates) != 1 || r.QuarantinedTemplates[0].Template != 26 {
+	if len(r.QuarantinedTemplates) != 1 || r.QuarantinedTemplates[0].Template != 26 || r.QuarantinedTemplates[0].Site != "template/26" {
 		t.Fatalf("quarantine records: %+v", r.QuarantinedTemplates)
 	}
 	if !strings.Contains(r.QuarantinedTemplates[0].Reason, "permanent") {
 		t.Errorf("quarantine reason %q does not mention the permanent failure", r.QuarantinedTemplates[0].Reason)
 	}
-	if r.DroppedMixes == 0 {
-		t.Fatal("mixes containing the quarantined template must be dropped")
+	if r.DroppedMixes == 0 || r.PlannedMixes != len(sys.mixes)+r.DroppedMixes {
+		t.Fatalf("planned %d, measured %d, dropped %d: every planned mix is measured or dropped", r.PlannedMixes, len(sys.mixes), r.DroppedMixes)
 	}
 	// The quarantined template is absent; the survivors still predict.
 	if _, err := res.Predictor.PredictKnown(26, []int{2}); !errors.Is(err, ErrUnknownTemplate) {
@@ -182,20 +208,173 @@ func TestTrainFromSystemPermanentQuarantines(t *testing.T) {
 	}
 }
 
-// TestTrainFromSystemNoRetryFailsFast preserves the legacy contract: with
-// no retry policy, the first failure aborts training.
+// TestTrainFromSystemNoRetryFailsFast preserves the fail-fast contract:
+// with no retry policy, the first failure aborts training.
 func TestTrainFromSystemNoRetryFailsFast(t *testing.T) {
-	fs := NewFaultSystem(freshChaosSystem(5), FaultConfig{
-		Seed:          2,
-		TransientRate: 1,
-		Sleep:         func(time.Duration) {},
-	})
-	_, err := TrainFromSystem(fs, chaosTrainConfig())
+	cfg := chaosTrainConfig()
+	cfg.Faults = &FaultConfig{Seed: 2, TransientRate: 1, Sleep: func(time.Duration) {}}
+	_, err := TrainFromSystem(freshChaosSystem(5), cfg)
 	if err == nil {
 		t.Fatal("fail-fast mode must surface the first fault")
 	}
 	if !errors.Is(err, ErrTransient) {
 		t.Errorf("err = %v, want the transient sentinel preserved", err)
+	}
+}
+
+// TestTrainFromSystemParity pins the predictor bytes of two fault-free
+// System-path campaigns. The simulator behind both shares one RNG stream
+// across measurements, so the pins hold only while the engine issues the
+// backend calls in the same order: scans, then each template's isolated
+// and spoiler runs, then the mixes in design order.
+func TestTrainFromSystemParity(t *testing.T) {
+	fnv1a := func(s string) string {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		return fmt.Sprintf("%016x", h.Sum64())
+	}
+	res, err := TrainFromSystem(freshChaosSystem(5), chaosTrainConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fnv1a(predictorBytes(t, res.Predictor)); got != "d4ddcf1418d3b0f7" {
+		t.Errorf("chaos system predictor checksum %s, want d4ddcf1418d3b0f7", got)
+	}
+	wb, err := NewWorkbench(QuickSampling())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = TrainFromSystem(wb.System(), TrainConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fnv1a(predictorBytes(t, res.Predictor)); got != "c54153e713b904c2" {
+		t.Errorf("workbench system predictor checksum %s, want c54153e713b904c2", got)
+	}
+}
+
+// keyedSystem answers every call from a fresh simulator engine seeded by
+// the call itself, so a re-measurement returns exactly the first value
+// whatever came before it.
+type keyedSystem struct{ w *tpcds.Workload }
+
+func (k keyedSystem) at(call string) System {
+	return experiments.SimSystem(k.w, sim.NewEngine(sim.DefaultConfig().WithSeed(sim.DeriveSeed(5, call))))
+}
+
+func (k keyedSystem) Templates() []TemplateMeta { return k.at("").Templates() }
+func (k keyedSystem) FactTables() []string      { return k.at("").FactTables() }
+func (k keyedSystem) ScanSeconds(table string) (float64, error) {
+	return k.at("scan/" + table).ScanSeconds(table)
+}
+func (k keyedSystem) RunIsolated(id int) (Measurement, error) {
+	return k.at(fmt.Sprintf("isolated/%d", id)).RunIsolated(id)
+}
+func (k keyedSystem) RunSpoiler(id, mpl int) (Measurement, error) {
+	return k.at(fmt.Sprintf("spoiler/%d/%d", id, mpl)).RunSpoiler(id, mpl)
+}
+func (k keyedSystem) RunMix(mix []int, samples int) ([]float64, error) {
+	return k.at(fmt.Sprintf("mix/%v", mix)).RunMix(mix, samples)
+}
+
+// corruptSystem returns a value no real execution produces whenever bad
+// selects the call, without consulting the backend: a zero scan time, a
+// NaN isolated latency, a negative spoiler latency, a short mix result.
+type corruptSystem struct {
+	System
+	bad func(call string) bool
+}
+
+func (c corruptSystem) ScanSeconds(table string) (float64, error) {
+	if c.bad("scan/" + table) {
+		return 0, nil
+	}
+	return c.System.ScanSeconds(table)
+}
+
+func (c corruptSystem) RunIsolated(id int) (Measurement, error) {
+	if c.bad(fmt.Sprintf("isolated/%d", id)) {
+		return Measurement{LatencySeconds: math.NaN()}, nil
+	}
+	return c.System.RunIsolated(id)
+}
+
+func (c corruptSystem) RunSpoiler(id, mpl int) (Measurement, error) {
+	if c.bad(fmt.Sprintf("spoiler/%d", id)) {
+		return Measurement{LatencySeconds: -1}, nil
+	}
+	return c.System.RunSpoiler(id, mpl)
+}
+
+func (c corruptSystem) RunMix(mix []int, samples int) ([]float64, error) {
+	if c.bad(fmt.Sprintf("mix/%v", mix)) {
+		return make([]float64, len(mix)-1), nil
+	}
+	return c.System.RunMix(mix, samples)
+}
+
+// TestTrainFromSystemValidatesMeasurements: the engine rejects corrupt
+// values from any backend. Returned once per kind of call, each is
+// resampled by the retry and the predictor equals a clean run; returned
+// on every attempt, the unit is quarantined under Retry, and training
+// fails fast with ErrCorruptMeasurement without it.
+func TestTrainFromSystemValidatesMeasurements(t *testing.T) {
+	inner := keyedSystem{tpcds.NewWorkload().Subset([]int{2, 22, 25, 26, 61, 71})}
+	cleanRes, err := TrainFromSystem(inner, chaosTrainConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := predictorBytes(t, cleanRes.Predictor)
+
+	seen := map[string]bool{}
+	once := corruptSystem{inner, func(call string) bool {
+		kind, _, _ := strings.Cut(call, "/")
+		if seen[kind] {
+			return false
+		}
+		seen[kind] = true
+		return true
+	}}
+	cfg := chaosTrainConfig()
+	cfg.Retry = noSleepRetry()
+	res, err := TrainFromSystem(once, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 4 || res.Report.Retries != 4 || res.Report.Degraded() {
+		t.Fatalf("corrupted %v, report %+v: want four kinds each rescued by one retry", seen, res.Report)
+	}
+	if predictorBytes(t, res.Predictor) != clean {
+		t.Error("predictor after resampled corrupt values differs from the clean run")
+	}
+
+	for _, tc := range []struct {
+		call  string
+		check func(TrainReport) bool
+	}{
+		{"scan/store_sales", func(r TrainReport) bool {
+			return len(r.QuarantinedTables) == 1 && r.QuarantinedTables[0].Table == "store_sales"
+		}},
+		{"isolated/26", func(r TrainReport) bool {
+			return len(r.QuarantinedTemplates) == 1 && r.QuarantinedTemplates[0].Template == 26
+		}},
+		{"spoiler/26", func(r TrainReport) bool {
+			return len(r.QuarantinedTemplates) == 1 && r.QuarantinedTemplates[0].Template == 26
+		}},
+		{"mix/[2 22]", func(r TrainReport) bool { return r.DroppedMixes == 1 && r.TrainedTemplates == 6 }},
+	} {
+		always := corruptSystem{inner, func(call string) bool { return call == tc.call }}
+		cfg := chaosTrainConfig()
+		cfg.Retry = noSleepRetry()
+		res, err := TrainFromSystem(always, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.call, err)
+		}
+		if !tc.check(res.Report) {
+			t.Errorf("%s: report %+v does not quarantine the unit", tc.call, res.Report)
+		}
+		if _, err := TrainFromSystem(always, chaosTrainConfig()); !errors.Is(err, ErrCorruptMeasurement) {
+			t.Errorf("%s: without Retry err = %v, want ErrCorruptMeasurement", tc.call, err)
+		}
 	}
 }
 
@@ -281,6 +460,46 @@ func TestTrainFromSystemCheckpointResume(t *testing.T) {
 	}
 	if _, serr := os.Stat(path); serr == nil {
 		t.Error("checkpoint must be removed after a completed campaign")
+	}
+}
+
+// TestTrainFromSystemCheckpointRejectsMalformedEntry: on the System path
+// too, a replayed entry passes the validation a fresh measurement does. A
+// two-query mix recorded with one latency is refused with a classified
+// error naming the file and the task, never an index panic.
+func TestTrainFromSystemCheckpointRejectsMalformedEntry(t *testing.T) {
+	path := t.TempDir() + "/train.ckpt"
+	cfg := chaosTrainConfig()
+	cfg.CheckpointPath = path
+	// 7 scans and 6 templates × 4 runs take 31 calls; two mixes follow.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err := TrainFromSystemContext(ctx, &cancelAfterSystem{System: freshChaosSystem(5), after: 33, cancel: cancel}, cfg)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var state map[string]any
+	if err := json.Unmarshal(raw, &state); err != nil {
+		t.Fatal(err)
+	}
+	mix := state["tasks"].(map[string]any)["mix/2/0"].(map[string]any)
+	mix["lats"] = mix["lats"].([]any)[:1]
+	if raw, err = json.Marshal(state); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = TrainFromSystem(freshChaosSystem(5), cfg)
+	if !errors.Is(err, ErrPermanent) || !errors.Is(err, ErrCorruptMeasurement) {
+		t.Fatalf("err = %v, want a permanent corrupt-measurement error", err)
+	}
+	if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "mix/2/0") {
+		t.Errorf("error %q must name the file and the task", err)
 	}
 }
 
