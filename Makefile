@@ -38,13 +38,16 @@ vet-v2: bin/contender-vet
 	fi; \
 	rm -f $$tmp; echo "wire.lock is in sync"
 
-# Thirty-second native fuzz smokes: the binary frame decoder, on top of
-# the checked-in seed corpus in internal/serve/testdata/fuzz, and the
-# training-checkpoint loader, resumed into a small campaign. Every input
-# the loader accepts runs that campaign, so minimizing a new input is
-# capped at 200 runs to leave the time for fuzzing.
+# Thirty-second native fuzz smokes: the binary frame decoder and the
+# HTTP bodies (the served handler held byte for byte to the
+# encoding/json reference), on top of the checked-in seed corpora in
+# internal/serve/testdata/fuzz, and the training-checkpoint loader,
+# resumed into a small campaign. Minimizing a new input is capped at 200
+# runs where one input is expensive (every HTTP body runs six handlers,
+# every accepted checkpoint a campaign), to leave the time for fuzzing.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=30s -run '^$$' ./internal/serve/
+	$(GO) test -fuzz=FuzzHTTPBody -fuzztime=30s -fuzzminimizetime=200x -run '^$$' ./internal/serve/
 	$(GO) test -fuzz=FuzzLoadCheckpoint -fuzztime=30s -fuzzminimizetime=200x -run '^$$' ./internal/experiments/
 
 # Regenerate the wire-contract lock after a deliberate schema change.

@@ -18,7 +18,8 @@ var (
 	// reference models (or the template has none at that MPL).
 	ErrUntrainedMPL = errors.New("untrained MPL")
 	// ErrBadObservation: an observed latency handed to Feedback is
-	// non-positive or non-finite — a relative error cannot be formed, so
-	// nothing is recorded.
+	// non-positive or non-finite, or so small that the relative error
+	// overflows — no finite relative error can be formed, so nothing is
+	// recorded.
 	ErrBadObservation = errors.New("bad observed latency")
 )

@@ -49,8 +49,9 @@ type FeedbackResult struct {
 // prediction the pipeline serves for that mix and folds the signed
 // relative error into the quality aggregator (when one is installed via
 // SetQuality). Prediction errors (unknown template, untrained MPL,
-// empty mix) and non-positive or non-finite observed latencies return
-// an error without recording anything.
+// empty mix), non-positive or non-finite observed latencies, and
+// observations so small that the relative error overflows return an
+// error without recording anything.
 //
 // With a quality aggregator and an observer installed, every sample
 // emits a quality.feedback point and every drift transition a
@@ -66,7 +67,10 @@ func (p *Predictor) Feedback(primary int, concurrent []int, observed float64) (F
 	if err != nil {
 		return FeedbackResult{}, err
 	}
-	signed := (observed - predicted) / observed
+	signed, err := signedError(observed, predicted)
+	if err != nil {
+		return FeedbackResult{}, err
+	}
 	res := FeedbackResult{Predicted: predicted, Observed: observed, SignedError: signed}
 	if p.quality != nil {
 		d := p.quality.Observe(primary, signed)
@@ -92,4 +96,16 @@ func (p *Predictor) Feedback(primary int, concurrent []int, observed float64) (F
 		})
 	}
 	return res, nil
+}
+
+// signedError is the relative error (observed−predicted)/observed. It
+// is refused as ErrBadObservation when it is not finite: a subnormal
+// observation overflows it, and folding ±Inf would poison the quality
+// window.
+func signedError(observed, predicted float64) (float64, error) {
+	signed := (observed - predicted) / observed
+	if math.IsInf(signed, 0) || math.IsNaN(signed) {
+		return 0, fmt.Errorf("core: %w: observed latency %g gives relative error %g", ErrBadObservation, observed, signed)
+	}
+	return signed, nil
 }

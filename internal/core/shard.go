@@ -157,8 +157,10 @@ func (h *Shard) BatchPredict(primary int, mixes [][]int) ([]float64, error) {
 // sample in the shard's ring for the next DrainFeedback. Unlike
 // Predictor.Feedback it never touches the quality aggregator, so the
 // returned FeedbackResult carries no drift state — drift is resolved at
-// drain time. When the ring is full the sample is dropped and counted.
-// Only the push itself runs under the shard's lock.
+// drain time. An observation whose relative error is not finite is
+// refused before the push, as Feedback refuses it. When the ring is
+// full the sample is dropped and counted. Only the push itself runs
+// under the shard's lock.
 //
 //contender:hotpath
 func (h *Shard) Observe(primary int, concurrent []int, observed float64) (FeedbackResult, error) {
@@ -170,7 +172,10 @@ func (h *Shard) Observe(primary int, concurrent []int, observed float64) (Feedba
 	if err != nil {
 		return FeedbackResult{}, err
 	}
-	signed := (observed - predicted) / observed
+	signed, err := signedError(observed, predicted)
+	if err != nil {
+		return FeedbackResult{}, err
+	}
 	h.pushMu.Lock()
 	h.ring.push(feedbackSample{template: int32(primary), mpl: int32(len(concurrent) + 1), signed: signed})
 	h.pushMu.Unlock()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -205,6 +206,34 @@ func TestShardedDrainMatchesFeedback(t *testing.T) {
 	s2.DrainFeedback()
 	if got, want := qr.Report(), qd.Report(); !reflect.DeepEqual(got, want) {
 		t.Errorf("ObserveRun-folded report differs from per-sample aggregation:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestSubnormalObservationRefused pins that an observation whose
+// relative error overflows (a subnormal observed latency) is refused
+// with ErrBadObservation by both feedback routes before anything is
+// recorded: Feedback folds nothing into the quality aggregator and
+// Observe pushes nothing into the ring.
+func TestSubnormalObservationRefused(t *testing.T) {
+	p := trainedFixture(t)
+	q := obspkg.NewQuality(obspkg.DriftConfig{})
+	p.SetQuality(q)
+	s, err := NewSharded(p, ShardOptions{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const observed = math.SmallestNonzeroFloat64
+	if _, err := p.Feedback(1, []int{2}, observed); !errors.Is(err, ErrBadObservation) {
+		t.Errorf("Feedback(%g): err = %v, want ErrBadObservation", observed, err)
+	}
+	if _, err := s.Acquire().Observe(1, []int{2}, observed); !errors.Is(err, ErrBadObservation) {
+		t.Errorf("Observe(%g): err = %v, want ErrBadObservation", observed, err)
+	}
+	if n := s.DrainFeedback(); n != 0 {
+		t.Errorf("ring held %d samples after a refused observation", n)
+	}
+	if rep := q.Report(); rep.Samples != 0 {
+		t.Errorf("quality folded %d samples after refused observations", rep.Samples)
 	}
 }
 

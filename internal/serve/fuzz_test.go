@@ -1,6 +1,18 @@
 package serve
 
-import "testing"
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"contender/internal/core"
+)
 
 // FuzzDecodeFrame drives the binary frame decoders with arbitrary
 // bytes. data[0] selects the opcode shape; the rest is the frame
@@ -81,4 +93,168 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// referenceHandler is the HTTP front as it was before the strict
+// scanner: encoding/json decodes every body into the v1 request struct
+// and json.NewEncoder renders every response. FuzzHTTPBody holds the
+// served handler to it byte for byte.
+func referenceHandler(s *Server) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/predict", func(w http.ResponseWriter, r *http.Request) {
+		refHandleJSON(s, w, r, "predict", func(body []byte) (any, int, error) {
+			var req PredictRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				return nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
+			}
+			if req.Explain {
+				var eb core.ExplainBuffer
+				if _, err := s.sh.Snapshot().PredictExplain(&eb, req.Primary, req.Concurrent); err != nil {
+					return nil, 0, err
+				}
+				s.cfg.Blame.Observe(req.Primary, eb.Neighbors, eb.Seconds)
+				return PredictResponse{
+					Prediction: eb.Total,
+					Explain: &ExplainBreakdown{
+						Baseline:  eb.Baseline,
+						CQI:       eb.CQI,
+						Neighbors: eb.Neighbors,
+						Seconds:   eb.Seconds,
+					},
+				}, 1, nil
+			}
+			v, err := s.sh.Snapshot().PredictKnown(req.Primary, req.Concurrent)
+			if err != nil {
+				return nil, 0, err
+			}
+			return PredictResponse{Prediction: v}, 1, nil
+		})
+	})
+	mux.HandleFunc("/v1/predict_batch", func(w http.ResponseWriter, r *http.Request) {
+		refHandleJSON(s, w, r, "predict_batch", func(body []byte) (any, int, error) {
+			var req BatchRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				return nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
+			}
+			if len(req.Mixes) > s.cfg.MaxBatch {
+				return nil, 0, fmt.Errorf("%w: %d mixes > max %d", ErrBatchTooLarge, len(req.Mixes), s.cfg.MaxBatch)
+			}
+			var buf core.PredictBuffer
+			out, err := s.sh.Snapshot().PredictBatch(&buf, req.Primary, req.Mixes)
+			if err != nil {
+				return nil, 0, err
+			}
+			return BatchResponse{Predictions: out}, len(out), nil
+		})
+	})
+	mux.HandleFunc("/v1/feedback", func(w http.ResponseWriter, r *http.Request) {
+		refHandleJSON(s, w, r, "feedback", func(body []byte) (any, int, error) {
+			var req FeedbackRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				return nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
+			}
+			res, err := s.sh.Acquire().Observe(req.Primary, req.Concurrent, req.Observed)
+			if err != nil {
+				return nil, 0, err
+			}
+			return FeedbackResponse{Predicted: res.Predicted, SignedError: res.SignedError}, 0, nil
+		})
+	})
+	return mux
+}
+
+// refHandleJSON is referenceHandler's shared plumbing: method check,
+// admission, body read, dispatch, envelope rendering, observation.
+func refHandleJSON(s *Server, w http.ResponseWriter, r *http.Request, op string, fn func(body []byte) (any, int, error)) {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		writeJSONError(w, fmt.Errorf("%w: method %s", ErrBadRequest, r.Method))
+		return
+	}
+	if s.httpA != nil && !s.httpA.admit() {
+		s.overloaded(op)
+		writeJSONError(w, ErrOverloaded)
+		return
+	}
+	if s.httpA != nil {
+		defer s.httpA.release()
+	}
+	body, err := io.ReadAll(io.LimitReader(r.Body, MaxFrame+1))
+	switch {
+	case err != nil:
+		err = fmt.Errorf("%w: %v", ErrBadRequest, err)
+	case len(body) > MaxFrame:
+		err = fmt.Errorf("%w: request body exceeds %d bytes", ErrBadRequest, MaxFrame)
+	}
+	var resp any
+	var n int
+	if err == nil {
+		resp, n, err = fn(body)
+	}
+	s.observeRequest(op, n, 0, err)
+	if err != nil {
+		writeJSONError(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(resp)
+}
+
+// FuzzHTTPBody drives all three HTTP routes with arbitrary bodies and
+// holds the served handler to referenceHandler: status, Content-Type
+// and body must be byte-identical. The one sanctioned difference is a
+// response float JSON cannot carry, which the reference answers with
+// an empty 200 and the served handler with the internal envelope. No
+// input may panic either handler.
+//
+// The checked-in corpus under testdata/fuzz/FuzzHTTPBody seeds
+// canonical bodies of every route and the shapes the strict scanner
+// must leave to encoding/json: whitespace, reordered, duplicate and
+// case-folded keys, 1e2, 1.0, -0, ints past int64, null, [], escaped
+// keys and trailing garbage. CI runs a short -fuzztime smoke on top.
+func FuzzHTTPBody(f *testing.F) {
+	f.Add([]byte(`{"primary":1,"concurrent":[2,3]}`))
+	f.Add([]byte(`{"primary":1,"mixes":[[2],[2,3],[4,5]]}`))
+	f.Add([]byte(`{"primary":1,"concurrent":[2],"observed":512.5}`))
+
+	p := trainedPredictor(f)
+	sh, err := core.NewSharded(p, core.ShardOptions{Shards: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	s, err := New(sh, Config{MaxBatch: 64, DrainEvery: -1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+	served, ref := s.Handler(), referenceHandler(s)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, path := range []string{"/v1/predict", "/v1/predict_batch", "/v1/feedback"} {
+			got := serveRecorded(served, path, body)
+			want := serveRecorded(ref, path, body)
+			if want.Code == http.StatusOK && want.Body.Len() == 0 {
+				// The reference failed to encode a non-finite float.
+				if got.Code != http.StatusInternalServerError || !bytes.Contains(got.Body.Bytes(), []byte(`"code":"internal"`)) {
+					t.Fatalf("%s %q: non-finite response answered %d %s, want the internal envelope", path, body, got.Code, got.Body)
+				}
+				continue
+			}
+			if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+				t.Fatalf("%s %q:\nserved    %d %q %s\nreference %d %q %s", path, body,
+					got.Code, got.Header().Get("Content-Type"), got.Body,
+					want.Code, want.Header().Get("Content-Type"), want.Body)
+			}
+		}
+	})
+}
+
+// serveRecorded runs one POST with body through h.
+func serveRecorded(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	return w
 }

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -238,6 +239,45 @@ func TestHTTPErrorPaths(t *testing.T) {
 
 	// Bad observation.
 	w, data = postJSON(t, h, "/v1/feedback", FeedbackRequest{Primary: 1, Concurrent: []int{2}, Observed: -1})
+	wantCode(t, w, data, http.StatusBadRequest, "bad_observation")
+}
+
+// TestHTTPRouting pins the HTTP front's routes: a path outside the
+// three v1 routes answers 404, and a v1 route refuses any method but
+// POST with bad_request and Allow: POST.
+func TestHTTPRouting(t *testing.T) {
+	s, _, _ := testServer(t, Config{})
+	h := s.Handler()
+	w, _ := postJSON(t, h, "/v1/x", `{}`)
+	if w.Code != http.StatusNotFound {
+		t.Errorf("POST /v1/x: status %d, want 404", w.Code)
+	}
+	for _, path := range []string{"/v1/predict", "/v1/predict_batch", "/v1/feedback"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		body, _ := io.ReadAll(rec.Result().Body)
+		wantCode(t, rec, body, http.StatusBadRequest, "bad_request")
+		if allow := rec.Header().Get("Allow"); allow != http.MethodPost {
+			t.Errorf("GET %s: Allow %q, want POST", path, allow)
+		}
+	}
+}
+
+// TestSubnormalFeedbackRefused pins that an observed latency whose
+// relative error overflows is refused as bad_observation on both
+// fronts, never answered with a non-finite signed error (binary) or an
+// empty 200 (HTTP).
+func TestSubnormalFeedbackRefused(t *testing.T) {
+	s, _, addr := testServer(t, Config{})
+	c := dialBinary(t, addr)
+	c.send(OpFeedback, 9, func(b []byte) []byte {
+		return appendF64(appendMix(b, 1, []int{2}), math.SmallestNonzeroFloat64)
+	})
+	if code, id, payload := c.recv(); code != CodeBadObservation || id != 9 {
+		t.Errorf("binary feedback: status %s id %d payload %q, want bad_observation id 9", code, id, payload)
+	}
+
+	w, data := postJSON(t, s.Handler(), "/v1/feedback", `{"primary":1,"concurrent":[2],"observed":5e-324}`)
 	wantCode(t, w, data, http.StatusBadRequest, "bad_observation")
 }
 

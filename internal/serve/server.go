@@ -35,9 +35,12 @@ import (
 //     sent. While the writer holds output, later responses queue behind
 //     it: a connection answers in request order. The connection owns its
 //     batch and explain scratch, and Acquires one shard when it connects
-//     for its feedback ring, keeping it until it closes. HTTP handlers
-//     price on request-local scratch and Acquire a shard per feedback
-//     request.
+//     for its feedback ring, keeping it until it closes.
+//   - Each HTTP request takes one httpScratch from a sync.Pool for its
+//     whole life: body buffer, decoded mixes, pricing buffers and
+//     response bytes. It owns that item alone until it puts it back
+//     after its one Write, and an item grown past maxPooledScratch is
+//     dropped instead. A feedback request Acquires a shard.
 //   - No request waits for scratch or a shard held by another
 //     connection. When connections outnumber shards they share feedback
 //     rings; Shard.Observe serializes producers with a per-shard lock
@@ -227,67 +230,24 @@ func (s *Server) overloaded(op string) {
 // Handler returns the HTTP front: POST /v1/predict, /v1/predict_batch,
 // /v1/feedback. Mount it beside /metrics (cliutil.ServeMetrics does)
 // or on any mux.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/predict", func(w http.ResponseWriter, r *http.Request) {
-		s.handleJSON(w, r, "predict", func(body []byte) (any, int, error) {
-			var req PredictRequest
-			if err := json.Unmarshal(body, &req); err != nil {
-				return nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
-			}
-			if req.Explain {
-				resp, err := s.predictExplain(req.Primary, req.Concurrent)
-				if err != nil {
-					return nil, 0, err
-				}
-				return resp, 1, nil
-			}
-			v, err := s.sh.Snapshot().PredictKnown(req.Primary, req.Concurrent)
-			if err != nil {
-				return nil, 0, err
-			}
-			return PredictResponse{Prediction: v}, 1, nil
-		})
-	})
-	mux.HandleFunc("/v1/predict_batch", func(w http.ResponseWriter, r *http.Request) {
-		s.handleJSON(w, r, "predict_batch", func(body []byte) (any, int, error) {
-			var req BatchRequest
-			if err := json.Unmarshal(body, &req); err != nil {
-				return nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
-			}
-			if len(req.Mixes) > s.cfg.MaxBatch {
-				return nil, 0, fmt.Errorf("%w: %d mixes > max %d", ErrBatchTooLarge, len(req.Mixes), s.cfg.MaxBatch)
-			}
-			// Both protocol fronts price batches through
-			// core.PredictBatch, which is what makes their payloads
-			// byte-identical for the same request.
-			var buf core.PredictBuffer
-			out, err := s.sh.Snapshot().PredictBatch(&buf, req.Primary, req.Mixes)
-			if err != nil {
-				return nil, 0, err
-			}
-			return BatchResponse{Predictions: out}, len(out), nil
-		})
-	})
-	mux.HandleFunc("/v1/feedback", func(w http.ResponseWriter, r *http.Request) {
-		s.handleJSON(w, r, "feedback", func(body []byte) (any, int, error) {
-			var req FeedbackRequest
-			if err := json.Unmarshal(body, &req); err != nil {
-				return nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
-			}
-			res, err := s.sh.Acquire().Observe(req.Primary, req.Concurrent, req.Observed)
-			if err != nil {
-				return nil, 0, err
-			}
-			return FeedbackResponse{Predicted: res.Predicted, SignedError: res.SignedError}, 0, nil
-		})
-	})
-	return mux
-}
+func (s *Server) Handler() http.Handler { return http.HandlerFunc(s.serveHTTP) }
 
-// handleJSON is the shared HTTP plumbing: method check, admission,
-// body read, dispatch, envelope rendering, observation.
-func (s *Server) handleJSON(w http.ResponseWriter, r *http.Request, op string, fn func(body []byte) (any, int, error)) {
+// serveHTTP routes one request and runs the shared plumbing: method
+// check, admission, answer, observation, one write of the body.
+func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request) {
+	var op string
+	var fields uint8
+	switch r.URL.Path {
+	case "/v1/predict":
+		op, fields = "predict", predictFields
+	case "/v1/predict_batch":
+		op, fields = "predict_batch", batchFields
+	case "/v1/feedback":
+		op, fields = "feedback", feedbackFields
+	default:
+		http.NotFound(w, r)
+		return
+	}
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeJSONError(w, fmt.Errorf("%w: method %s", ErrBadRequest, r.Method))
@@ -318,21 +278,9 @@ func (s *Server) handleJSON(w http.ResponseWriter, r *http.Request, op string, f
 	if s.timed() {
 		start = time.Now()
 	}
-	// Read one byte past the cap so an over-limit body is detected and
-	// refused explicitly instead of being silently truncated (a valid
-	// JSON prefix of a truncated body must never parse as a request).
-	body, err := io.ReadAll(io.LimitReader(r.Body, MaxFrame+1))
-	switch {
-	case err != nil:
-		err = fmt.Errorf("%w: %v", ErrBadRequest, err)
-	case len(body) > MaxFrame:
-		err = fmt.Errorf("%w: request body exceeds %d bytes", ErrBadRequest, MaxFrame)
-	}
-	var resp any
-	var n int
-	if err == nil {
-		resp, n, err = fn(body)
-	}
+	sc := scratchPool.Get().(*httpScratch)
+	defer sc.release()
+	n, err := s.answer(sc, r.Body, fields)
 	var dur time.Duration
 	if s.timed() {
 		dur = time.Since(start)
@@ -343,8 +291,80 @@ func (s *Server) handleJSON(w http.ResponseWriter, r *http.Request, op string, f
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(resp)
+	// A failed write means the client is gone; nobody is left to tell.
+	_, _ = w.Write(sc.out)
+}
+
+// answer reads, decodes and prices one request of the route whose
+// fields are given, and frames the success body into sc.out. It
+// returns the number of predictions served.
+func (s *Server) answer(sc *httpScratch, body io.Reader, fields uint8) (int, error) {
+	var err error
+	sc.body, err = readBody(sc.body, body)
+	switch {
+	case err != nil:
+		return 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	case len(sc.body) > MaxFrame:
+		return 0, fmt.Errorf("%w: request body exceeds %d bytes", ErrBadRequest, MaxFrame)
+	}
+	if err := sc.decode(sc.body, fields); err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	req := &sc.req
+	switch fields {
+	case predictFields:
+		if req.explain {
+			// The prediction is bit-identical to the non-explain path by
+			// construction: core.PredictExplain prices through
+			// PredictKnown's body with a term sink.
+			eb := &sc.ebuf
+			if _, err := s.sh.Snapshot().PredictExplain(eb, req.primary, req.concurrent); err != nil {
+				return 0, err
+			}
+			s.cfg.Blame.Observe(req.primary, eb.Neighbors, eb.Seconds)
+			sc.out, err = appendPredictResponse(sc.out[:0], &PredictResponse{
+				Prediction: eb.Total,
+				Explain: &ExplainBreakdown{
+					Baseline:  eb.Baseline,
+					CQI:       eb.CQI,
+					Neighbors: eb.Neighbors,
+					Seconds:   eb.Seconds,
+				},
+			})
+			return 1, err
+		}
+		v, err := s.sh.Snapshot().PredictKnown(req.primary, req.concurrent)
+		if err != nil {
+			return 0, err
+		}
+		sc.out, err = appendPredictResponse(sc.out[:0], &PredictResponse{Prediction: v})
+		return 1, err
+	case batchFields:
+		if len(req.mixes) > s.cfg.MaxBatch {
+			return 0, fmt.Errorf("%w: %d mixes > max %d", ErrBatchTooLarge, len(req.mixes), s.cfg.MaxBatch)
+		}
+		// Both protocol fronts price batches through core.PredictBatch,
+		// which is what makes their payloads byte-identical for the
+		// same request.
+		out, err := s.sh.Snapshot().PredictBatch(&sc.pbuf, req.primary, req.mixes)
+		if err != nil {
+			return 0, err
+		}
+		// The v1 body of an empty batch is null. A warm pooled buffer
+		// returns an empty non-nil slice, which would encode as [].
+		if len(out) == 0 {
+			out = nil
+		}
+		sc.out, err = appendBatchResponse(sc.out[:0], &BatchResponse{Predictions: out})
+		return len(out), err
+	default:
+		res, err := s.sh.Acquire().Observe(req.primary, req.concurrent, req.observed)
+		if err != nil {
+			return 0, err
+		}
+		sc.out, err = appendFeedbackResponse(sc.out[:0], &FeedbackResponse{Predicted: res.Predicted, SignedError: res.SignedError})
+		return 0, err
+	}
 }
 
 // writeJSONError renders the v1 error envelope under the code's HTTP
@@ -354,28 +374,6 @@ func writeJSONError(w http.ResponseWriter, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code.HTTPStatus())
 	_ = json.NewEncoder(w).Encode(ErrorEnvelope{Error: WireError{Code: code.String(), Message: err.Error()}})
-}
-
-// predictExplain prices one prediction with its per-neighbor blame
-// breakdown. The prediction itself is bit-identical to the non-explain
-// path by construction (core.PredictExplain prices through
-// PredictKnown's body with a term sink). The breakdown slices belong to
-// the request-local buffer, so the response carries them as they are.
-func (s *Server) predictExplain(primary int, mix []int) (PredictResponse, error) {
-	var eb core.ExplainBuffer
-	if _, err := s.sh.Snapshot().PredictExplain(&eb, primary, mix); err != nil {
-		return PredictResponse{}, err
-	}
-	s.cfg.Blame.Observe(primary, eb.Neighbors, eb.Seconds)
-	return PredictResponse{
-		Prediction: eb.Total,
-		Explain: &ExplainBreakdown{
-			Baseline:  eb.Baseline,
-			CQI:       eb.CQI,
-			Neighbors: eb.Neighbors,
-			Seconds:   eb.Seconds,
-		},
-	}, nil
 }
 
 // ---------------------------------------------------------------------------
