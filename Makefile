@@ -41,14 +41,16 @@ vet-v2: bin/contender-vet
 # Thirty-second native fuzz smokes: the binary frame decoder and the
 # HTTP bodies (the served handler held byte for byte to the
 # encoding/json reference), on top of the checked-in seed corpora in
-# internal/serve/testdata/fuzz, and the training-checkpoint loader,
-# resumed into a small campaign. Minimizing a new input is capped at 200
+# internal/serve/testdata/fuzz, the training-checkpoint loader, resumed
+# into a small campaign, and the knowledge store opened over a mutated
+# manifest and snapshot blob. Minimizing a new input is capped at 200
 # runs where one input is expensive (every HTTP body runs six handlers,
 # every accepted checkpoint a campaign), to leave the time for fuzzing.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=30s -run '^$$' ./internal/serve/
 	$(GO) test -fuzz=FuzzHTTPBody -fuzztime=30s -fuzzminimizetime=200x -run '^$$' ./internal/serve/
 	$(GO) test -fuzz=FuzzLoadCheckpoint -fuzztime=30s -fuzzminimizetime=200x -run '^$$' ./internal/experiments/
+	$(GO) test -fuzz=FuzzStoreOpen -fuzztime=30s -fuzzminimizetime=200x -run '^$$' ./internal/store/
 
 # Regenerate the wire-contract lock after a deliberate schema change.
 # Breaking changes (removed/retyped v1 surface) must bump serve.Version

@@ -3,6 +3,7 @@ package contender
 import (
 	"context"
 	"errors"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -469,11 +470,13 @@ var (
 	_ func(context.Context, System, TrainConfig, ...Option) (*TrainResult, error) = TrainFromSystemContext
 )
 
-// The serving facade's unified option vocabulary: NewSharded and
-// NewServer share ServeOption. A signature change to either, or to a
-// duration option, is a compile error here.
+// The serving facade: NewSharded takes no options (it only holds the
+// snapshot), and NewServer and Workbench.Serve share ServeOption. A
+// signature change to any of them, or to a duration option, is a
+// compile error here.
 var (
-	_ func(*Predictor, ...ServeOption) (*Sharded, error) = NewSharded
-	_ func(*Sharded, ...ServeOption) (*Server, error)    = NewServer
-	_ func(time.Duration) ServeOption                    = WithDrainInterval
+	_ func(*Predictor) (*Sharded, error)                                                          = NewSharded
+	_ func(*Sharded, ...ServeOption) (*Server, error)                                             = NewServer
+	_ func(*Workbench, context.Context, *Predictor, string, ...ServeOption) (*BoundServer, error) = (*Workbench).Serve
+	_ func(io.Writer, time.Duration) ServeOption                                                  = WithSlowLog
 )

@@ -447,12 +447,12 @@ func BenchmarkPredictBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedPredict is one shard serving single predictions off the
-// shared snapshot: the per-core fast path of the sharded layer. Must
-// report 0 allocs/op.
+// BenchmarkShardedPredict is one Shard handle serving single predictions
+// off the shared snapshot, as the serving benchmark's ladder times it.
+// Must report 0 allocs/op.
 func BenchmarkShardedPredict(b *testing.B) {
 	pred := trainedPredictor(b)
-	s, err := NewSharded(pred, WithShards(1))
+	s, err := NewSharded(pred)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -467,43 +467,34 @@ func BenchmarkShardedPredict(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedObserve is contention-free feedback ingestion: predict,
-// compute the signed error, push into the shard's ring. The periodic
-// DrainFeedback (every 512 samples, inside the timed loop) folds the ring
-// into the quality aggregator, so the row prices the full ingest+drain
-// pipeline. Must report 0 allocs/op.
+// BenchmarkShardedObserve is feedback through a Shard handle: predict,
+// compute the signed error and fold it into the quality aggregator
+// inline, exactly what the server runs per feedback request. Must
+// report 0 allocs/op.
 func BenchmarkShardedObserve(b *testing.B) {
 	pred := trainedPredictor(b)
 	pred.SetQuality(NewQuality(DriftConfig{}))
 	defer pred.SetQuality(nil)
-	s, err := NewSharded(pred, WithShards(1), WithFeedbackRing(1024))
+	s, err := NewSharded(pred)
 	if err != nil {
 		b.Fatal(err)
 	}
 	sh := s.Acquire()
 	mix := []int{2, 22}
-	for i := 0; i < 600; i++ { // warm the tracker and the drain scratch
-		if _, err := sh.Observe(71, mix, 100); err != nil {
-			b.Fatal(err)
-		}
+	if _, err := sh.Observe(71, mix, 100); err != nil { // warm the tracker
+		b.Fatal(err)
 	}
-	s.DrainFeedback()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sh.Observe(71, mix, 100); err != nil {
 			b.Fatal(err)
 		}
-		if i&511 == 511 {
-			s.DrainFeedback()
-		}
 	}
-	b.StopTimer()
-	s.DrainFeedback()
 }
 
 // BenchmarkShardedPredictParallel scales the snapshot across GOMAXPROCS
-// shards via RunParallel: the per-core throughput story.
+// goroutines via RunParallel: the per-core throughput story.
 func BenchmarkShardedPredictParallel(b *testing.B) {
 	pred := trainedPredictor(b)
 	s, err := NewSharded(pred)
@@ -513,9 +504,9 @@ func BenchmarkShardedPredictParallel(b *testing.B) {
 	mix := []int{2, 22}
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
-		sh := s.Acquire()
+		p := s.Snapshot()
 		for pb.Next() {
-			if _, err := sh.Predict(71, mix); err != nil {
+			if _, err := p.PredictKnown(71, mix); err != nil {
 				b.Error(err)
 				return
 			}

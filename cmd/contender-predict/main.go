@@ -331,7 +331,7 @@ func printBlame(pred *contender.Predictor, blame *contender.Blame, primary int, 
 // promotes (publishing a new store version when a store is attached).
 func selfHeal(wb *contender.Workbench, pred *contender.Predictor, st *contender.KnowledgeStore, victim int, concurrent []int) error {
 	const shift = 1.8
-	sharded, err := contender.NewSharded(pred, contender.WithShards(1))
+	sharded, err := contender.NewSharded(pred)
 	if err != nil {
 		return err
 	}
@@ -354,22 +354,20 @@ func selfHeal(wb *contender.Workbench, pred *contender.Predictor, st *contender.
 	}
 
 	// Healthy feedback, then the sustained slowdown.
-	shard := sharded.Acquire()
 	base, err := pred.PredictKnown(victim, concurrent)
 	if err != nil {
 		return err
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := shard.Observe(victim, concurrent, base); err != nil {
+		if _, err := sharded.Snapshot().Feedback(victim, concurrent, base); err != nil {
 			return err
 		}
 	}
 	for i := 0; i < 40; i++ {
-		if _, err := shard.Observe(victim, concurrent, base*shift); err != nil {
+		if _, err := sharded.Snapshot().Feedback(victim, concurrent, base*shift); err != nil {
 			return err
 		}
 	}
-	sharded.DrainFeedback()
 	fmt.Fprintf(os.Stderr, "self-heal: drifted T%d by %.1fx over 40 observations\n", victim, shift)
 
 	rep, err := lc.Step(context.Background())
@@ -388,7 +386,7 @@ func selfHeal(wb *contender.Workbench, pred *contender.Predictor, st *contender.
 	if st != nil {
 		fmt.Printf("store versions    : %d\n", st.Len())
 	}
-	healed, err := sharded.Acquire().Predict(victim, concurrent)
+	healed, err := sharded.Snapshot().PredictKnown(victim, concurrent)
 	if err != nil {
 		return err
 	}

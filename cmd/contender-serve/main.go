@@ -32,8 +32,6 @@ func main() {
 		seed     = flag.Int64("seed", 42, "simulation seed for training")
 		workers  = flag.Int("workers", 0, "training worker pool width (0 = GOMAXPROCS)")
 		maxMPL   = flag.Int("max-mpl", 3, "train mixes at MPLs up to this (bounds the mix sizes the server can price)")
-		shards   = flag.Int("shards", 0, "serving shard count (0 = GOMAXPROCS)")
-		ring     = flag.Int("ring", 0, "per-shard feedback ring capacity (0 = default 1024)")
 		maxBatch = flag.Int("max-batch", 0, "cap the mixes of one predict_batch request (0 = default 4096)")
 		rate     = flag.Float64("rate", 0, "admission token-bucket rate per connection, requests/s (0 disables)")
 		burst    = flag.Int("burst", 0, "admission token-bucket burst (0 = one second of rate)")
@@ -53,12 +51,6 @@ func main() {
 	sopts = append(sopts, contender.WithServeBlame(blame))
 	if *slowLog >= 0 {
 		sopts = append(sopts, contender.WithSlowLog(os.Stderr, *slowLog))
-	}
-	if *shards > 0 {
-		sopts = append(sopts, contender.WithShards(*shards))
-	}
-	if *ring > 0 {
-		sopts = append(sopts, contender.WithFeedbackRing(*ring))
 	}
 	if *maxBatch > 0 {
 		sopts = append(sopts, contender.WithMaxBatch(*maxBatch))
@@ -107,7 +99,7 @@ func main() {
 		return
 	}
 	// Snapshot path: no workbench, build the stack piecewise.
-	sharded, err := contender.NewSharded(pred, sopts...)
+	sharded, err := contender.NewSharded(pred)
 	if err != nil {
 		fatal(err)
 	}

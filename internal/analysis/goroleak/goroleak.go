@@ -2,7 +2,7 @@
 // and internal/lifecycle to be tied to a shutdown mechanism, so that
 // Shutdown can prove quiescence. An untied goroutine survives Shutdown
 // and races the teardown of the very state it touches — the serving
-// layer's drain ordering only works because every spawn is accounted
+// layer's shutdown ordering only works because every spawn is accounted
 // for.
 //
 // A spawned body is tied when it contains at least one of:
@@ -52,7 +52,7 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	// Map every same-package function object to its declared body so
-	// `go s.drainLoop()` resolves through the method's declaration.
+	// `go st.writeLoop()` resolves through the method's declaration.
 	bodies := make(map[*types.Func]*ast.BlockStmt)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {

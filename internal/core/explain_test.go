@@ -143,7 +143,7 @@ func TestShardExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewSharded(p, ShardOptions{Shards: 1})
+	sharded, err := NewSharded(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,8 @@ var servingGuardSet = map[string]bool{
 	"PredictBatch":   true,
 	"PredictExplain": true,
 	"Feedback":       true,
-	// Sharded serving handles (shard.go): per-shard prediction, blame
-	// decomposition, and ring-buffered feedback ingestion.
+	// Shard handles (shard.go), kept for the serving benchmark's
+	// ladder: prediction, batch, blame decomposition and feedback.
 	"Predict":      true,
 	"BatchPredict": true,
 	"Observe":      true,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -179,6 +180,12 @@ func (kb *oracleKB) predictor() *Predictor {
 // scan entries, iso ≤ 0, duplicate concurrents, and mixes longer than
 // the sharer counters hold; the test fails if a draw never reaches one
 // of them.
+//
+// Every knowledge base is priced three ways: the predictor built from
+// it, the same predictor after WriteSnapshot → LoadPredictor, and a
+// fresh build swapped into a Sharded that served the previous round's
+// base. A base with a negative isolated latency is one no measurement
+// produces, so LoadPredictor must refuse it instead.
 func TestCQIMatchesReferenceOracle(t *testing.T) {
 	const maxMPL = 13 // long mixes run to 12 concurrents, past maxSharers
 	shapes := []oracleShape{
@@ -190,6 +197,7 @@ func TestCQIMatchesReferenceOracle(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(15))
 	var cov oracleCoverage
+	var sh *Sharded
 	for round := 0; round < 40; round++ {
 		shape := shapes[round%len(shapes)]
 		kb := randomOracleKB(rng, shape, maxMPL)
@@ -199,6 +207,32 @@ func TestCQIMatchesReferenceOracle(t *testing.T) {
 		}
 		ids := kb.ids()
 		pick := func() int { return ids[rng.Intn(len(ids))] }
+
+		variants := []oracleVariant{{"built", p}}
+		var snap bytes.Buffer
+		if err := kb.predictor().WriteSnapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		switch loaded, err := LoadPredictor(&snap); {
+		case kb.negativeIso():
+			if err == nil {
+				t.Fatalf("round %d: LoadPredictor accepted a negative isolated latency", round)
+			}
+		case err != nil:
+			t.Fatalf("round %d: LoadPredictor: %v", round, err)
+		default:
+			variants = append(variants, oracleVariant{"persisted", loaded})
+			cov.persisted++
+		}
+		if sh == nil {
+			var err error
+			if sh, err = NewSharded(kb.predictor()); err != nil {
+				t.Fatal(err)
+			}
+		} else if _, err := sh.Swap(kb.predictor()); err != nil {
+			t.Fatal(err)
+		}
+		variants = append(variants, oracleVariant{"swapped", sh.Snapshot()})
 
 		var pbuf PredictBuffer
 		var ebuf ExplainBuffer
@@ -223,52 +257,75 @@ func TestCQIMatchesReferenceOracle(t *testing.T) {
 				}
 				mixes[i] = mix
 			}
-			batch, err := p.PredictBatch(&pbuf, primary, mixes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, mix := range mixes {
-				r, terms := kb.oracleCQI(primary, mix)
-				want := kb.oracleLatency(primary, len(mix)+1, r)
+			for _, mix := range mixes {
 				cov.note(kb, primary, mix)
-				if got := p.Know.CQI(primary, mix); math.Float64bits(got) != math.Float64bits(r) {
-					t.Fatalf("CQI(%d, %v) = %v, oracle %v", primary, mix, got, r)
-				}
-				if got := p.Know.CQIForStats(kb.tmpl[primary], mix); math.Float64bits(got) != math.Float64bits(r) {
-					t.Fatalf("CQIForStats(%d, %v) = %v, oracle %v", primary, mix, got, r)
-				}
-				got, err := p.PredictKnown(primary, mix)
+			}
+			for _, v := range variants {
+				p := v.p
+				batch, err := p.PredictBatch(&pbuf, primary, mixes)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("PredictKnown(%d, %v) = %v, oracle %v", primary, mix, got, want)
-				}
-				if math.Float64bits(batch[i]) != math.Float64bits(want) {
-					t.Fatalf("PredictBatch mix %d (%d, %v) = %v, oracle %v", i, primary, mix, batch[i], want)
-				}
-				if _, err := p.PredictExplain(&ebuf, primary, mix); err != nil {
-					t.Fatal(err)
-				}
-				for j, term := range terms {
-					if math.Float64bits(ebuf.Intensity[j]) != math.Float64bits(term) {
-						t.Fatalf("PredictExplain(%d, %v) term %d = %v, oracle %v", primary, mix, j, ebuf.Intensity[j], term)
+				for i, mix := range mixes {
+					r, terms := kb.oracleCQI(primary, mix)
+					want := kb.oracleLatency(primary, len(mix)+1, r)
+					if got := p.Know.CQI(primary, mix); math.Float64bits(got) != math.Float64bits(r) {
+						t.Fatalf("%s: CQI(%d, %v) = %v, oracle %v", v.name, primary, mix, got, r)
 					}
-				}
-				if math.Float64bits(ebuf.CQI) != math.Float64bits(r) || math.Float64bits(ebuf.Total) != math.Float64bits(want) {
-					t.Fatalf("PredictExplain(%d, %v) = CQI %v total %v, oracle %v, %v", primary, mix, ebuf.CQI, ebuf.Total, r, want)
+					if got := p.Know.CQIForStats(kb.tmpl[primary], mix); math.Float64bits(got) != math.Float64bits(r) {
+						t.Fatalf("%s: CQIForStats(%d, %v) = %v, oracle %v", v.name, primary, mix, got, r)
+					}
+					got, err := p.PredictKnown(primary, mix)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s: PredictKnown(%d, %v) = %v, oracle %v", v.name, primary, mix, got, want)
+					}
+					if math.Float64bits(batch[i]) != math.Float64bits(want) {
+						t.Fatalf("%s: PredictBatch mix %d (%d, %v) = %v, oracle %v", v.name, i, primary, mix, batch[i], want)
+					}
+					if _, err := p.PredictExplain(&ebuf, primary, mix); err != nil {
+						t.Fatal(err)
+					}
+					for j, term := range terms {
+						if math.Float64bits(ebuf.Intensity[j]) != math.Float64bits(term) {
+							t.Fatalf("%s: PredictExplain(%d, %v) term %d = %v, oracle %v", v.name, primary, mix, j, ebuf.Intensity[j], term)
+						}
+					}
+					if math.Float64bits(ebuf.CQI) != math.Float64bits(r) || math.Float64bits(ebuf.Total) != math.Float64bits(want) {
+						t.Fatalf("%s: PredictExplain(%d, %v) = CQI %v total %v, oracle %v, %v", v.name, primary, mix, ebuf.CQI, ebuf.Total, r, want)
+					}
 				}
 			}
 		}
 	}
-	if cov.wide == 0 || cov.falseShared == 0 || cov.isoZero == 0 || cov.dups == 0 || cov.long == 0 {
+	if cov.wide == 0 || cov.falseShared == 0 || cov.isoZero == 0 || cov.dups == 0 || cov.long == 0 || cov.persisted == 0 {
 		t.Fatalf("draws missed a case: %+v", cov)
 	}
+}
+
+// oracleVariant is one way of serving a random knowledge base.
+type oracleVariant struct {
+	name string
+	p    *Predictor
+}
+
+// negativeIso reports whether some template has a negative isolated
+// latency, which a snapshot refuses.
+func (kb *oracleKB) negativeIso() bool {
+	for _, t := range kb.tmpl {
+		if t.IsolatedLatency < 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // oracleCoverage counts the cases the draws reach.
 type oracleCoverage struct {
 	wide        int // knowledge bases with more than 64 interned tables
+	persisted   int // knowledge bases priced after a snapshot round trip
 	falseShared int // explicit false entries that still earn τ
 	isoZero     int // concurrents with iso ≤ 0
 	dups        int // concurrents listed twice in one mix

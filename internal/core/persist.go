@@ -42,14 +42,18 @@ type KnowledgeSnapshot struct {
 // stats marshal to identical bytes. The training checkpoints reuse this
 // encoding to persist partially collected campaigns.
 type TemplateSnapshot struct {
-	ID              int             `json:"id"`
-	IsolatedLatency float64         `json:"isolated_latency"`
-	IOFraction      float64         `json:"io_fraction"`
-	WorkingSetBytes float64         `json:"working_set_bytes"`
-	PlanSteps       int             `json:"plan_steps"`
-	RecordsAccessed float64         `json:"records_accessed"`
-	Scans           []string        `json:"scans"`
-	Spoilers        []SpoilerSample `json:"spoilers"`
+	ID              int      `json:"id"`
+	IsolatedLatency float64  `json:"isolated_latency"`
+	IOFraction      float64  `json:"io_fraction"`
+	WorkingSetBytes float64  `json:"working_set_bytes"`
+	PlanSteps       int      `json:"plan_steps"`
+	RecordsAccessed float64  `json:"records_accessed"`
+	Scans           []string `json:"scans"`
+	// Unscanned lists the tables the scan set holds as false. The CQI
+	// kernel still counts such an entry on the concurrent side
+	// (Eqs. 2–3), so it round-trips apart from Scans.
+	Unscanned []string        `json:"unscanned,omitempty"`
+	Spoilers  []SpoilerSample `json:"spoilers"`
 }
 
 // SpoilerSample is one measured spoiler latency at an MPL.
@@ -76,10 +80,15 @@ func NewTemplateSnapshot(t TemplateStats) TemplateSnapshot {
 		PlanSteps:       t.PlanSteps,
 		RecordsAccessed: t.RecordsAccessed,
 	}
-	for f := range t.Scans {
-		ts.Scans = append(ts.Scans, f)
+	for f, scanned := range t.Scans {
+		if scanned {
+			ts.Scans = append(ts.Scans, f)
+		} else {
+			ts.Unscanned = append(ts.Unscanned, f)
+		}
 	}
 	sort.Strings(ts.Scans)
+	sort.Strings(ts.Unscanned)
 	for mpl, l := range t.SpoilerLatency {
 		ts.Spoilers = append(ts.Spoilers, SpoilerSample{mpl, l})
 	}
@@ -96,11 +105,14 @@ func (ts TemplateSnapshot) Stats() TemplateStats {
 		WorkingSetBytes: ts.WorkingSetBytes,
 		PlanSteps:       ts.PlanSteps,
 		RecordsAccessed: ts.RecordsAccessed,
-		Scans:           make(map[string]bool, len(ts.Scans)),
+		Scans:           make(map[string]bool, len(ts.Scans)+len(ts.Unscanned)),
 		SpoilerLatency:  make(map[int]float64, len(ts.Spoilers)),
 	}
 	for _, f := range ts.Scans {
 		t.Scans[f] = true
+	}
+	for _, f := range ts.Unscanned {
+		t.Scans[f] = false
 	}
 	for _, sp := range ts.Spoilers {
 		t.SpoilerLatency[sp.MPL] = sp.Latency

@@ -214,7 +214,7 @@ func TestServingPathDoesNotAllocate(t *testing.T) {
 	}
 	var buf PredictBuffer
 	p.SetQuality(obspkg.NewQuality(obspkg.DriftConfig{}))
-	sharded, err := NewSharded(p, ShardOptions{Shards: 1})
+	sharded, err := NewSharded(p)
 	if err != nil {
 		t.Fatal(err)
 	}

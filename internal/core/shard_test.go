@@ -21,31 +21,23 @@ func trainedFixture(t *testing.T) *Predictor {
 }
 
 func TestShardedBasics(t *testing.T) {
-	if _, err := NewSharded(nil, ShardOptions{}); err == nil {
+	if _, err := NewSharded(nil); err == nil {
 		t.Error("nil predictor accepted")
 	}
 	p := trainedFixture(t)
-	s, err := NewSharded(p, ShardOptions{Shards: 3, RingSize: 100})
+	s, err := NewSharded(p)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if s.NumShards() != 3 {
-		t.Fatalf("NumShards = %d, want 3", s.NumShards())
 	}
 	if s.Snapshot() != p {
 		t.Error("Snapshot is not the wrapped predictor")
 	}
-	// Acquire round-robins deterministically across shards.
-	ids := []int{s.Acquire().ID(), s.Acquire().ID(), s.Acquire().ID(), s.Acquire().ID()}
-	if !reflect.DeepEqual(ids, []int{0, 1, 2, 0}) {
-		t.Errorf("Acquire order %v, want round-robin 0 1 2 0", ids)
-	}
-	// RingSize rounds up to a power of two.
-	if n := len(s.shards[0].ring.buf); n != 128 {
-		t.Errorf("ring capacity %d, want 128 (100 rounded up)", n)
+	// Every Acquire is a fresh handle with scratch of its own.
+	sh, other := s.Acquire(), s.Acquire()
+	if sh == other || &sh.buf == &other.buf || &sh.ebuf == &other.ebuf {
+		t.Error("Acquire handed out shared scratch")
 	}
 
-	sh := s.shards[0]
 	mix := []int{2, 3}
 	got, err := sh.Predict(1, mix)
 	if err != nil {
@@ -95,7 +87,7 @@ func TestShardedBasics(t *testing.T) {
 func TestShardedSwap(t *testing.T) {
 	p1 := trainedFixture(t)
 	p2 := trainedFixture(t)
-	s, err := NewSharded(p1, ShardOptions{Shards: 1})
+	s, err := NewSharded(p1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +110,11 @@ func TestShardedSwap(t *testing.T) {
 	}
 }
 
-// TestShardedDrainMatchesFeedback streams the same samples through the
-// mutex-protected Feedback path and through Observe+DrainFeedback, and
-// requires identical quality reports and identical quality.* events: the
-// ring buffer defers the aggregation but must not change it.
+// TestShardedDrainMatchesFeedback streams the same samples through
+// Predictor.Feedback and through Shard.Observe, and requires identical
+// quality reports and identical quality.* events: Observe is Feedback on
+// the current snapshot. DrainFeedback folds nothing and reports how many
+// samples Observe folded since its previous call.
 func TestShardedDrainMatchesFeedback(t *testing.T) {
 	type sample struct {
 		tmpl     int
@@ -149,7 +142,7 @@ func TestShardedDrainMatchesFeedback(t *testing.T) {
 	rs := obspkg.NewRecording()
 	sharded.SetQuality(qs)
 	sharded.SetObserver(rs)
-	s, err := NewSharded(sharded, ShardOptions{Shards: 1, RingSize: 64})
+	s, err := NewSharded(sharded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,20 +152,17 @@ func TestShardedDrainMatchesFeedback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if drained := s.DrainFeedback(); drained != len(samples) {
-		t.Fatalf("drained %d samples, want %d", drained, len(samples))
-	}
-	if dropped := s.FeedbackDropped(); dropped != 0 {
-		t.Fatalf("dropped %d samples, want 0", dropped)
-	}
-
 	if got, want := qs.Report(), qd.Report(); !reflect.DeepEqual(got, want) {
-		t.Errorf("drained quality report differs from direct feedback:\n got %+v\nwant %+v", got, want)
+		t.Errorf("Observe quality report differs from direct feedback:\n got %+v\nwant %+v", got, want)
+	}
+	if n := s.DrainFeedback(); n != len(samples) {
+		t.Errorf("DrainFeedback = %d, want %d", n, len(samples))
+	}
+	if n := s.DrainFeedback(); n != 0 {
+		t.Errorf("second DrainFeedback = %d, want 0", n)
 	}
 
-	// Event parity: the drain emits the same quality.* points, in order.
-	// Feedback also emits serve.* spans around the drain-side events on
-	// the direct predictor — compare only the quality points.
+	// Event parity: Observe emits the same quality.* points, in order.
 	filter := func(evs []obspkg.Event) []obspkg.Event {
 		var out []obspkg.Event
 		for _, e := range evs {
@@ -185,40 +175,20 @@ func TestShardedDrainMatchesFeedback(t *testing.T) {
 	}
 	got, want := filter(rs.Events()), filter(rd.Events())
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("drained quality events differ from direct feedback:\n got %+v\nwant %+v", got, want)
-	}
-
-	// Without an observer the drain folds runs via ObserveRun — the
-	// report must still match sample-by-sample aggregation.
-	runPred := trainedFixture(t)
-	qr := obspkg.NewQuality(obspkg.DriftConfig{})
-	runPred.SetQuality(qr)
-	s2, err := NewSharded(runPred, ShardOptions{Shards: 1, RingSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh2 := s2.Acquire()
-	for _, sm := range samples {
-		if _, err := sh2.Observe(sm.tmpl, sm.mix, sm.observed); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s2.DrainFeedback()
-	if got, want := qr.Report(), qd.Report(); !reflect.DeepEqual(got, want) {
-		t.Errorf("ObserveRun-folded report differs from per-sample aggregation:\n got %+v\nwant %+v", got, want)
+		t.Errorf("Observe quality events differ from direct feedback:\n got %+v\nwant %+v", got, want)
 	}
 }
 
 // TestSubnormalObservationRefused pins that an observation whose
 // relative error overflows (a subnormal observed latency) is refused
-// with ErrBadObservation by both feedback routes before anything is
-// recorded: Feedback folds nothing into the quality aggregator and
-// Observe pushes nothing into the ring.
+// with ErrBadObservation, through Feedback and through Shard.Observe,
+// before anything is recorded: nothing is folded into the quality
+// aggregator and Observe counts nothing for DrainFeedback.
 func TestSubnormalObservationRefused(t *testing.T) {
 	p := trainedFixture(t)
 	q := obspkg.NewQuality(obspkg.DriftConfig{})
 	p.SetQuality(q)
-	s, err := NewSharded(p, ShardOptions{Shards: 1})
+	s, err := NewSharded(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,50 +200,23 @@ func TestSubnormalObservationRefused(t *testing.T) {
 		t.Errorf("Observe(%g): err = %v, want ErrBadObservation", observed, err)
 	}
 	if n := s.DrainFeedback(); n != 0 {
-		t.Errorf("ring held %d samples after a refused observation", n)
+		t.Errorf("DrainFeedback counted %d samples after a refused observation", n)
 	}
 	if rep := q.Report(); rep.Samples != 0 {
 		t.Errorf("quality folded %d samples after refused observations", rep.Samples)
 	}
 }
 
-func TestShardedRingOverflow(t *testing.T) {
+// TestShardObserveConcurrent: several goroutines Observe on one Shard
+// while another calls DrainFeedback. Every sample must be folded into
+// the quality aggregator and counted by DrainFeedback exactly once; a
+// lost or doubled sample breaks either sum, and -race flags any
+// unsynchronized access.
+func TestShardObserveConcurrent(t *testing.T) {
 	p := trainedFixture(t)
 	q := obspkg.NewQuality(obspkg.DriftConfig{})
 	p.SetQuality(q)
-	s, err := NewSharded(p, ShardOptions{Shards: 1, RingSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := s.Acquire()
-	for i := 0; i < 10; i++ {
-		if _, err := sh.Observe(1, []int{2, 3}, 1000); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if dropped := s.FeedbackDropped(); dropped != 6 {
-		t.Errorf("dropped %d samples, want 6 (ring capacity 4)", dropped)
-	}
-	if drained := s.DrainFeedback(); drained != 4 {
-		t.Errorf("drained %d samples, want 4", drained)
-	}
-	// After a drain the ring accepts samples again.
-	if _, err := sh.Observe(1, []int{2, 3}, 1000); err != nil {
-		t.Fatal(err)
-	}
-	if drained := s.DrainFeedback(); drained != 1 {
-		t.Errorf("post-overflow drain got %d samples, want 1", drained)
-	}
-}
-
-// TestShardObserveConcurrent pins the single-producer rule on a shared
-// shard: several goroutines Observe on one Shard while another drains.
-// Every accepted sample must be accounted for exactly once, either
-// drained or counted as dropped; a lost or doubled push breaks the sum,
-// and -race flags any unserialized ring write.
-func TestShardObserveConcurrent(t *testing.T) {
-	p := trainedFixture(t)
-	s, err := NewSharded(p, ShardOptions{Shards: 1, RingSize: 64})
+	s, err := NewSharded(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,25 +252,27 @@ func TestShardObserveConcurrent(t *testing.T) {
 	}()
 	wg.Wait()
 	close(done)
-	total := <-drained
-	if got := uint64(total) + s.FeedbackDropped(); got != producers*perProducer {
-		t.Errorf("drained %d + dropped %d = %d, want %d accepted Observe calls",
-			total, s.FeedbackDropped(), got, producers*perProducer)
+	if total := <-drained; total != producers*perProducer {
+		t.Errorf("DrainFeedback counted %d samples, want %d", total, producers*perProducer)
+	}
+	if rep := q.Report(); rep.Samples != producers*perProducer {
+		t.Errorf("quality folded %d samples, want %d", rep.Samples, producers*perProducer)
 	}
 }
 
 // TestShardedConcurrentSwapFeedbackQuality hammers serving, feedback
-// ingestion, draining, and quality reporting while the snapshot is
-// hot-swapped — the -race CI job turns any unsynchronized access into a
-// failure.
+// and quality reporting while the snapshot is hot-swapped between two
+// predictors that share one aggregator. The -race CI job turns any
+// unsynchronized access into a failure, and every sample must reach the
+// aggregator whichever snapshot folded it.
 func TestShardedConcurrentSwapFeedbackQuality(t *testing.T) {
 	p1 := trainedFixture(t)
 	p2 := trainedFixture(t)
 	q := obspkg.NewQuality(obspkg.DriftConfig{})
 	p1.SetQuality(q)
 	p2.SetQuality(q)
-	const workers = 4
-	s, err := NewSharded(p1, ShardOptions{Shards: workers, RingSize: 256})
+	const workers, rounds = 4, 300
+	s, err := NewSharded(p1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +285,7 @@ func TestShardedConcurrentSwapFeedbackQuality(t *testing.T) {
 			sh := s.Acquire()
 			mix := []int{2, 3}
 			mixes := [][]int{{2}, {4, 5}, {2, 3}}
-			for i := 0; i < 300; i++ {
+			for i := 0; i < rounds; i++ {
 				if _, err := sh.Predict(1, mix); err != nil {
 					t.Error(err)
 					return
@@ -375,12 +320,9 @@ func TestShardedConcurrentSwapFeedbackQuality(t *testing.T) {
 			running = false
 		}
 		cur = next
-		s.DrainFeedback()
 		_ = q.Report()
-		_ = s.FeedbackDropped()
 	}
-	s.DrainFeedback()
-	if rep := q.Report(); rep.Samples == 0 {
-		t.Error("no feedback samples reached the quality aggregator")
+	if rep := q.Report(); rep.Samples != workers*rounds {
+		t.Errorf("quality folded %d samples, want %d", rep.Samples, workers*rounds)
 	}
 }

@@ -15,8 +15,8 @@ import (
 // ExtSelfheal replays the whole self-healing knowledge lifecycle,
 // deterministically, on top of the ext-quality drift scenario:
 //
-//  1. detect — train, serve through a sharded set, replay clean rounds,
-//     then slow the two deterministic victim templates down by
+//  1. detect — train, serve through a Sharded snapshot, replay clean
+//     rounds, then slow the two deterministic victim templates down by
 //     qualityShiftFactor×; the drift detector must flip exactly them to
 //     stale.
 //  2. heal — the lifecycle control loop re-collects ONLY the victim
@@ -66,15 +66,14 @@ func ExtSelfheal(e *Env) (*Result, error) {
 		victimSet[v] = true
 	}
 
-	sharded, err := core.NewSharded(p1, core.ShardOptions{Shards: 1, RingSize: 1 << 14})
+	sharded, err := core.NewSharded(p1)
 	if err != nil {
 		return nil, err
 	}
-	shard := sharded.Acquire()
 
 	// replayRound streams one full pass of the campaign observations
-	// through the serving shard as live feedback, draining per MPL so
-	// the ring never overflows. The drifted world slows victims down.
+	// through the serving snapshot as live feedback. The drifted world
+	// slows victims down.
 	replayRound := func(shifted bool) error {
 		for _, mpl := range mpls {
 			for _, o := range e.Observations(mpl) {
@@ -82,11 +81,10 @@ func ExtSelfheal(e *Env) (*Result, error) {
 				if shifted && victimSet[o.Primary] {
 					observed *= qualityShiftFactor
 				}
-				if _, err := shard.Observe(o.Primary, o.Concurrent, observed); err != nil {
+				if _, err := sharded.Snapshot().Feedback(o.Primary, o.Concurrent, observed); err != nil {
 					return fmt.Errorf("ext-selfheal: observe T%d: %w", o.Primary, err)
 				}
 			}
-			sharded.DrainFeedback()
 		}
 		return nil
 	}
@@ -261,7 +259,6 @@ func ExtSelfheal(e *Env) (*Result, error) {
 	res.SetMetric("remeasured_mixes", float64(touchedMixes))
 	res.SetMetric("total_mixes", float64(totalMixes))
 	res.SetMetric("canary_samples", float64(heal.Samples))
-	res.SetMetric("dropped_feedback", float64(quality.Dropped()))
 	res.SetMetric("kept_serving_after_rollback", b2f(keptServing))
 	res.SetMetric("crash_tmp_swept", float64(len(crashRep.RemovedTemp)))
 	res.SetMetric("corrupt_versions", float64(len(corruptRep.CorruptVersions)))

@@ -72,7 +72,7 @@ type HoldoutFunc func(stale []int) []Sample
 // Config wires a Manager. Quality and Collector are required.
 type Config struct {
 	// Quality is the drift-state source the loop watches (the same
-	// aggregator the serving layer's feedback drains into).
+	// aggregator the serving layer's feedback folds into).
 	Quality *obs.Quality
 	// Blame, when non-nil, is the contention blame aggregator the
 	// serving layer feeds; a promotion resets the promoted templates'
@@ -104,10 +104,6 @@ type Config struct {
 	// post-promotion feedback stream time to re-establish state
 	// (default 1).
 	Cooldown int
-	// DisableDrain stops Step from draining the sharded feedback rings
-	// before reading drift states (for callers that run their own drain
-	// cadence).
-	DisableDrain bool
 }
 
 // Action is the decision a Step took.
@@ -134,7 +130,6 @@ const (
 type StepReport struct {
 	Action  Action
 	Stale   []int // templates that triggered (or would trigger) a retrain
-	Drained int   // feedback samples folded in before reading drift state
 	OldMRE  float64
 	NewMRE  float64
 	Samples int           // canary holdout samples replayed
@@ -216,11 +211,11 @@ func (m *Manager) Registry() *obs.Registry { return m.reg }
 // the last successful promotion.
 func (m *Manager) Degraded() bool { return m.degraded.Value() != 0 }
 
-// Step runs one control-loop iteration: drain feedback, read drift
-// states, and — when templates are stale and the loop is not cooling
-// down — retrain, canary, and promote or roll back. The returned error
-// is non-nil only for context cancellation; every other failure is a
-// graceful degradation recorded in the report (serving is never
+// Step runs one control-loop iteration: read drift states, and — when
+// templates are stale and the loop is not cooling down — retrain,
+// canary, and promote or roll back. The returned error is non-nil only
+// for context cancellation; every other failure is a graceful
+// degradation recorded in the report (serving is never
 // interrupted by a failed retrain).
 //
 //contender:allow lockblock -- m.mu is the control-plane mutex: it serializes whole retrain steps by design and is never taken on a serving path, so holding it across emission and retrain is intended
@@ -229,9 +224,6 @@ func (m *Manager) Step(ctx context.Context) (StepReport, error) {
 	defer m.mu.Unlock()
 	m.steps.Inc()
 	rep := StepReport{Action: ActionIdle}
-	if !m.cfg.DisableDrain {
-		rep.Drained = m.sharded.DrainFeedback()
-	}
 	qrep := m.cfg.Quality.Report()
 	for _, t := range qrep.Templates {
 		if t.State == obs.DriftStale.String() {
@@ -321,8 +313,8 @@ func (m *Manager) retrainLocked(ctx context.Context, rep StepReport) (StepReport
 	}
 
 	// Candidate accepted: persist first, then hot-swap. The candidate
-	// inherits the quality aggregator and observer so post-swap drains
-	// keep flowing into the same telemetry. Both writes are skipped when
+	// inherits the quality aggregator and observer so post-swap feedback
+	// keeps flowing into the same telemetry. Both writes are skipped when
 	// already correct: a collector may hand back a predictor that served
 	// before (A/B alternation), and a predictor must not be mutated
 	// while lock-free readers can still hold it.

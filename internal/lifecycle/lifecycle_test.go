@@ -85,7 +85,7 @@ func TestStepPromotesOnImprovedCanary(t *testing.T) {
 	better := makePredictor(t, 1.8)
 	q := obs.NewQuality(qcfg())
 	old.SetQuality(q)
-	sh, err := core.NewSharded(old, core.ShardOptions{Shards: 1})
+	sh, err := core.NewSharded(old)
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
 	}
@@ -166,7 +166,7 @@ func TestPromotionResetsBlame(t *testing.T) {
 	b := obs.NewBlame(obs.BlameConfig{})
 	b.Observe(2, []int{22}, []float64{3.5})  // primary 2: reset on its promotion
 	b.Observe(22, []int{2}, []float64{1.25}) // primary 22: untouched
-	sh, err := core.NewSharded(old, core.ShardOptions{Shards: 1})
+	sh, err := core.NewSharded(old)
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
 	}
@@ -202,7 +202,7 @@ func TestStepRollsBackOnCanaryRegression(t *testing.T) {
 	worse := makePredictor(t, 5.0)
 	q := obs.NewQuality(qcfg())
 	old.SetQuality(q)
-	sh, _ := core.NewSharded(old, core.ShardOptions{Shards: 1})
+	sh, _ := core.NewSharded(old)
 	rec := obs.NewRecording()
 	m, err := New(sh, Config{
 		Quality:   q,
@@ -237,7 +237,7 @@ func TestStepRollsBackOnCanaryRegression(t *testing.T) {
 		t.Fatal("no lifecycle.rollback event emitted")
 	}
 	// Serving must still answer on the old model.
-	if _, err := sh.Acquire().Predict(2, []int{22}); err != nil {
+	if _, err := sh.Snapshot().PredictKnown(2, []int{22}); err != nil {
 		t.Fatalf("serving interrupted after rollback: %v", err)
 	}
 }
@@ -246,7 +246,7 @@ func TestRetrainFailureDegradesGracefully(t *testing.T) {
 	old := makePredictor(t, 1.0)
 	q := obs.NewQuality(qcfg())
 	old.SetQuality(q)
-	sh, _ := core.NewSharded(old, core.ShardOptions{Shards: 1})
+	sh, _ := core.NewSharded(old)
 	boom := errors.New("substrate unreachable")
 	m, err := New(sh, Config{
 		Quality:   q,
@@ -277,7 +277,7 @@ func TestRetrainFailureDegradesGracefully(t *testing.T) {
 func TestForceRetrainNeedsTemplates(t *testing.T) {
 	old := makePredictor(t, 1.0)
 	q := obs.NewQuality(qcfg())
-	sh, _ := core.NewSharded(old, core.ShardOptions{Shards: 1})
+	sh, _ := core.NewSharded(old)
 	m, err := New(sh, Config{
 		Quality:   q,
 		Collector: CollectorFunc(func(context.Context, []int) (*core.Predictor, error) { return old, nil }),
@@ -290,16 +290,19 @@ func TestForceRetrainNeedsTemplates(t *testing.T) {
 	}
 }
 
-// TestHotSwapUnderFire hammers the serving data plane (Predict, Observe,
-// DrainFeedback via Step) while the control plane promotes repeatedly —
-// run under -race this is the hot-swap safety proof.
+// TestHotSwapUnderFire hammers the serving data plane (prediction and
+// inline feedback on the snapshot, as the server runs them) while the
+// control plane promotes repeatedly — run under -race this is the
+// hot-swap safety proof. Both predictors share one quality aggregator,
+// whose feedback counter must end up holding every sample exactly once
+// (promotion resets the victim's tracker, not the counter).
 func TestHotSwapUnderFire(t *testing.T) {
 	pa := makePredictor(t, 1.0)
 	pb := makePredictor(t, 1.8)
 	q := obs.NewQuality(qcfg())
 	pa.SetQuality(q)
 	pb.SetQuality(q)
-	sh, err := core.NewSharded(pa, core.ShardOptions{Shards: 4, RingSize: 64})
+	sh, err := core.NewSharded(pa)
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
 	}
@@ -325,39 +328,47 @@ func TestHotSwapUnderFire(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 
+	const workers = 4
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	sent := make([]int64, workers)
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			shard := sh.Acquire()
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				lat, err := shard.Predict(2, []int{22})
+				lat, err := sh.Snapshot().PredictKnown(2, []int{22})
 				if err != nil || lat <= 0 {
 					t.Errorf("Predict under swap: %g, %v", lat, err)
 					return
 				}
-				if _, err := shard.Observe(2, []int{22}, lat*1.1); err != nil {
-					t.Errorf("Observe under swap: %v", err)
+				if _, err := sh.Snapshot().Feedback(2, []int{22}, lat*1.1); err != nil {
+					t.Errorf("Feedback under swap: %v", err)
 					return
 				}
+				sent[w]++
 			}
-		}()
+		}(w)
 	}
 	for i := 0; i < 100; i++ {
 		if _, err := m.ForceRetrain(context.Background(), []int{2}); err != nil {
 			t.Fatalf("ForceRetrain %d: %v", i, err)
 		}
-		sh.DrainFeedback()
 	}
 	close(stop)
 	wg.Wait()
+	var want int64
+	for _, n := range sent {
+		want += n
+	}
+	if got := q.Registry().Snapshot().Counter(`contender_quality_feedback_total{template="2"}`); got != want {
+		t.Errorf("contender_quality_feedback_total = %d, want the %d samples sent", got, want)
+	}
 	if got := sh.Snapshot(); got != pa && got != pb {
 		t.Fatal("serving snapshot is neither candidate")
 	}

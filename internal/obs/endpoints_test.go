@@ -22,7 +22,6 @@ func TestQualityEndpointGolden(t *testing.T) {
 	}
 	const golden = `{
   "samples": 0,
-  "dropped": 0,
   "healthy": 0,
   "degraded": 0,
   "stale": 0,
@@ -50,7 +49,7 @@ func TestQualityEndpointGolden(t *testing.T) {
 	if err := json.Unmarshal(body, &generic); err != nil {
 		t.Fatal(err)
 	}
-	assertKeys(t, "/quality", generic, []string{"samples", "dropped", "healthy", "degraded", "stale", "templates"})
+	assertKeys(t, "/quality", generic, []string{"samples", "healthy", "degraded", "stale", "templates"})
 	var templates []map[string]json.RawMessage
 	if err := json.Unmarshal(generic["templates"], &templates); err != nil {
 		t.Fatal(err)

@@ -84,13 +84,11 @@ const (
 	// predictions it produced. The point events mark the control
 	// decisions around the data path: serve.overload fires when
 	// admission control rejects a request (token bucket empty or the
-	// in-flight cap reached), serve.conn per accepted binary connection,
-	// and serve.drain per feedback-drain tick with Value carrying the
-	// number of samples folded.
+	// in-flight cap reached) and serve.conn per accepted binary
+	// connection.
 	SpanServeRequest   = "serve.request"
 	PointServeOverload = "serve.overload"
 	PointServeConn     = "serve.conn"
-	PointServeDrain    = "serve.drain"
 
 	// Scheduler.
 	SpanSchedPolicy   = "sched.policy"   // one policy Order() evaluation

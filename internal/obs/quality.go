@@ -172,7 +172,6 @@ type Quality struct {
 	mre         *GaugeVec
 	state       *GaugeVec
 	transitions *CounterVec
-	dropped     *Counter
 
 	mu       sync.RWMutex
 	trackers map[int]*templateQuality
@@ -191,29 +190,8 @@ func NewQuality(cfg DriftConfig) *Quality {
 		mre:         reg.GaugeVec("contender_quality_mre", "Rolling mean relative error by template.", "template"),
 		state:       reg.GaugeVec("contender_quality_state", "Drift state by template: 0 healthy, 1 degraded, 2 stale.", "template"),
 		transitions: reg.CounterVec("contender_quality_transitions_total", "Drift state transitions by template.", "template"),
-		dropped:     reg.Counter("contender_quality_dropped_total", "Feedback samples dropped before aggregation (full shard rings)."),
 		trackers:    map[int]*templateQuality{},
 	}
-}
-
-// AddDropped records n feedback samples that were lost before reaching
-// the aggregator — the sharded serving layer folds its ring-overflow
-// drop counts in here at drain time, so lossy-by-design telemetry stays
-// visible to operators (contender_quality_dropped_total on /metrics,
-// "dropped" in the /quality payload).
-func (q *Quality) AddDropped(n int64) {
-	if q == nil || n <= 0 {
-		return
-	}
-	q.dropped.Add(n)
-}
-
-// Dropped returns the total feedback samples recorded as dropped.
-func (q *Quality) Dropped() int64 {
-	if q == nil {
-		return 0
-	}
-	return q.dropped.Value()
 }
 
 // Config returns the effective detector configuration (defaults filled).
@@ -292,32 +270,6 @@ func (q *Quality) Observe(template int, signedErr float64) DriftResult {
 	t := q.tracker(template)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return q.observeLocked(t, signedErr)
-}
-
-// ObserveRun folds a run of signed relative errors for one template under
-// a single tracker lock — the sharded feedback drain uses it to amortize
-// locking when a ring buffer holds consecutive samples for one template.
-// The sequence of states is exactly what per-sample Observe calls would
-// produce. It returns the result of the final sample (the current state
-// for an empty run) and the number of drift transitions in the run.
-func (q *Quality) ObserveRun(template int, signed []float64) (DriftResult, int) {
-	t := q.tracker(template)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	res := DriftResult{State: t.state, Previous: t.state, Count: t.count}
-	transitions := 0
-	for _, s := range signed {
-		res = q.observeLocked(t, s)
-		if res.Transitioned {
-			transitions++
-		}
-	}
-	return res, transitions
-}
-
-// observeLocked is the Observe body; the caller holds t.mu.
-func (q *Quality) observeLocked(t *templateQuality, signedErr float64) DriftResult {
 	if math.IsNaN(signedErr) || math.IsInf(signedErr, 0) {
 		return DriftResult{State: t.state, Previous: t.state, Count: t.count}
 	}
@@ -474,7 +426,6 @@ type TemplateQuality struct {
 // all templates that received feedback, sorted by template ID.
 type QualityReport struct {
 	Samples   int64             `json:"samples"`
-	Dropped   int64             `json:"dropped"`
 	Healthy   int               `json:"healthy"`
 	Degraded  int               `json:"degraded"`
 	Stale     int               `json:"stale"`
@@ -488,7 +439,6 @@ func (q *Quality) Report() QualityReport {
 	if q == nil {
 		return rep
 	}
-	rep.Dropped = q.dropped.Value()
 	q.mu.RLock()
 	trackers := make([]*templateQuality, 0, len(q.trackers))
 	for _, t := range q.trackers {

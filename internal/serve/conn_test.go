@@ -221,7 +221,7 @@ func pipeConn(s *Server) net.Conn {
 func TestStalledClientShutdown(t *testing.T) {
 	base := runtime.NumGoroutine()
 	p := trainedPredictor(t)
-	sh, err := core.NewSharded(p, core.ShardOptions{Shards: 2})
+	sh, err := core.NewSharded(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,7 +153,7 @@ func referenceHandler(s *Server) http.Handler {
 			if err := json.Unmarshal(body, &req); err != nil {
 				return nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
 			}
-			res, err := s.sh.Acquire().Observe(req.Primary, req.Concurrent, req.Observed)
+			res, err := s.sh.Snapshot().Feedback(req.Primary, req.Concurrent, req.Observed)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -218,11 +218,11 @@ func FuzzHTTPBody(f *testing.F) {
 	f.Add([]byte(`{"primary":1,"concurrent":[2],"observed":512.5}`))
 
 	p := trainedPredictor(f)
-	sh, err := core.NewSharded(p, core.ShardOptions{Shards: 1})
+	sh, err := core.NewSharded(p)
 	if err != nil {
 		f.Fatal(err)
 	}
-	s, err := New(sh, Config{MaxBatch: 64, DrainEvery: -1})
+	s, err := New(sh, Config{MaxBatch: 64})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -211,11 +211,11 @@ func TestHTTPHandlerWarmAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
 	p := trainedPredictor(t)
-	sh, err := core.NewSharded(p, core.ShardOptions{Shards: 1})
+	sh, err := core.NewSharded(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(sh, Config{DrainEvery: -1})
+	s, err := New(sh, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,11 +313,11 @@ func benchmarkHTTPHandler(b *testing.B, path string, body any) {
 	p := trainedPredictor(b)
 	m := obs.NewMetrics()
 	p.SetObserver(m)
-	sh, err := core.NewSharded(p, core.ShardOptions{Shards: 1})
+	sh, err := core.NewSharded(p)
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := New(sh, Config{Observer: m, Metrics: m, DrainEvery: -1})
+	s, err := New(sh, Config{Observer: m, Metrics: m})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,13 +17,16 @@ import (
 	"contender/internal/obs"
 )
 
-// TestSwapHammerUnderLoad drives pipelined binary traffic while two
-// mutators fight over the serving snapshot: a direct Sharded.Swap
-// ping-pong and lifecycle.ForceRetrain promotions going through the
-// full retrain → promote → hot-swap sequence. The point is the -race
-// run: every snapshot load on the serving path races a concurrent
+// TestSwapHammerUnderLoad drives pipelined binary traffic and HTTP
+// feedback while two mutators fight over the serving snapshot: a direct
+// Sharded.Swap ping-pong and lifecycle.ForceRetrain promotions going
+// through the full retrain → promote → hot-swap sequence. Every
+// predictor shares one quality aggregator. The point is the -race run:
+// every snapshot load on the serving path races a concurrent
 // publication, so an unsynchronized read anywhere in the swap protocol
-// surfaces here as a detector report rather than a production 500.
+// surfaces here as a detector report rather than a production 500. And
+// whichever snapshot folds a feedback sample, the aggregator must end
+// up holding every sample sent on either front exactly once.
 func TestSwapHammerUnderLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("swap hammer: skipped in -short")
@@ -32,8 +35,12 @@ func TestSwapHammerUnderLoad(t *testing.T) {
 	// The ping-pong pair is pre-primed via Swap's own Prime call, which
 	// is idempotent and internally synchronized, so re-publishing a
 	// retired predictor is safe.
-	p1, p2 := trainedPredictor(t), trainedPredictor(t)
-	sh, err := core.NewSharded(trainedPredictor(t), core.ShardOptions{Shards: 2, RingSize: 64})
+	q := obs.NewQuality(obs.DriftConfig{MinSamples: 4, Delta: 0.05, Lambda: 1, StaleMRE: 0.3, RecoverMRE: 0.1, Window: 4})
+	p0, p1, p2 := trainedPredictor(t), trainedPredictor(t), trainedPredictor(t)
+	for _, p := range []*core.Predictor{p0, p1, p2} {
+		p.SetQuality(q)
+	}
+	sh, err := core.NewSharded(p0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,13 +63,14 @@ func TestSwapHammerUnderLoad(t *testing.T) {
 	// Each ForceRetrain promotes a fresh candidate: promotion calls
 	// SetQuality on it, which must never hit a predictor that is
 	// already serving. Pre-build them here so the collector goroutine
-	// never touches testing.TB.
+	// never touches testing.TB. Promotion resets the retrained
+	// templates' trackers, so feedback names only the other templates.
 	const retrains = 4
+	retrained := []int{1, 2}
 	candidates := make(chan *core.Predictor, retrains)
 	for i := 0; i < retrains; i++ {
 		candidates <- trainedPredictor(t)
 	}
-	q := obs.NewQuality(obs.DriftConfig{MinSamples: 4, Delta: 0.05, Lambda: 1, StaleMRE: 0.3, RecoverMRE: 0.1, Window: 4})
 	m, err := lifecycle.New(sh, lifecycle.Config{
 		Quality: q,
 		Collector: lifecycle.CollectorFunc(func(context.Context, []int) (*core.Predictor, error) {
@@ -73,9 +81,11 @@ func TestSwapHammerUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	feedback := func(k int) (int, []int, float64) { return 3 + k%3, []int{1 + k%5}, 100 + float64(k%89) }
+
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(2)
+	wg.Add(3)
 	go func() {
 		defer wg.Done()
 		for i := 0; ; i++ {
@@ -99,7 +109,7 @@ func TestSwapHammerUnderLoad(t *testing.T) {
 		defer wg.Done()
 		ctx := context.Background()
 		for i := 0; i < retrains; i++ {
-			rep, err := m.ForceRetrain(ctx, []int{1, 2})
+			rep, err := m.ForceRetrain(ctx, retrained)
 			if err != nil {
 				t.Errorf("ForceRetrain: %v", err)
 				return
@@ -110,17 +120,39 @@ func TestSwapHammerUnderLoad(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}()
-
-	defer func() {
-		close(stop)
-		wg.Wait()
+	// HTTP feedback beside the binary load, one request at a time.
+	const httpFeedback = 400
+	go func() {
+		defer wg.Done()
+		h := s.Handler()
+		for k := 0; k < httpFeedback; k++ {
+			primary, mix, observed := feedback(k)
+			body, _ := json.Marshal(FeedbackRequest{Primary: primary, Concurrent: mix, Observed: observed})
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/feedback", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Errorf("http feedback %d: %d %s", k, rec.Code, rec.Body.Bytes())
+				return
+			}
+		}
 	}()
 
-	// The load: 4 connections, each carrying 300 frames of 16 seeded
-	// mixes (1–2 concurrents over the fixture pool). This goroutine
-	// drives them in rounds so the binaryConn helpers may fail the test:
-	// each round puts a window of frames in flight on every connection
-	// before it reads any reply, and every reply must be a full success.
+	stopped := false
+	halt := func() {
+		if !stopped {
+			stopped = true
+			close(stop)
+			wg.Wait()
+		}
+	}
+	defer halt()
+
+	// The load: 4 connections, each carrying 300 frames. Every fourth
+	// frame is feedback; the others price 16 seeded mixes (1–2
+	// concurrents over the fixture pool). This goroutine drives them in
+	// rounds so the binaryConn helpers may fail the test: each round
+	// puts a window of frames in flight on every connection before it
+	// reads any reply, and every reply must be a full success.
 	const conns, frames, batch, window = 4, 300, 16, 10
 	pool := []int{1, 2, 3, 4, 5}
 	cs := make([]*binaryConn, conns)
@@ -132,6 +164,11 @@ func TestSwapHammerUnderLoad(t *testing.T) {
 	for op := 0; op < frames; op += window {
 		for i, c := range cs {
 			for k := op; k < op+window; k++ {
+				if k%4 == 3 {
+					primary, mix, observed := feedback(k)
+					c.send(OpFeedback, uint32(k), func(b []byte) []byte { return appendF64(appendMix(b, primary, mix), observed) })
+					continue
+				}
 				rng := rngs[i]
 				primary := pool[rng.Intn(len(pool))]
 				mixes := make([][]int, batch)
@@ -148,11 +185,24 @@ func TestSwapHammerUnderLoad(t *testing.T) {
 			for k := op; k < op+window; k++ {
 				code, reqID, payload := c.recv()
 				r := frameReader{b: payload}
-				if code != CodeOK || reqID != uint32(k) || int(r.u16()) != batch || len(payload) != 2+8*batch {
+				ok := len(payload) == 16 // predicted, signed error
+				if k%4 != 3 {
+					ok = int(r.u16()) == batch && len(payload) == 2+8*batch
+				}
+				if code != CodeOK || reqID != uint32(k) || !ok {
 					t.Fatalf("conn %d frame %d: code %s reqID %d (%q)", i, k, code, reqID, payload)
 				}
 			}
 		}
+	}
+
+	halt()
+	const sent = conns*frames/4 + httpFeedback
+	if got := q.Report().Samples; got != sent {
+		t.Errorf("quality report holds %d samples, want %d", got, sent)
+	}
+	if got := feedbackTotal(q); got != sent {
+		t.Errorf("contender_quality_feedback_total sums to %d, want %d", got, sent)
 	}
 }
 
@@ -162,7 +212,9 @@ func TestSwapHammerUnderLoad(t *testing.T) {
 // core validates and prices each request against a single snapshot load,
 // so every answer must be a success (the request saw the full snapshot)
 // or unknown_template (it saw the shrunken one) — never a transient
-// failure born in a gap between validation and pricing.
+// failure born in a gap between validation and pricing. Both snapshots
+// share one quality aggregator, which must hold exactly the feedback
+// samples answered with success.
 func TestShrinkingSwapHammer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("swap hammer: skipped in -short")
@@ -174,6 +226,9 @@ func TestShrinkingSwapHammer(t *testing.T) {
 		t.Fatalf("fixture has no template %d", removed)
 	}
 	shrunk.Know = know
+	q := obs.NewQuality(obs.DriftConfig{})
+	full.SetQuality(q)
+	shrunk.SetQuality(q)
 
 	s, _, addr := testServer(t, Config{})
 	h := s.Handler()
@@ -182,6 +237,7 @@ func TestShrinkingSwapHammer(t *testing.T) {
 			t.Errorf("Swap: %v", err)
 		}
 	}
+	swap(full)
 
 	// Primaries stay inside the shrunken universe so the removed
 	// template is only ever named as a neighbor; mixes without it must
@@ -209,6 +265,7 @@ func TestShrinkingSwapHammer(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	var httpFolded, binFolded int64
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
@@ -246,6 +303,9 @@ func TestShrinkingSwapHammer(t *testing.T) {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data)))
 			if rec.Code == http.StatusOK {
+				if path == "/v1/feedback" {
+					httpFolded++
+				}
 				continue
 			}
 			var env ErrorEnvelope
@@ -278,9 +338,15 @@ func TestShrinkingSwapHammer(t *testing.T) {
 		if code != CodeOK && (code != CodeUnknownTemplate || !names(mix)) {
 			t.Fatalf("binary op %d %v: code %s (%q)", op, mix, code, payload)
 		}
+		if code == CodeOK && op == OpFeedback {
+			binFolded++
+		}
 	}
 	close(stop)
 	wg.Wait()
+	if got, want := q.Report().Samples, httpFolded+binFolded; got != want {
+		t.Errorf("quality report holds %d samples, want the %d feedback requests answered with success", got, want)
+	}
 
 	// Both outcomes are reachable: pin each snapshot and check the answer.
 	for _, tc := range []struct {

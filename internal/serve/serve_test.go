@@ -93,7 +93,7 @@ func trainedPredictor(t testing.TB) *core.Predictor {
 func testServer(t testing.TB, cfg Config) (*Server, *core.Predictor, string) {
 	t.Helper()
 	p := trainedPredictor(t)
-	sh, err := core.NewSharded(p, core.ShardOptions{Shards: 2})
+	sh, err := core.NewSharded(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,14 +501,13 @@ func TestBinaryOversizedFrameRejected(t *testing.T) {
 	}
 }
 
-// TestIdleBinaryConnsDontStarveHTTP pins the ownership rule on a single
-// shard, the configuration where every front shares one feedback ring:
-// idle binary connections hold nothing another request waits for, and
-// busy ones pipelining every opcode beside HTTP feedback never answer
-// anything but success — no request waits on another for a shard.
+// TestIdleBinaryConnsDontStarveHTTP pins the ownership rule: idle
+// binary connections hold nothing another request waits for, and busy
+// ones pipelining every opcode beside HTTP feedback never answer
+// anything but success — no request waits on another for scratch.
 func TestIdleBinaryConnsDontStarveHTTP(t *testing.T) {
 	p := trainedPredictor(t)
-	sh, err := core.NewSharded(p, core.ShardOptions{Shards: 1})
+	sh, err := core.NewSharded(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,7 +640,7 @@ func TestHTTPBodyTooLarge(t *testing.T) {
 // internal error — and Shutdown itself must return promptly.
 func TestShutdownUnderLoad(t *testing.T) {
 	p := trainedPredictor(t)
-	sh, err := core.NewSharded(p, core.ShardOptions{Shards: 2})
+	sh, err := core.NewSharded(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -807,51 +806,101 @@ func TestServeAcrossHotSwap(t *testing.T) {
 	swapWG.Wait()
 }
 
-// TestFeedbackDrainLoop verifies buffered feedback reaches the quality
-// aggregator through the server's drain ticker.
-func TestFeedbackDrainLoop(t *testing.T) {
-	p := trainedPredictor(t)
-	q := obs.NewQuality(obs.DriftConfig{})
-	p.SetQuality(q)
-	sh, err := core.NewSharded(p, core.ShardOptions{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
+// TestFeedbackFoldsEverySample: each front folds a feedback sample
+// into the quality aggregator before it answers, so once the last
+// response has been read the aggregator holds every sample sent, with
+// no drain and no wait. The binary case pipelines more frames on one
+// connection than a shard's feedback ring used to hold (1,024).
+func TestFeedbackFoldsEverySample(t *testing.T) {
+	const n = 2000
+	sample := func(i int) (int, []int, float64) { return 1 + i%5, []int{1 + (i/5)%5}, 100 + float64(i%97) }
+	for _, tc := range []struct {
+		front string
+		send  func(t *testing.T, s *Server, addr string)
+	}{
+		{"binary", func(t *testing.T, _ *Server, addr string) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			var frames []byte
+			for i := 0; i < n; i++ {
+				primary, mix, observed := sample(i)
+				frames = append(frames, frame(OpFeedback, uint32(i), func(b []byte) []byte {
+					return appendF64(appendMix(b, primary, mix), observed)
+				})...)
+			}
+			// Write every frame before reading any answer; the writer runs
+			// beside the reads so neither side's socket buffer can stall.
+			werr := make(chan error, 1)
+			go func() {
+				_, err := conn.Write(frames)
+				werr <- err
+			}()
+			c := &binaryConn{t: t, conn: conn, br: bufio.NewReader(conn)}
+			for i := 0; i < n; i++ {
+				if code, reqID, payload := c.recv(); code != CodeOK || reqID != uint32(i) {
+					t.Fatalf("frame %d: code %s reqID %d (%q)", i, code, reqID, payload)
+				}
+			}
+			if err := <-werr; err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"http", func(t *testing.T, s *Server, _ string) {
+			h := s.Handler()
+			for i := 0; i < n; i++ {
+				primary, mix, observed := sample(i)
+				w, data := postJSON(t, h, "/v1/feedback", FeedbackRequest{Primary: primary, Concurrent: mix, Observed: observed})
+				if w.Code != http.StatusOK {
+					t.Fatalf("request %d: %d %s", i, w.Code, data)
+				}
+			}
+		}},
+	} {
+		t.Run(tc.front, func(t *testing.T) {
+			q := obs.NewQuality(obs.DriftConfig{})
+			p := trainedPredictor(t)
+			p.SetQuality(q)
+			sh, err := core.NewSharded(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(sh, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Shutdown(context.Background())
+			addr, err := s.ListenBinary("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.send(t, s, addr)
+			if got := q.Report().Samples; got != n {
+				t.Errorf("quality report holds %d samples, want %d", got, n)
+			}
+			if got := feedbackTotal(q); got != n {
+				t.Errorf("contender_quality_feedback_total sums to %d, want %d", got, n)
+			}
+		})
 	}
-	s, err := New(sh, Config{DrainEvery: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	}()
-	h := s.Handler()
-	want, err := p.PredictKnown(1, []int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		w, data := postJSON(t, h, "/v1/feedback", FeedbackRequest{Primary: 1, Concurrent: []int{2}, Observed: want * 1.1})
-		if w.Code != http.StatusOK {
-			t.Fatalf("feedback: %d %s", w.Code, data)
+}
+
+// feedbackTotal sums contender_quality_feedback_total over templates.
+func feedbackTotal(q *obs.Quality) int64 {
+	var n int64
+	for key, v := range q.Registry().Snapshot().Counters {
+		if strings.HasPrefix(key, "contender_quality_feedback_total") {
+			n += v
 		}
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if rep := q.Report(); rep.Samples >= 5 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("drain loop never folded feedback: %+v", q.Report())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	return n
 }
 
 func TestShutdownIdempotentAndRejectsListen(t *testing.T) {
 	p := trainedPredictor(t)
-	sh, err := core.NewSharded(p, core.ShardOptions{Shards: 1})
+	sh, err := core.NewSharded(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -931,11 +980,11 @@ func TestDecodeMixesWarmAllocFree(t *testing.T) {
 // reply (an overload rejection, whose error is a sentinel).
 func TestHandleFrameWarmAllocFree(t *testing.T) {
 	p := trainedPredictor(t)
-	sh, err := core.NewSharded(p, core.ShardOptions{Shards: 1})
+	sh, err := core.NewSharded(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(sh, Config{DrainEvery: -1})
+	s, err := New(sh, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -960,7 +1009,7 @@ func TestHandleFrameWarmAllocFree(t *testing.T) {
 			newAdmitter(AdmissionConfig{Rate: 1, Burst: 1}, func() time.Time { return time.Unix(0, 0) }), CodeOverloaded},
 	}
 	for _, tc := range cases {
-		st := &connState{srv: s, shard: sh.Acquire(), adm: tc.adm}
+		st := &connState{srv: s, adm: tc.adm}
 		if tc.adm != nil {
 			tc.adm.admit() // spend the only token
 		}

@@ -19,9 +19,10 @@ import (
 )
 
 // Server is the network-facing prediction service: one core.Sharded
-// behind both wire protocols. Construction is cheap; the server starts
-// work when ListenBinary accepts connections or Handler is mounted on
-// an HTTP mux. Shutdown drains in-flight requests under a deadline.
+// snapshot behind both wire protocols. Construction is cheap; the
+// server starts work when ListenBinary accepts connections or Handler
+// is mounted on an HTTP mux. Shutdown drains in-flight requests under a
+// deadline.
 //
 // Concurrency model:
 //
@@ -34,17 +35,18 @@ import (
 //     connection closes, so the reader prices the next frame while it is
 //     sent. While the writer holds output, later responses queue behind
 //     it: a connection answers in request order. The connection owns its
-//     batch and explain scratch, and Acquires one shard when it connects
-//     for its feedback ring, keeping it until it closes.
+//     batch and explain scratch.
 //   - Each HTTP request takes one httpScratch from a sync.Pool for its
 //     whole life: body buffer, decoded mixes, pricing buffers and
 //     response bytes. It owns that item alone until it puts it back
 //     after its one Write, and an item grown past maxPooledScratch is
-//     dropped instead. A feedback request Acquires a shard.
-//   - No request waits for scratch or a shard held by another
-//     connection. When connections outnumber shards they share feedback
-//     rings; Shard.Observe serializes producers with a per-shard lock
-//     held only for the ring push, never across I/O.
+//     dropped instead.
+//   - No request waits for scratch held by another connection.
+//   - Feedback folds inline on the serving goroutine: both fronts call
+//     the snapshot's Feedback, which folds the sample into the quality
+//     aggregator before the response is framed. Nothing is buffered, so
+//     nothing can be dropped; the aggregator's per-template tracker lock
+//     is held only for the fold, never across I/O.
 //   - Every request prices against one snapshot load. Untrusted mixes
 //     need no separate validation pass: the core reports unknown
 //     templates as core.ErrUnknownTemplate, which maps to the
@@ -62,13 +64,9 @@ type Server struct {
 	conns     map[net.Conn]struct{}
 	closed    bool
 
-	// connWg tracks serving work (accept loops, binary connections,
-	// in-flight HTTP requests); drainWg tracks the feedback-drain loop.
-	// Shutdown waits out connWg before stopping the drain loop, so
-	// feedback accepted during the drain window is still folded.
-	connWg  sync.WaitGroup
-	drainWg sync.WaitGroup
-	drain   chan struct{} // closes to stop the feedback-drain loop
+	// connWg tracks serving work: accept loops, binary connections and
+	// in-flight HTTP requests. Shutdown waits it out.
+	connWg sync.WaitGroup
 
 	met serveMetrics
 }
@@ -95,10 +93,6 @@ type Config struct {
 	// Admission bounds each binary connection and the HTTP front as a
 	// whole. The zero value admits everything.
 	Admission AdmissionConfig
-	// DrainEvery is the feedback-drain cadence: buffered Shard.Observe
-	// samples fold into the quality aggregator this often (default
-	// 100ms; negative disables the loop).
-	DrainEvery time.Duration
 	// Now is the admission clock (default time.Now; injectable for
 	// deterministic tests).
 	Now func() time.Time
@@ -128,55 +122,29 @@ func newServeMetrics(m *obs.Metrics) serveMetrics {
 	}
 }
 
-// New builds a server over a sharded serving set.
+// New builds a server over a serving snapshot.
 func New(sh *core.Sharded, cfg Config) (*Server, error) {
 	if sh == nil {
-		return nil, resilience.Permanent(errors.New("serve: New needs a sharded serving set"))
+		return nil, resilience.Permanent(errors.New("serve: New needs a serving snapshot"))
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 4096
-	}
-	if cfg.DrainEvery == 0 {
-		cfg.DrainEvery = 100 * time.Millisecond
 	}
 	s := &Server{
 		cfg:   cfg,
 		sh:    sh,
 		conns: map[net.Conn]struct{}{},
-		drain: make(chan struct{}),
 		met:   newServeMetrics(cfg.Metrics),
 	}
 	if cfg.Admission.enabled() {
 		s.httpA = newAdmitter(cfg.Admission, cfg.Now)
 	}
-	if cfg.DrainEvery > 0 {
-		s.drainWg.Add(1)
-		go s.drainLoop()
-	}
 	return s, nil
 }
 
-// Sharded returns the serving set behind the server (for hot-swaps).
+// Sharded returns the serving snapshot behind the server (for
+// hot-swaps).
 func (s *Server) Sharded() *core.Sharded { return s.sh }
-
-// drainLoop periodically folds buffered feedback into the quality
-// aggregator, emitting a serve.drain point per non-empty tick.
-func (s *Server) drainLoop() {
-	defer s.drainWg.Done()
-	t := time.NewTicker(s.cfg.DrainEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if n := s.sh.DrainFeedback(); n > 0 {
-				obs.Emit(s.cfg.Observer, obs.Event{Kind: obs.Point, Span: obs.PointServeDrain, Value: float64(n)})
-			}
-		case <-s.drain:
-			s.sh.DrainFeedback()
-			return
-		}
-	}
-}
 
 // timed reports whether request handlers need wall-clock timing: either
 // an observer wants the serve.request span or a slow log wants to judge
@@ -254,8 +222,8 @@ func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Register with connWg so Shutdown's drain window waits for this
-	// request before it stops the drain loop; a request arriving after
-	// Shutdown began is refused (transient — retry another replica).
+	// request; a request arriving after Shutdown began is refused
+	// (transient — retry another replica).
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -358,7 +326,7 @@ func (s *Server) answer(sc *httpScratch, body io.Reader, fields uint8) (int, err
 		sc.out, err = appendBatchResponse(sc.out[:0], &BatchResponse{Predictions: out})
 		return len(out), err
 	default:
-		res, err := s.sh.Acquire().Observe(req.primary, req.concurrent, req.observed)
+		res, err := s.sh.Snapshot().Feedback(req.primary, req.concurrent, req.observed)
 		if err != nil {
 			return 0, err
 		}
@@ -435,17 +403,16 @@ const handOffSize = 1 << 10
 // never reads stalls its own connection instead of growing the queue.
 const maxPending = 64 << 10
 
-// connState is one binary connection's working set: the shard whose
-// feedback ring it feeds, its admission bucket, its pricing scratch,
-// the decoded request and the framed responses. Everything but the
-// write queue belongs to the reader goroutine.
+// connState is one binary connection's working set: its admission
+// bucket, its pricing scratch, the decoded request and the framed
+// responses. Everything but the write queue belongs to the reader
+// goroutine.
 type connState struct {
-	srv   *Server
-	conn  net.Conn
-	shard *core.Shard // Acquired at connect, kept until close
-	adm   *admitter
-	pbuf  core.PredictBuffer
-	ebuf  core.ExplainBuffer
+	srv  *Server
+	conn net.Conn
+	adm  *admitter
+	pbuf core.PredictBuffer
+	ebuf core.ExplainBuffer
 
 	mixes   [][]int // decoded batch mixes, reused across frames
 	mixArea []int   // backing storage for mixes, reused across frames
@@ -473,7 +440,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 
-	st := &connState{srv: s, conn: conn, shard: s.sh.Acquire()}
+	st := &connState{srv: s, conn: conn}
 	if s.cfg.Admission.enabled() {
 		st.adm = newAdmitter(s.cfg.Admission, s.cfg.Now)
 	}
@@ -692,7 +659,7 @@ func (st *connState) handleFrame(op uint8, reqID uint32, payload []byte) {
 			break
 		}
 		var res core.FeedbackResult
-		if res, err = st.shard.Observe(primary, mix, observed); err == nil {
+		if res, err = s.sh.Snapshot().Feedback(primary, mix, observed); err == nil {
 			st.replyOK(reqID, func(b []byte) []byte {
 				return appendF64(appendF64(b, res.Predicted), res.SignedError)
 			})
@@ -788,11 +755,11 @@ func opName(op uint8) string {
 	}
 }
 
-// Shutdown stops accepting, waits for open connections and in-flight
+// Shutdown stops accepting and waits for open connections and in-flight
 // HTTP requests to finish (requests caught in the drain window complete
-// normally), and only then stops the feedback-drain loop. When ctx
-// expires first, remaining connections are severed and Shutdown waits
-// for their goroutines to notice. Safe to call more than once.
+// normally). When ctx expires first, remaining connections are severed
+// and Shutdown waits for their goroutines to notice. Safe to call more
+// than once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -818,7 +785,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		// Drain deadline expired: sever what is left. The wait below
 		// stays bounded — severed readers exit on their next read, and
-		// any request already executing finishes on its shard.
+		// any request already executing finishes on its snapshot.
 		s.mu.Lock()
 		for c := range s.conns {
 			c.Close()
@@ -827,9 +794,5 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-done
 		err = ctx.Err()
 	}
-
-	// No serving work remains: stop the drain loop.
-	close(s.drain)
-	s.drainWg.Wait()
 	return err
 }

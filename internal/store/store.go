@@ -267,6 +267,20 @@ func snapshotName(fingerprint string) string {
 	return snapshotPrefix + fingerprint + snapshotExt
 }
 
+// isFingerprint reports whether fp has the form encode gives a
+// fingerprint: fingerprintLen lowercase hex digits.
+func isFingerprint(fp string) bool {
+	if len(fp) != fingerprintLen {
+		return false
+	}
+	for i := 0; i < len(fp); i++ {
+		if c := fp[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 // Publish records snap as the current version, writing the snapshot blob
 // atomically and then the manifest atomically — a crash between the two
 // leaves an unreferenced blob and the previous version intact.
@@ -374,6 +388,11 @@ func (s *Store) loadLocked(fingerprint string) (*core.Snapshot, error) {
 	v, ok := s.versionLocked(fingerprint)
 	if !ok && s.man.Current != fingerprint {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownVersion, fingerprint)
+	}
+	// The manifest names blobs by fingerprint: one that is not a
+	// fingerprint could name any blob, or a path outside the repository.
+	if !isFingerprint(fingerprint) {
+		return nil, resilience.Corrupt(fmt.Errorf("store: manifest names version %q, which is not a fingerprint", fingerprint))
 	}
 	raw, err := s.repo.Read(snapshotName(fingerprint))
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 // testSnapshot builds a minimal structurally valid snapshot. The knob
 // shifts the isolated latency so distinct knobs yield distinct
 // fingerprints.
-func testSnapshot(t *testing.T, knob float64) *core.Snapshot {
+func testSnapshot(t testing.TB, knob float64) *core.Snapshot {
 	t.Helper()
 	doc := map[string]any{
 		"version": 1,
@@ -333,4 +333,63 @@ func TestManifestUnreadableIsCorrupt(t *testing.T) {
 	if _, err := New(repo); !errors.Is(err, resilience.ErrCorruptMeasurement) {
 		t.Fatalf("err = %v, want resilience.ErrCorruptMeasurement", err)
 	}
+}
+
+// TestManifestFingerprintMustNameABlob: a manifest whose current version
+// is not a fingerprint is corrupt before any blob is read. Here it walks
+// out of the repository directory to a well-formed snapshot whose
+// checksum the manifest carries, which the store must not serve.
+func TestManifestFingerprintMustNameABlob(t *testing.T) {
+	root := t.TempDir()
+	raw, _, sum, err := encode(testSnapshot(t, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "outside.json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const bad = "/../../outside"
+	man, err := json.Marshal(manifest{Version: manifestVersion, Current: bad, History: []Version{{Seq: 1, Fingerprint: bad, Checksum: sum}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(root, "store")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), man, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if _, _, err := s.CurrentSnapshot(); !errors.Is(err, ErrNoVersions) {
+		t.Fatalf("CurrentSnapshot err = %v, want ErrNoVersions: the only version is not a fingerprint", err)
+	}
+	if rep := s.Report(); len(rep.CorruptVersions) != 1 || rep.CorruptVersions[0] != bad {
+		t.Fatalf("corrupt versions = %q, want [%q]", rep.CorruptVersions, bad)
+	}
+
+	// A direct load is refused as corrupt without touching the repository.
+	repo := &readLog{Repository: NewMemRepository()}
+	s2 := &Store{repo: repo, cache: map[string]*cacheEntry{}, man: manifest{Version: manifestVersion, Current: bad}}
+	if _, err := s2.Load(bad); !errors.Is(err, resilience.ErrCorruptMeasurement) {
+		t.Fatalf("Load err = %v, want resilience.ErrCorruptMeasurement", err)
+	}
+	if len(repo.reads) != 0 {
+		t.Fatalf("Load read %q from the repository", repo.reads)
+	}
+}
+
+// readLog records the names a store reads.
+type readLog struct {
+	Repository
+	reads []string
+}
+
+func (r *readLog) Read(name string) ([]byte, error) {
+	r.reads = append(r.reads, name)
+	return r.Repository.Read(name)
 }

@@ -11,10 +11,11 @@ import (
 
 // Self-healing lifecycle facade: close the drift loop. A workbench built
 // with WithQuality feeds prediction feedback into the drift detector
-// (Predictor.Feedback, or Shard.Observe + DrainFeedback); Lifecycle
-// watches it and, when templates go stale, re-collects ONLY their
-// samples, refits, replays a canary holdout, and hot-swaps the candidate
-// into the Sharded serving set when the holdout error improved —
+// through Predictor.Feedback, which the server calls inline for every
+// feedback request. Lifecycle watches the detector and, when templates
+// go stale, re-collects ONLY their samples, refits, replays a canary
+// holdout, and hot-swaps the candidate into the Sharded snapshot when
+// the holdout error improved —
 // otherwise it rolls back and keeps serving the current model. Promoted
 // models persist as new versions in the workbench's store (WithStore).
 // A retrain that fails never interrupts serving: the loop degrades,
@@ -142,10 +143,10 @@ func (w *Workbench) Lifecycle(s *Sharded, cfg LifecycleConfig) (*Lifecycle, erro
 	return &Lifecycle{inner: m}, nil
 }
 
-// Step runs one control-loop iteration: drain feedback, read drift
-// states, and — when templates are stale — retrain, canary, and promote
-// or roll back. The returned error is non-nil only for context
-// cancellation; every other failure degrades gracefully into the report.
+// Step runs one control-loop iteration: read drift states, and — when
+// templates are stale — retrain, canary, and promote or roll back. The
+// returned error is non-nil only for context cancellation; every other
+// failure degrades gracefully into the report.
 func (l *Lifecycle) Step(ctx context.Context) (LifecycleReport, error) {
 	return l.inner.Step(ctx)
 }

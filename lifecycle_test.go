@@ -59,7 +59,7 @@ func TestStoreFacadeRoundtrip(t *testing.T) {
 }
 
 // TestWorkbenchLifecycleHeals closes the public-API loop: WithQuality +
-// WithStore, drift a template via shard feedback, and let
+// WithStore, drift a template via served feedback, and let
 // Workbench.Lifecycle re-collect, canary, promote, and persist.
 func TestWorkbenchLifecycleHeals(t *testing.T) {
 	q := NewQuality(DriftConfig{MinSamples: 4, Delta: 0.05, Lambda: 1, StaleMRE: 0.3, RecoverMRE: 0.1, Window: 4})
@@ -75,7 +75,7 @@ func TestWorkbenchLifecycleHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := NewSharded(pred, WithShards(1))
+	sh, err := NewSharded(pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,6 @@ func TestWorkbenchLifecycleHeals(t *testing.T) {
 	}
 
 	// Healthy traffic, then the victim's substrate slows down shift×.
-	shard := sh.Acquire()
 	feed := func(factor float64, n int) {
 		t.Helper()
 		base, err := pred.PredictKnown(victim, []int{22})
@@ -107,11 +106,10 @@ func TestWorkbenchLifecycleHeals(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			if _, err := shard.Observe(victim, []int{22}, base*factor); err != nil {
+			if _, err := sh.Snapshot().Feedback(victim, []int{22}, base*factor); err != nil {
 				t.Fatal(err)
 			}
 		}
-		sh.DrainFeedback()
 	}
 	feed(1.0, 10)
 	rep, err := lc.Step(context.Background())
@@ -143,7 +141,7 @@ func TestWorkbenchLifecycleHeals(t *testing.T) {
 		t.Fatal("degraded after a successful promotion")
 	}
 	// The healed model prices the victim's drifted world.
-	healed, err := sh.Acquire().Predict(victim, []int{22})
+	healed, err := sh.Snapshot().PredictKnown(victim, []int{22})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +158,7 @@ func TestWorkbenchLifecycleHeals(t *testing.T) {
 // drift detector WithQuality installs.
 func TestWorkbenchLifecycleNeedsQuality(t *testing.T) {
 	wb, pred := testWorkbench(t)
-	sh, err := NewSharded(pred, WithShards(1))
+	sh, err := NewSharded(pred)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,12 +11,11 @@ import (
 )
 
 // Serving facade: the predictor as a network service. One option
-// vocabulary (ServeOption) configures every layer of the serving
-// stack — NewSharded (the in-process serving set), NewServer (the
-// wire-protocol server over it), and Workbench.Serve (the one-call
-// path from a trained workbench to a listening service) — so shard
-// count, feedback-ring size, batch limits, and admission control are
-// named once and mean the same thing everywhere.
+// vocabulary (ServeOption) configures both serving entry points —
+// NewServer (the wire-protocol server over a Sharded snapshot) and
+// Workbench.Serve (the one-call path from a trained workbench to a
+// listening service) — so batch limits, admission control and
+// instrumentation are named once and mean the same thing everywhere.
 //
 // The server speaks the versioned v1 wire schema on two protocols
 // backed by the same core: HTTP/JSON (POST /v1/predict,
@@ -26,21 +25,15 @@ import (
 // payloads for the same requests, and hot-swaps (Sharded.Swap, the
 // Lifecycle loop) never block a single serving call.
 
-// ServeOption configures NewSharded, NewServer, and Workbench.Serve.
-// Options that do not apply to a layer are ignored by it (WithShards
-// configures NewSharded; a Sharded passed to NewServer already has its
-// shard count).
+// ServeOption configures NewServer and Workbench.Serve.
 type ServeOption func(*serveConfig)
 
 type serveConfig struct {
-	shards     int
-	ringSize   int
-	maxBatch   int
-	admission  serve.AdmissionConfig
-	drainEvery time.Duration
-	observer   Observer
-	blame      *obs.Blame
-	slowLog    *obs.SlowLog
+	maxBatch  int
+	admission serve.AdmissionConfig
+	observer  Observer
+	blame     *obs.Blame
+	slowLog   *obs.SlowLog
 }
 
 func buildServeConfig(opts []ServeOption) serveConfig {
@@ -49,17 +42,6 @@ func buildServeConfig(opts []ServeOption) serveConfig {
 		opt(&cfg)
 	}
 	return cfg
-}
-
-// WithShards sets the serving shard count (default GOMAXPROCS).
-func WithShards(n int) ServeOption {
-	return func(c *serveConfig) { c.shards = n }
-}
-
-// WithFeedbackRing sets the per-shard feedback ring capacity, rounded
-// up to a power of two (default 1024).
-func WithFeedbackRing(n int) ServeOption {
-	return func(c *serveConfig) { c.ringSize = n }
 }
 
 // WithMaxBatch caps the mixes of one predict_batch request (default
@@ -79,13 +61,6 @@ func WithAdmission(rate float64, burst, maxInflight int) ServeOption {
 	return func(c *serveConfig) {
 		c.admission = serve.AdmissionConfig{Rate: rate, Burst: burst, MaxInflight: maxInflight}
 	}
-}
-
-// WithDrainInterval sets how often the server folds buffered feedback
-// into the quality aggregator (default 100ms; negative disables the
-// loop — call Sharded.DrainFeedback yourself).
-func WithDrainInterval(d time.Duration) ServeOption {
-	return func(c *serveConfig) { c.drainEvery = d }
 }
 
 // WithServeObserver installs an observer on the server: serve.request
@@ -114,24 +89,23 @@ func WithSlowLog(w io.Writer, threshold time.Duration) ServeOption {
 	return func(c *serveConfig) { c.slowLog = obs.NewSlowLog(w, threshold) }
 }
 
-// Server exposes one Sharded serving set over the v1 wire schema.
+// Server exposes one Sharded snapshot over the v1 wire schema.
 type Server struct {
 	inner   *serve.Server
 	sharded *Sharded
 }
 
-// NewServer builds a wire-protocol server over a sharded serving set.
+// NewServer builds a wire-protocol server over a serving snapshot.
 // It starts serving when Handler is mounted or ListenBinary is called.
 func NewServer(s *Sharded, opts ...ServeOption) (*Server, error) {
 	cfg := buildServeConfig(opts)
 	inner, err := serve.New(s.inner, serve.Config{
-		Observer:   cfg.observer,
-		Metrics:    obs.FindMetrics(cfg.observer),
-		Blame:      cfg.blame,
-		SlowLog:    cfg.slowLog,
-		MaxBatch:   cfg.maxBatch,
-		Admission:  cfg.admission,
-		DrainEvery: cfg.drainEvery,
+		Observer:  cfg.observer,
+		Metrics:   obs.FindMetrics(cfg.observer),
+		Blame:     cfg.blame,
+		SlowLog:   cfg.slowLog,
+		MaxBatch:  cfg.maxBatch,
+		Admission: cfg.admission,
 	})
 	if err != nil {
 		return nil, err
@@ -148,8 +122,8 @@ func (s *Server) Handler() http.Handler { return s.inner.Handler() }
 // the bound address (useful with ":0").
 func (s *Server) ListenBinary(addr string) (string, error) { return s.inner.ListenBinary(addr) }
 
-// Sharded returns the serving set behind the server, for hot-swaps and
-// feedback draining.
+// Sharded returns the serving snapshot behind the server, for
+// hot-swaps.
 func (s *Server) Sharded() *Sharded { return s.sharded }
 
 // Shutdown stops listeners, drains in-flight requests until ctx
@@ -157,7 +131,7 @@ func (s *Server) Sharded() *Sharded { return s.sharded }
 func (s *Server) Shutdown(ctx context.Context) error { return s.inner.Shutdown(ctx) }
 
 // Serve is the one-call serving path: wrap a trained predictor in a
-// sharded serving set, stand a server over it, and bind the binary
+// serving snapshot, stand a server over it, and bind the binary
 // protocol on addr (use ":0" for an ephemeral port; the bound address
 // is available from BinaryAddr). The workbench's observer instruments
 // the server unless WithServeObserver overrides it, the workbench's
@@ -175,7 +149,7 @@ func (w *Workbench) Serve(ctx context.Context, p *Predictor, addr string, opts .
 	if w.blame != nil && cfg.blame == nil {
 		opts = append(opts, WithServeBlame(w.blame))
 	}
-	sharded, err := NewSharded(p, opts...)
+	sharded, err := NewSharded(p)
 	if err != nil {
 		return nil, err
 	}

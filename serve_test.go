@@ -228,10 +228,10 @@ func TestServeParityChecksum(t *testing.T) {
 	}
 }
 
-// TestBatchInvariantAcrossProcsAndShards: concurrent workers pricing a
+// TestBatchInvariantAcrossProcsAndShards: concurrent readers pricing a
 // batch on the serving snapshot, each with its own PredictBuffer as each
 // server connection has, must return the bits of a single-threaded
-// canonical run, at every GOMAXPROCS, shard count and batch size.
+// canonical run, at every GOMAXPROCS, reader count and batch size.
 func TestBatchInvariantAcrossProcsAndShards(t *testing.T) {
 	const primary, rounds = 71, 20
 	pred := trainedPredictor(t)
@@ -245,12 +245,12 @@ func TestBatchInvariantAcrossProcsAndShards(t *testing.T) {
 		}
 		for _, procs := range []int{1, 2} {
 			runtime.GOMAXPROCS(procs)
-			for _, shards := range []int{1, 2, 4} {
-				set, err := NewSharded(pred, WithShards(shards))
+			for _, readers := range []int{1, 2, 4} {
+				set, err := NewSharded(pred)
 				if err != nil {
 					t.Fatal(err)
 				}
-				errs := make([]error, shards)
+				errs := make([]error, readers)
 				var wg sync.WaitGroup
 				for w := range errs {
 					wg.Add(1)
@@ -275,7 +275,7 @@ func TestBatchInvariantAcrossProcsAndShards(t *testing.T) {
 				wg.Wait()
 				for w, err := range errs {
 					if err != nil {
-						t.Errorf("procs=%d shards=%d batch=%d worker %d: %v", procs, shards, batch, w, err)
+						t.Errorf("procs=%d readers=%d batch=%d reader %d: %v", procs, readers, batch, w, err)
 					}
 				}
 			}

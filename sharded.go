@@ -2,47 +2,36 @@ package contender
 
 import "contender/internal/core"
 
-// Sharded serving facade: wrap a trained Predictor in per-core serving
-// shards sharing one immutable snapshot. Serving workers each Acquire a
-// Shard — predictions read the snapshot lock-free, batch scratch is
-// per-shard, and Observe buffers feedback in a per-shard ring instead of
-// touching the quality aggregator; a per-shard lock held only for the
-// ring push keeps the ring single-producer when workers share a shard.
-// Retraining swaps in a new predictor atomically (Swap) without blocking
-// a single serving call; a maintenance loop periodically folds buffered
-// feedback into the quality aggregator with DrainFeedback.
+// Serving snapshot facade: wrap a trained Predictor in one immutable
+// snapshot that every serving goroutine reads lock-free. Callers price
+// on Snapshot() with scratch of their own and fold feedback with the
+// snapshot's Feedback, which reaches the quality aggregator inline.
+// Retraining swaps in a new predictor atomically (Swap) without
+// blocking a single serving call.
 
-// Shard is one serving replica's handle: Predict, BatchPredict, and
-// Observe, each allocation-free once warm. Predict and Observe are safe
-// for concurrent use; BatchPredict and Explain reuse the shard's scratch
-// and must be called by one goroutine at a time.
+// Shard is a handle on the current snapshot with its own batch and
+// explain scratch. It is kept only for the serving benchmark's ladder;
+// serve through Snapshot instead.
 type Shard = core.Shard
 
-// Sharded fans one predictor snapshot out to per-core serving shards.
+// Sharded holds the predictor snapshot in service.
 type Sharded struct {
 	inner *core.Sharded
 }
 
-// NewSharded wraps a trained predictor for sharded serving, priming its
-// indexes so no serving call pays construction costs. It shares the
-// ServeOption vocabulary with NewServer and Workbench.Serve; the
-// relevant options here are WithShards and WithFeedbackRing.
-func NewSharded(p *Predictor, opts ...ServeOption) (*Sharded, error) {
-	cfg := buildServeConfig(opts)
-	s, err := core.NewSharded(p.inner, core.ShardOptions{Shards: cfg.shards, RingSize: cfg.ringSize})
+// NewSharded wraps a trained predictor for serving, priming its indexes
+// so no serving call pays construction costs.
+func NewSharded(p *Predictor) (*Sharded, error) {
+	s, err := core.NewSharded(p.inner)
 	if err != nil {
 		return nil, err
 	}
 	return &Sharded{inner: s}, nil
 }
 
-// Acquire hands out a shard round-robin; a serving worker acquires one at
-// startup and keeps it for its lifetime. Shards are shared round-robin
-// once workers outnumber them.
+// Acquire returns a fresh Shard handle. It is kept only for the serving
+// benchmark's ladder.
 func (s *Sharded) Acquire() *Shard { return s.inner.Acquire() }
-
-// NumShards returns the number of serving shards.
-func (s *Sharded) NumShards() int { return s.inner.NumShards() }
 
 // Snapshot returns the predictor currently serving. Treat it as
 // read-only; it may be retired by a concurrent Swap at any time.
@@ -61,11 +50,7 @@ func (s *Sharded) Swap(p *Predictor) (*Predictor, error) {
 	return &Predictor{inner: old}, nil
 }
 
-// DrainFeedback folds every buffered Observe sample into the current
-// snapshot's quality aggregator (emitting the same quality.* points
-// Feedback would) and returns the number of samples drained.
+// DrainFeedback folds nothing: Shard.Observe folds each sample inline.
+// It returns how many samples Shard.Observe folded since the previous
+// call, and is kept only for the serving benchmark's ladder.
 func (s *Sharded) DrainFeedback() int { return s.inner.DrainFeedback() }
-
-// FeedbackDropped returns how many feedback samples were dropped because
-// a shard's ring was full at Observe time.
-func (s *Sharded) FeedbackDropped() uint64 { return s.inner.FeedbackDropped() }
