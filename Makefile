@@ -42,15 +42,19 @@ vet-v2: bin/contender-vet
 # HTTP bodies (the served handler held byte for byte to the
 # encoding/json reference), on top of the checked-in seed corpora in
 # internal/serve/testdata/fuzz, the training-checkpoint loader, resumed
-# into a small campaign, and the knowledge store opened over a mutated
-# manifest and snapshot blob. Minimizing a new input is capped at 200
-# runs where one input is expensive (every HTTP body runs six handlers,
-# every accepted checkpoint a campaign), to leave the time for fuzzing.
+# into a small campaign, the knowledge store opened over a mutated
+# manifest and snapshot blob, and the CQI kernel held to the naive
+# oracle on knowledge bases drawn from a fuzzed seed and shape.
+# Minimizing a new input is capped at 200 runs where one input is
+# expensive (every HTTP body runs six handlers, every accepted
+# checkpoint a campaign, every oracle shape a knowledge base), to leave
+# the time for fuzzing.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=30s -run '^$$' ./internal/serve/
 	$(GO) test -fuzz=FuzzHTTPBody -fuzztime=30s -fuzzminimizetime=200x -run '^$$' ./internal/serve/
 	$(GO) test -fuzz=FuzzLoadCheckpoint -fuzztime=30s -fuzzminimizetime=200x -run '^$$' ./internal/experiments/
 	$(GO) test -fuzz=FuzzStoreOpen -fuzztime=30s -fuzzminimizetime=200x -run '^$$' ./internal/store/
+	$(GO) test -fuzz=FuzzOracle -fuzztime=30s -fuzzminimizetime=200x -run '^$$' ./internal/core/
 
 # Regenerate the wire-contract lock after a deliberate schema change.
 # Breaking changes (removed/retyped v1 surface) must bump serve.Version

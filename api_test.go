@@ -95,8 +95,8 @@ func TestPredictorAccessors(t *testing.T) {
 	if _, ok := pred.QSModelFor(71, 99); ok {
 		t.Fatal("untrained MPL must have no models")
 	}
-	if pred.CQI(71, []int{2}) < 0 {
-		t.Fatal("CQI must be non-negative")
+	if r, err := pred.CQI(71, []int{2}); err != nil || r < 0 {
+		t.Fatalf("CQI = %g, %v; must be non-negative", r, err)
 	}
 	if pred.Knowledge() == nil {
 		t.Fatal("knowledge accessor nil")
@@ -427,8 +427,14 @@ func TestCQIForStatsAdhoc(t *testing.T) {
 	}
 	// T62 also scans web_sales: sharing must lower the intensity relative
 	// to a disjoint partner (T82's inventory + store_sales scans).
-	shared := pred.CQIForStats(stats, []int{62})
-	disjoint := pred.CQIForStats(stats, []int{82})
+	shared, err := pred.CQIForStats(stats, []int{62})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disjoint, err := pred.CQIForStats(stats, []int{82})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if shared >= disjoint {
 		t.Fatalf("shared %g not below disjoint %g", shared, disjoint)
 	}

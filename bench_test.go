@@ -519,11 +519,15 @@ func BenchmarkShardedPredictParallel(b *testing.B) {
 func BenchmarkCQI(b *testing.B) {
 	env := fullEnv(b)
 	know := env.Know
-	know.CQI(71, []int{2}) // build the index outside the timed loop
+	if _, err := know.CQI(71, []int{2}); err != nil { // build the index outside the timed loop
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		know.CQI(71, []int{2, 22, 26, 62})
+		if _, err := know.CQI(71, []int{2, 22, 26, 62}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -578,7 +582,10 @@ func BenchmarkKNNSpoilerPrediction(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	t := env.Know.MustTemplate(71)
+	t, ok := env.Know.Template(71)
+	if !ok {
+		b.Fatal("T71 missing")
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.PredictSpoilerLatency(knn, t, 4); err != nil {

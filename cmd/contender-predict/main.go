@@ -132,7 +132,7 @@ func main() {
 		}
 		fmt.Printf("primary           : T%d (from snapshot)\n", *primary)
 		fmt.Printf("concurrent mix    : %v (MPL %d)\n", concurrent, mpl)
-		fmt.Printf("CQI of the mix    : %9.3f\n", pred.CQI(*primary, concurrent))
+		printCQI(pred.CQI(*primary, concurrent))
 		fmt.Printf("predicted latency : %9.1f s\n", estimate)
 		if blame != nil {
 			if err := printBlame(pred, blame, *primary, concurrent); err != nil {
@@ -160,7 +160,7 @@ func main() {
 			}
 			fmt.Printf("primary           : T%d (from store v%d)\n", *primary, v.Seq)
 			fmt.Printf("concurrent mix    : %v (MPL %d)\n", concurrent, mpl)
-			fmt.Printf("CQI of the mix    : %9.3f\n", pred.CQI(*primary, concurrent))
+			printCQI(pred.CQI(*primary, concurrent))
 			fmt.Printf("predicted latency : %9.1f s\n", estimate)
 			if blame != nil {
 				if err := printBlame(pred, blame, *primary, concurrent); err != nil {
@@ -268,9 +268,9 @@ func main() {
 	fmt.Printf("concurrent mix    : %v (MPL %d)\n", concurrent, mpl)
 	fmt.Printf("isolated latency  : %9.1f s\n", stats.IsolatedLatency)
 	if *adhoc {
-		fmt.Printf("CQI of the mix    : %9.3f\n", pred.CQIForStats(stats, concurrent))
+		printCQI(pred.CQIForStats(stats, concurrent))
 	} else {
-		fmt.Printf("CQI of the mix    : %9.3f\n", pred.CQI(*primary, concurrent))
+		printCQI(pred.CQI(*primary, concurrent))
 	}
 	fmt.Printf("predicted latency : %9.1f s\n", estimate)
 	if len(truth) > 0 {
@@ -392,6 +392,14 @@ func selfHeal(wb *contender.Workbench, pred *contender.Predictor, st *contender.
 	}
 	fmt.Printf("healed prediction : %9.1f s (was %.1f s before the drift)\n", healed, base)
 	return nil
+}
+
+// printCQI prints the mix's CQI line, or exits on the error.
+func printCQI(r float64, err error) {
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("CQI of the mix    : %9.3f\n", r)
 }
 
 func abs(v float64) float64 {

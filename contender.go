@@ -310,13 +310,12 @@ func fit(know *core.Knowledge, observations []core.Observation, o Observer, q *Q
 // simulated host and returns each slot's mean latency — ground truth for
 // validating predictions.
 func (w *Workbench) Simulate(mix []int) ([]float64, error) {
-	specs := make([]sim.QuerySpec, len(mix))
-	for i, id := range mix {
-		s, ok := w.env.Workload.Spec(id)
-		if !ok {
-			return nil, fmt.Errorf("contender: unknown template %d", id)
-		}
-		specs[i] = s
+	if len(mix) == 0 {
+		return nil, fmt.Errorf("contender: %w: nothing to simulate", ErrEmptyMix)
+	}
+	specs, err := w.specs(mix...)
+	if err != nil {
+		return nil, err
 	}
 	res, err := w.env.Engine.RunSteadyState(specs, sim.SteadyStateOptions{
 		Samples: 5, WarmupSkip: 1, RestartCost: tpcds.RestartCost(),
@@ -333,11 +332,25 @@ func (w *Workbench) Simulate(mix []int) ([]float64, error) {
 
 // SimulateIsolated runs one template alone and returns its result.
 func (w *Workbench) SimulateIsolated(id int) (QueryResult, error) {
-	s, ok := w.env.Workload.Spec(id)
-	if !ok {
-		return QueryResult{}, fmt.Errorf("contender: unknown template %d", id)
+	specs, err := w.specs(id)
+	if err != nil {
+		return QueryResult{}, err
 	}
-	return w.env.Engine.RunIsolated(s)
+	return w.env.Engine.RunIsolated(specs[0])
+}
+
+// specs resolves template IDs to their simulator specs; an unknown ID
+// returns an error wrapping ErrUnknownTemplate.
+func (w *Workbench) specs(ids ...int) ([]sim.QuerySpec, error) {
+	out := make([]sim.QuerySpec, len(ids))
+	for i, id := range ids {
+		s, ok := w.env.Workload.Spec(id)
+		if !ok {
+			return nil, fmt.Errorf("contender: template %d: %w", id, ErrUnknownTemplate)
+		}
+		out[i] = s
+	}
+	return out, nil
 }
 
 // ProfileTemplate registers an ad-hoc template defined by a query plan:
@@ -374,16 +387,15 @@ func (w *Workbench) ProfileTemplate(id int, plan *Plan) (TemplateStats, error) {
 // SimulateAdhoc measures the ground-truth latency of an ad-hoc plan
 // running in a mix with known templates (the ad-hoc query is slot 0).
 func (w *Workbench) SimulateAdhoc(id int, plan *Plan, concurrent []int) (float64, error) {
-	spec := w.env.Workload.CostModel.Spec(w.env.Workload.Catalog, id, plan)
-	specs := []sim.QuerySpec{spec}
-	for _, cid := range concurrent {
-		s, ok := w.env.Workload.Spec(cid)
-		if !ok {
-			return 0, fmt.Errorf("contender: unknown template %d", cid)
-		}
-		specs = append(specs, s)
+	if err := plan.Validate(); err != nil {
+		return 0, fmt.Errorf("contender: invalid plan: %w", err)
 	}
-	res, err := w.env.Engine.RunSteadyState(specs, sim.SteadyStateOptions{
+	others, err := w.specs(concurrent...)
+	if err != nil {
+		return 0, err
+	}
+	spec := w.env.Workload.CostModel.Spec(w.env.Workload.Catalog, id, plan)
+	res, err := w.env.Engine.RunSteadyState(append([]sim.QuerySpec{spec}, others...), sim.SteadyStateOptions{
 		Samples: 5, WarmupSkip: 1, RestartCost: tpcds.RestartCost(),
 	})
 	if err != nil {

@@ -85,10 +85,16 @@ func ExamplePredictor_CQI() {
 
 	// T71 scans all three sales fact tables; T2's scans are a subset, so
 	// its I/O is almost entirely shared with the primary.
-	shared := pred.CQI(71, []int{2})
+	shared, err := pred.CQI(71, []int{2})
+	if err != nil {
+		log.Fatal(err)
+	}
 	// T25 spends most of its I/O on store_returns, which T71 does not
 	// touch: direct competition for the disk.
-	disjoint := pred.CQI(71, []int{25})
+	disjoint, err := pred.CQI(71, []int{25})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("shared mix is less intense:", shared < disjoint)
 	// Output:
 	// shared mix is less intense: true

@@ -35,13 +35,17 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		cqi, err := pred.CQI(primary, concurrent)
+		if err != nil {
+			log.Fatal(err)
+		}
 		truth, err := wb.Simulate(mix)
 		if err != nil {
 			log.Fatal(err)
 		}
 		relErr := 100 * abs(truth[0]-estimate) / truth[0]
 		fmt.Printf("T%-6d  %-9s  %.3f  %8.1f s  %8.1f s  %5.1f%%\n",
-			primary, fmt.Sprint(concurrent), pred.CQI(primary, concurrent), estimate, truth[0], relErr)
+			primary, fmt.Sprint(concurrent), cqi, estimate, truth[0], relErr)
 	}
 }
 

@@ -1,11 +1,24 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// noErr returns a function that unwraps a (value, error) pair, failing t
+// on the error.
+func noErr(t testing.TB) func(float64, error) float64 {
+	return func(v float64, err error) float64 {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+}
 
 // testKnowledge builds a small synthetic workload with hand-checkable CQI
 // terms:
@@ -44,7 +57,7 @@ func TestCQIHandComputed(t *testing.T) {
 	// ω_2 = s_F = 100 (T2 shares F with the primary).
 	// τ_2 = 0 (G is not shared with any other concurrent query).
 	// r_2 = (400·0.9 − 100 − 0)/400 = 260/400 = 0.65.
-	got := k.CQI(1, []int{2})
+	got := noErr(t)(k.CQI(1, []int{2}))
 	if !almostEq(got, 0.65, 1e-12) {
 		t.Fatalf("CQI = %g, want 0.65", got)
 	}
@@ -54,7 +67,7 @@ func TestCQIHandComputed(t *testing.T) {
 	// not scan G) → τ_2 = (1 − 1/2)·50 = 25 → r_2 = (360−100−25)/400 = 0.5875.
 	// r_3: ω=0; τ_3 = 25 → r_3 = (100·1.0 − 25)/100 = 0.75.
 	// CQI = (0.5875 + 0.75)/2 = 0.66875.
-	got = k.CQI(1, []int{2, 3})
+	got = noErr(t)(k.CQI(1, []int{2, 3}))
 	if !almostEq(got, 0.66875, 1e-12) {
 		t.Fatalf("CQI = %g, want 0.66875", got)
 	}
@@ -84,14 +97,14 @@ func TestCQIFalseScanEntries(t *testing.T) {
 	//      r_3 = (100·1.0 − 25)/100 = 0.75.
 	// r_8: ω = s_F = 100 — T8's F entry is false, but ω membership tests
 	//      the PRIMARY's set; τ_8 = 25 → r_8 = (200 − 100 − 25)/200 = 0.375.
-	got := k.CQI(1, []int{3, 8})
+	got := noErr(t)(k.CQI(1, []int{3, 8}))
 	if !almostEq(got, (0.75+0.375)/2, 1e-12) {
 		t.Fatalf("CQI = %g, want %g", got, (0.75+0.375)/2)
 	}
 
 	// Adding T7 must not raise h_G (its G entry is false):
 	// r_7 = (300·1.0 − 0 − 25)/300 = 275/300; r_3 and r_8 unchanged.
-	got = k.CQI(1, []int{3, 7, 8})
+	got = noErr(t)(k.CQI(1, []int{3, 7, 8}))
 	want := (0.75 + 275.0/300.0 + 0.375) / 3
 	if !almostEq(got, want, 1e-12) {
 		t.Fatalf("CQI = %g, want %g", got, want)
@@ -106,7 +119,7 @@ func TestCQITruncatesNegative(t *testing.T) {
 		ID: 5, IsolatedLatency: 100, IOFraction: 0.6,
 		Scans: map[string]bool{"F": true}, SpoilerLatency: map[int]float64{},
 	})
-	got := k.CQI(1, []int{5})
+	got := noErr(t)(k.CQI(1, []int{5}))
 	if got != 0 {
 		t.Fatalf("CQI = %g, want 0 (negative estimates truncate)", got)
 	}
@@ -114,7 +127,7 @@ func TestCQITruncatesNegative(t *testing.T) {
 
 func TestCQIEmptyMix(t *testing.T) {
 	k := testKnowledge()
-	if k.CQI(1, nil) != 0 {
+	if noErr(t)(k.CQI(1, nil)) != 0 {
 		t.Fatal("empty mix must have zero intensity")
 	}
 }
@@ -122,11 +135,11 @@ func TestCQIEmptyMix(t *testing.T) {
 func TestBaselineIO(t *testing.T) {
 	k := testKnowledge()
 	// Mean of p: (0.9 + 1.0)/2 = 0.95, no interaction terms.
-	got := k.BaselineIO([]int{2, 3})
+	got := noErr(t)(k.BaselineIO([]int{2, 3}))
 	if !almostEq(got, 0.95, 1e-12) {
 		t.Fatalf("BaselineIO = %g, want 0.95", got)
 	}
-	if k.BaselineIO(nil) != 0 {
+	if noErr(t)(k.BaselineIO(nil)) != 0 {
 		t.Fatal("empty mix must be 0")
 	}
 }
@@ -135,11 +148,11 @@ func TestPositiveIO(t *testing.T) {
 	k := testKnowledge()
 	// Primary T1 with {T2, T3}: r_2 = (360−100)/400 = 0.65 (ω only),
 	// r_3 = 1.0 (no shared scans with primary). Mean = 0.825.
-	got := k.PositiveIO(1, []int{2, 3})
+	got := noErr(t)(k.PositiveIO(1, []int{2, 3}))
 	if !almostEq(got, 0.825, 1e-12) {
 		t.Fatalf("PositiveIO = %g, want 0.825", got)
 	}
-	if k.PositiveIO(1, nil) != 0 {
+	if noErr(t)(k.PositiveIO(1, nil)) != 0 {
 		t.Fatal("empty mix must be 0")
 	}
 }
@@ -148,9 +161,9 @@ func TestVariantOrderingUnderSharing(t *testing.T) {
 	// With shared scans present, CQI ≤ PositiveIO ≤ BaselineIO — each
 	// refinement subtracts more shared I/O.
 	k := testKnowledge()
-	c := k.CQI(1, []int{2, 3})
-	p := k.PositiveIO(1, []int{2, 3})
-	b := k.BaselineIO([]int{2, 3})
+	c := noErr(t)(k.CQI(1, []int{2, 3}))
+	p := noErr(t)(k.PositiveIO(1, []int{2, 3}))
+	b := noErr(t)(k.BaselineIO([]int{2, 3}))
 	if !(c <= p && p <= b) {
 		t.Fatalf("ordering violated: CQI %g, Positive %g, Baseline %g", c, p, b)
 	}
@@ -163,7 +176,7 @@ func TestCQIForStatsAdhocPrimary(t *testing.T) {
 		Scans: map[string]bool{"G": true},
 	}
 	// T3 shares G with the ad-hoc primary: ω_3 = 50 → r_3 = (100−50)/100 = 0.5.
-	got := k.CQIForStats(adhoc, []int{3})
+	got := noErr(t)(k.CQIForStats(adhoc, []int{3}))
 	if !almostEq(got, 0.5, 1e-12) {
 		t.Fatalf("CQIForStats = %g, want 0.5", got)
 	}
@@ -185,8 +198,7 @@ func TestKnowledgeHelpers(t *testing.T) {
 	}
 	ts, _ := cl.Template(1)
 	ts.Scans["Z"] = true
-	orig := k.MustTemplate(1)
-	if orig.Scans["Z"] {
+	if k.templates[1].Scans["Z"] {
 		t.Fatal("Clone must deep-copy scan sets")
 	}
 	if _, ok := cl.Remove(1); !ok {
@@ -200,13 +212,31 @@ func TestKnowledgeHelpers(t *testing.T) {
 	}
 }
 
-func TestMustTemplatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+// TestUnknownTemplateErrors: every knowledge-base read returns an error
+// wrapping ErrUnknownTemplate for an unknown (or negative) ID, as primary
+// or as neighbor, instead of panicking.
+func TestUnknownTemplateErrors(t *testing.T) {
+	k := testKnowledge()
+	adhoc := TemplateStats{ID: 99, IsolatedLatency: 500, IOFraction: 0.9, Scans: map[string]bool{"G": true}}
+	for _, id := range []int{12345, -5} {
+		calls := map[string]func() (float64, error){
+			"CQI primary":    func() (float64, error) { return k.CQI(id, []int{2}) },
+			"CQI neighbor":   func() (float64, error) { return k.CQI(1, []int{2, id}) },
+			"CQI empty mix":  func() (float64, error) { return k.CQI(id, nil) },
+			"PositiveIO":     func() (float64, error) { return k.PositiveIO(id, []int{2}) },
+			"PositiveIO mix": func() (float64, error) { return k.PositiveIO(1, []int{id}) },
+			"BaselineIO":     func() (float64, error) { return k.BaselineIO([]int{2, id}) },
+			"CQIForStats":    func() (float64, error) { return k.CQIForStats(adhoc, []int{id}) },
+			"OperatorModel": func() (float64, error) {
+				return NewOperatorModel(k).Predict(adhoc, []StageProfile{{Class: StageClassCPU, IsolatedSeconds: 1}}, []int{3, id})
+			},
 		}
-	}()
-	testKnowledge().MustTemplate(12345)
+		for name, call := range calls {
+			if _, err := call(); !errors.Is(err, ErrUnknownTemplate) {
+				t.Errorf("%s(%d): err = %v, want ErrUnknownTemplate", name, id, err)
+			}
+		}
+	}
 }
 
 func TestObservationMPL(t *testing.T) {

@@ -21,10 +21,10 @@ import "sort"
 //   - masks: per-slot scan-set bitsets (maskW words per slot), so the
 //     "does template t scan table f" membership tests of Eq. 2/3 are a
 //     shift and an AND instead of a string-keyed map lookup.
-//   - fold/listFold: with at most 64 interned tables (maskW == 1), each
-//     slot's scan set and scan *list* (explicit-false entries included)
-//     folded into one word each; a mix's sharer counts are built from
-//     fold in one walk (shareOf).
+//   - listFold: with at most 64 interned tables (maskW == 1), each
+//     slot's scan *list* (explicit-false entries included) folded into
+//     one word, beside its one masks word; a mix's sharer counts are
+//     built from the masks words in one walk (shareOf).
 //   - term0: the n×n slab of τ-free r_c terms, term0[i*n+j] =
 //     intensitySlot(j, ω(i,j), 0), served whenever none of j's scans is
 //     shared by two concurrents and unread by the primary.
@@ -35,23 +35,11 @@ import "sort"
 // bit-identical to the pre-flattening implementation (same association,
 // same division), so every golden experiment artifact is unchanged.
 //
-// The resolvedTemplate view (stats + sorted scans) is retained for the
-// cold paths that need ad-hoc primaries or full stats: CQIForStats and
-// the operator-granularity model.
-
-// resolvedScan is one fact-table scan with its measured scan time attached.
-type resolvedScan struct {
-	table   string
-	seconds float64 // s_f
-}
-
-// resolvedTemplate is a template's stats plus its scan set in canonical
-// (table-sorted) order. The stats' maps are shared with the knowledge base
-// and must be treated as read-only.
-type resolvedTemplate struct {
-	stats TemplateStats
-	scans []resolvedScan
-}
+// The CQI kernel reads the primary's side through a primaryRow: its ω
+// row, its term0 row and its mask words. A known primary's row is a view
+// into the slabs; an ad-hoc primary (CQIForStats, PredictNew, the
+// operator model) gets a transient row, filled from its scan set by the
+// same fillRow that fills every known row.
 
 // tmplHot is the per-slot record the serving path reads: everything CQI
 // needs about one concurrent template, packed into 32 bytes.
@@ -67,7 +55,7 @@ type tmplHot struct {
 // after any mutation.
 type cqiIndex struct {
 	n   int
-	pos map[int]int // ID → slot (always present; cold paths + sparse fallback)
+	pos map[int]int // ID → slot (always present; serving-index build + sparse fallback)
 	// posByID is the dense ID → slot table (-1 = unknown); nil when the ID
 	// space is sparse or negative and the map must be used instead.
 	posByID []int32
@@ -81,17 +69,13 @@ type cqiIndex struct {
 	maskW int      // bitset words per slot
 	masks []uint64 // n×maskW slab; bit t set ⇔ template truly scans table t
 
-	// fold and listFold are nil when maskW > 1: folding more than 64
-	// tables into one word is not exact, so those indexes keep counting
-	// sharers over masks.
-	fold     []uint64  // one word per slot: the slot's masks word (maskW == 1)
+	// listFold is read only when maskW == 1: folding more than 64
+	// tables into one word is not exact, so those indexes count sharers
+	// per scan.
 	listFold []uint64  // one word per slot: bit t set ⇔ t is in the scan list
 	term0    []float64 // n×n slab: term0[i*n+j] = intensitySlot(j, omega[i*n+j], 0)
 
-	tables  []string
-	tableID map[string]int
-
-	tmpl []resolvedTemplate // cold-path view (CQIForStats, OperatorModel)
+	tableID map[string]int // interned in first-seen order
 }
 
 // index returns the current index, building it on first use after a
@@ -126,76 +110,45 @@ func (k *Knowledge) buildIndex() *cqiIndex {
 	idx := &cqiIndex{
 		n:       n,
 		pos:     make(map[int]int, n),
-		tmpl:    make([]resolvedTemplate, n),
 		tableID: make(map[string]int),
 	}
 
-	maxID, dense := -1, n > 0
-	for _, id := range ids {
-		if id < 0 {
-			dense = false
-		}
-		if id > maxID {
-			maxID = id
-		}
-	}
-	if dense && maxID < 4*n+densePosLimit {
-		idx.posByID = make([]int32, maxID+1)
+	if n > 0 && ids[0] >= 0 && ids[n-1] < 4*n+densePosLimit { // ids ascend
+		idx.posByID = make([]int32, ids[n-1]+1)
 		for i := range idx.posByID {
 			idx.posByID[i] = -1
 		}
 	}
 
-	// Resolve templates, intern tables in first-seen canonical order
-	// (slot order, then each slot's table-sorted scans).
+	// Scan slabs: each slot's scan *list* carries every key of its Scans
+	// map in table order (matching the historical behavior of iterating
+	// the map), with tables interned in first-seen order. Its mask
+	// (fillRow) encodes only the keys mapped to true — the two differ
+	// when a caller stored explicit false entries, and ω/τ membership
+	// tests always meant "maps to true".
+	idx.hot = make([]tmplHot, n)
+	idx.listFold = make([]uint64, n)
 	for i, id := range ids {
 		ts := k.templates[id]
-		rt := resolvedTemplate{stats: ts, scans: make([]resolvedScan, 0, len(ts.Scans))}
-		for f := range ts.Scans {
-			rt.scans = append(rt.scans, resolvedScan{table: f, seconds: k.scanSeconds[f]})
-		}
-		sort.Slice(rt.scans, func(a, b int) bool { return rt.scans[a].table < rt.scans[b].table })
-		idx.tmpl[i] = rt
 		idx.pos[id] = i
 		if idx.posByID != nil {
 			idx.posByID[id] = int32(i)
 		}
-		for _, sc := range rt.scans {
-			if _, ok := idx.tableID[sc.table]; !ok {
-				idx.tableID[sc.table] = len(idx.tables)
-				idx.tables = append(idx.tables, sc.table)
-			}
+		list := make([]string, 0, len(ts.Scans))
+		for f := range ts.Scans {
+			list = append(list, f)
 		}
-	}
-
-	// Scan slabs and membership bitsets. A template's scan *list* carries
-	// every key of its Scans map (matching the historical behavior of
-	// iterating the map), while its mask encodes only the keys mapped to
-	// true — the two differ when a caller stored explicit false entries,
-	// and ω/τ membership tests always meant "maps to true".
-	idx.maskW = (len(idx.tables) + 63) / 64
-	if idx.maskW == 0 {
-		idx.maskW = 1
-	}
-	idx.masks = make([]uint64, n*idx.maskW)
-	if idx.maskW == 1 {
-		idx.fold = idx.masks
-		idx.listFold = make([]uint64, n)
-	}
-	idx.hot = make([]tmplHot, n)
-	for i := range idx.tmpl {
-		ts := &idx.tmpl[i].stats
+		sort.Strings(list)
 		off := int32(len(idx.scanTID))
-		for _, sc := range idx.tmpl[i].scans {
-			tid := idx.tableID[sc.table]
+		for _, f := range list {
+			tid, ok := idx.tableID[f]
+			if !ok {
+				tid = len(idx.tableID)
+				idx.tableID[f] = tid
+			}
+			idx.listFold[i] |= 1 << (uint(tid) & 63)
 			idx.scanTID = append(idx.scanTID, int32(tid))
-			idx.scanSec = append(idx.scanSec, sc.seconds)
-			if ts.Scans[sc.table] {
-				idx.masks[i*idx.maskW+tid>>6] |= 1 << (uint(tid) & 63)
-			}
-			if idx.listFold != nil {
-				idx.listFold[i] |= 1 << uint(tid)
-			}
+			idx.scanSec = append(idx.scanSec, k.scanSeconds[f])
 		}
 		idx.hot[i] = tmplHot{
 			ioSecs:  ts.IsolatedLatency * ts.IOFraction,
@@ -206,26 +159,74 @@ func (k *Knowledge) buildIndex() *cqiIndex {
 		}
 	}
 
-	// Pairwise ω slab (Eq. 2): shared-scan seconds between every primary i
-	// and concurrent j, in j's canonical scan order; and the τ-free term
-	// each ω yields.
+	idx.maskW = (len(idx.tableID) + 63) / 64
+	if idx.maskW == 0 {
+		idx.maskW = 1
+	}
+	idx.masks = make([]uint64, n*idx.maskW)
 	idx.omega = make([]float64, n*n)
 	idx.term0 = make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		row := idx.omega[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			h := &idx.hot[j]
-			var w float64
-			for s := h.scanOff; s < h.scanEnd; s++ {
-				if idx.scanBit(i, int(idx.scanTID[s])) {
-					w += idx.scanSec[s]
-				}
-			}
-			row[j] = w
-			idx.term0[i*n+j] = idx.intensitySlot(j, w, 0)
-		}
+	for i, id := range ids {
+		row := idx.row(i)
+		idx.fillRow(&row, k.templates[id].Scans)
 	}
 	return idx
+}
+
+// primaryRow is the primary's side of the CQI kernel: ω(primary, j)
+// (Eq. 2) and the τ-free term intensitySlot(j, ω, 0) for every slot j,
+// and the primary's scan mask (maskW words; bit t set ⇔ it truly scans
+// table t).
+type primaryRow struct {
+	omega, term0 []float64
+	mask         []uint64
+}
+
+// row returns the known primary in slot pi's row as views into the slabs.
+//
+//contender:hotpath
+func (idx *cqiIndex) row(pi int) primaryRow {
+	n, w := idx.n, idx.maskW
+	return primaryRow{idx.omega[pi*n : pi*n+n], idx.term0[pi*n : pi*n+n], idx.masks[pi*w : pi*w+w]}
+}
+
+// adhocRow returns a transient row for a primary that is not in the
+// knowledge base, filled from its scan set. Tables no known template
+// scans cannot enter ω or τ, so they are left out of its mask.
+func (idx *cqiIndex) adhocRow(scans map[string]bool) primaryRow {
+	buf := make([]float64, 2*idx.n)
+	row := primaryRow{omega: buf[:idx.n], term0: buf[idx.n:], mask: make([]uint64, idx.maskW)}
+	idx.fillRow(&row, scans)
+	return row
+}
+
+// fillRow fills a zeroed row from the primary's scan set: the mask bits
+// of the interned tables it maps to true, then ω against every slot j,
+// summed in j's canonical scan order, and the τ-free term each ω yields.
+func (idx *cqiIndex) fillRow(row *primaryRow, scans map[string]bool) {
+	for f, truly := range scans {
+		if tid, ok := idx.tableID[f]; ok && truly {
+			row.mask[tid>>6] |= 1 << (uint(tid) & 63)
+		}
+	}
+	for j := range row.omega {
+		h := &idx.hot[j]
+		var w float64
+		for s := h.scanOff; s < h.scanEnd; s++ {
+			if row.reads(int(idx.scanTID[s])) {
+				w += idx.scanSec[s]
+			}
+		}
+		row.omega[j] = w
+		row.term0[j] = idx.intensitySlot(j, w, 0)
+	}
+}
+
+// reads reports whether the primary truly scans the interned table tid.
+//
+//contender:hotpath
+func (row *primaryRow) reads(tid int) bool {
+	return row.mask[tid>>6]&(1<<(uint(tid)&63)) != 0
 }
 
 // scanBit reports whether the template in the given slot truly scans the
@@ -252,20 +253,6 @@ func (idx *cqiIndex) posOf(id int) int {
 	return -1
 }
 
-// mustPos resolves a template ID to its index slot, panicking like
-// MustTemplate on unknown IDs (a programming error in experiment wiring).
-// The prediction entry points never reach the panic: Predictor.price
-// checks every ID with posOf first and returns ErrUnknownTemplate.
-//
-//contender:hotpath
-func (idx *cqiIndex) mustPos(id int) int {
-	p := idx.posOf(id)
-	if p < 0 {
-		panicUnknownTemplate(id)
-	}
-	return p
-}
-
 // maxSharers is the longest mix mixShare's 3-bit sharer counters hold.
 const maxSharers = 7
 
@@ -282,20 +269,20 @@ type mixShare struct {
 }
 
 // shareOf resolves every concurrent ID and, in the same walk, fills sh
-// with the mix's sharer counts against the primary in slot pi. It
-// returns the position of the first unknown ID, or -1 when all resolve.
+// with the mix's sharer counts against the primary's row. It returns the
+// position of the first unknown ID, or -1 when all resolve.
 //
 //contender:hotpath
-func (idx *cqiIndex) shareOf(sh *mixShare, pi int, concurrent []int) int {
-	exact := idx.fold != nil && len(concurrent) <= maxSharers
+func (idx *cqiIndex) shareOf(sh *mixShare, row *primaryRow, concurrent []int) int {
+	exact := idx.maskW == 1 && len(concurrent) <= maxSharers
 	var c0, c1, c2 uint64
 	for i, id := range concurrent {
 		ci := idx.posOf(id)
 		if ci < 0 {
 			return i
 		}
-		if exact { // add fold[ci] to the bit-sliced counters
-			m := idx.fold[ci]
+		if exact { // add masks[ci] to the bit-sliced counters
+			m := idx.masks[ci]
 			c := c0 & m
 			c0 ^= m
 			c2 ^= c1 & c
@@ -304,7 +291,7 @@ func (idx *cqiIndex) shareOf(sh *mixShare, pi int, concurrent []int) int {
 	}
 	*sh = mixShare{c0: c0, c1: c1, c2: c2, exact: exact}
 	if exact {
-		sh.cand = (c1 | c2) &^ idx.fold[pi]
+		sh.cand = (c1 | c2) &^ row.mask[0]
 	}
 	return -1
 }
@@ -330,50 +317,27 @@ func (idx *cqiIndex) tauShared(ci int, sh *mixShare) float64 {
 }
 
 // tauSlot computes Eq. 3 for the concurrent template in slot ci against
-// the primary in slot pi: scan savings on tables the primary does not
+// the primary's row: scan savings on tables the primary does not
 // read, shared by h_f > 1 concurrent queries (each sharer saves
 // (1 − 1/h_f)·s_f).
 //
 //contender:hotpath
-func (idx *cqiIndex) tauSlot(pi, ci int, concurrent []int) float64 {
+func (idx *cqiIndex) tauSlot(row *primaryRow, ci int, concurrent []int) float64 {
 	h := &idx.hot[ci]
 	var tau float64
 	for s := h.scanOff; s < h.scanEnd; s++ {
 		tid := int(idx.scanTID[s])
-		if idx.scanBit(pi, tid) {
+		if row.reads(tid) {
 			continue
 		}
 		hf := 0
 		for _, id := range concurrent {
-			if idx.scanBit(idx.mustPos(id), tid) {
+			if idx.scanBit(idx.posOf(id), tid) {
 				hf++
 			}
 		}
 		if hf > 1 {
 			tau += (1 - 1/float64(hf)) * idx.scanSec[s]
-		}
-	}
-	return tau
-}
-
-// tau computes Eq. 3 for concurrent query c against an explicit primary
-// scan set — the cold-path variant for ad-hoc primaries whose scans are
-// not in the index (CQIForStats, OperatorModel).
-func (idx *cqiIndex) tau(primaryScans map[string]bool, c *resolvedTemplate, concurrent []int) float64 {
-	var tau float64
-	for _, sc := range c.scans {
-		if primaryScans[sc.table] {
-			continue
-		}
-		tid := idx.tableID[sc.table]
-		hf := 0
-		for _, id := range concurrent {
-			if idx.scanBit(idx.mustPos(id), tid) {
-				hf++
-			}
-		}
-		if hf > 1 {
-			tau += (1 - 1/float64(hf)) * sc.seconds
 		}
 	}
 	return tau

@@ -32,7 +32,7 @@ func TestPredictExplainMatchesPredictKnown(t *testing.T) {
 			if got != want || buf.Total != want {
 				t.Errorf("primary %d mix %v: explain %g != known %g", primary, mix, got, want)
 			}
-			if r := k.CQI(primary, mix); buf.CQI != r {
+			if r := noErr(t)(k.CQI(primary, mix)); buf.CQI != r {
 				t.Errorf("primary %d mix %v: buf.CQI %g != CQI %g", primary, mix, buf.CQI, r)
 			}
 			if len(buf.Neighbors) != len(mix) || len(buf.Intensity) != len(mix) || len(buf.Seconds) != len(mix) {

@@ -50,7 +50,7 @@ func ScaleStats(t TemplateStats, factor float64) TemplateStats {
 func ScaleKnowledge(k *Knowledge, factor float64) *Knowledge {
 	out := NewKnowledge()
 	for _, id := range k.IDs() {
-		out.AddTemplate(ScaleStats(k.MustTemplate(id), factor))
+		out.AddTemplate(ScaleStats(k.templates[id], factor))
 	}
 	for f, s := range k.scanSeconds {
 		out.SetScanTime(f, s*factor)

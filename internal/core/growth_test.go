@@ -51,8 +51,8 @@ func TestScaleKnowledge(t *testing.T) {
 	if got := scaled.ScanTime("F"); got != 200 {
 		t.Fatalf("scan time %g, want 200", got)
 	}
-	orig := k.MustTemplate(2)
-	grown := scaled.MustTemplate(2)
+	orig := k.templates[2]
+	grown := scaled.templates[2]
 	if !almostEq(grown.IsolatedLatency, orig.IsolatedLatency*2, 1e-9) {
 		t.Fatalf("latency %g", grown.IsolatedLatency)
 	}
@@ -74,8 +74,8 @@ func TestCQIScaleInvariance(t *testing.T) {
 		factor := 1 + float64(factorRaw)/64 // 1.0 .. ~5
 		scaled := ScaleKnowledge(k, factor)
 		for _, primary := range k.IDs() {
-			before := k.CQI(primary, []int{2, 3})
-			after := scaled.CQI(primary, []int{2, 3})
+			before := noErr(t)(k.CQI(primary, []int{2, 3}))
+			after := noErr(t)(scaled.CQI(primary, []int{2, 3}))
 			if !almostEq(before, after, 1e-9) {
 				return false
 			}

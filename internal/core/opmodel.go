@@ -96,22 +96,13 @@ func (m *OperatorModel) Predict(primary TemplateStats, stages []StageProfile, co
 	if len(stages) == 0 {
 		return 0, fmt.Errorf("core: no stage profiles for template %d", primary.ID)
 	}
+	// Per-competitor intensity, as in Eq. 4: the CQI kernel's terms
+	// against the primary's transient row.
 	idx := m.know.index()
-	cs := make([]*resolvedTemplate, len(concurrent))
-	for i, id := range concurrent {
-		cs[i] = &idx.tmpl[idx.mustPos(id)]
-	}
-	// Per-competitor intensity, as in Eq. 4.
-	intensities := make([]float64, len(cs))
-	for i, c := range cs {
-		var omega float64
-		for _, sc := range c.scans {
-			if primary.Scans[sc.table] {
-				omega += sc.seconds
-			}
-		}
-		tau := idx.tau(primary.Scans, c, concurrent)
-		intensities[i] = concurrentIntensity(&c.stats, omega, tau)
+	intensities := make([]float64, len(concurrent))
+	row := idx.adhocRow(primary.Scans)
+	if _, err := idx.cqiSlot(&row, concurrent, intensities); err != nil {
+		return 0, err
 	}
 
 	var total float64
@@ -123,9 +114,10 @@ func (m *OperatorModel) Predict(primary TemplateStats, stages []StageProfile, co
 		case StageClassCPU, StageClassCached:
 			total += st.IsolatedSeconds
 		case StageClassSeqIO:
+			tid, interned := idx.tableID[st.Table]
 			load := 0.0
-			for i, c := range cs {
-				if c.stats.Scans[st.Table] {
+			for i, id := range concurrent {
+				if interned && idx.scanBit(idx.posOf(id), tid) {
 					// Shares this scan's stream: no extra disk load for
 					// this stage.
 					continue
@@ -135,8 +127,8 @@ func (m *OperatorModel) Predict(primary TemplateStats, stages []StageProfile, co
 			total += st.IsolatedSeconds * (1 + load)
 		case StageClassRandIO:
 			load := 0.0
-			for i := range cs {
-				load += intensities[i]
+			for _, r := range intensities {
+				load += r
 			}
 			total += st.IsolatedSeconds * (1 + load)
 		default:

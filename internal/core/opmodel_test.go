@@ -8,7 +8,7 @@ import (
 func TestOperatorModelHandComputed(t *testing.T) {
 	k := testKnowledge()
 	om := NewOperatorModel(k)
-	primary := k.MustTemplate(1) // scans F
+	primary := k.templates[1] // scans F
 
 	stages := []StageProfile{
 		{Class: StageClassCached, IsolatedSeconds: 1},
@@ -46,7 +46,7 @@ func TestOperatorModelIsolation(t *testing.T) {
 		{Class: StageClassSeqIO, Table: "F", IsolatedSeconds: 100},
 		{Class: StageClassCPU, IsolatedSeconds: 50},
 	}
-	got, err := om.Predict(k.MustTemplate(1), stages, nil)
+	got, err := om.Predict(k.templates[1], stages, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestOperatorModelIsolation(t *testing.T) {
 func TestOperatorModelErrors(t *testing.T) {
 	k := testKnowledge()
 	om := NewOperatorModel(k)
-	p := k.MustTemplate(1)
+	p := k.templates[1]
 	if _, err := om.Predict(p, nil, nil); err == nil {
 		t.Fatal("no stages must error")
 	}

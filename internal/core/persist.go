@@ -127,7 +127,7 @@ func (k *Knowledge) Snapshot() *KnowledgeSnapshot {
 		s.ScanTimes[f] = v
 	}
 	for _, id := range k.IDs() {
-		s.Templates = append(s.Templates, NewTemplateSnapshot(k.MustTemplate(id)))
+		s.Templates = append(s.Templates, NewTemplateSnapshot(k.templates[id]))
 	}
 	return s
 }

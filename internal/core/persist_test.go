@@ -46,8 +46,8 @@ func TestPredictorRoundTrip(t *testing.T) {
 	if loaded.Know.ScanTime("F") != k.ScanTime("F") {
 		t.Fatal("scan times lost")
 	}
-	lt := loaded.Know.MustTemplate(2)
-	ot := k.MustTemplate(2)
+	lt := loaded.Know.templates[2]
+	ot := k.templates[2]
 	if !lt.Scans["F"] || lt.SpoilerLatency[2] != ot.SpoilerLatency[2] {
 		t.Fatal("template details lost")
 	}

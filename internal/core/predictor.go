@@ -72,7 +72,11 @@ func Train(know *Knowledge, observations []Observation, opts TrainOptions) (*Pre
 			if opts.DropOutliers && cont.IsOutlier(o.Latency) {
 				continue
 			}
-			rs = append(rs, know.CQI(o.Primary, o.Concurrent))
+			r, err := know.CQI(o.Primary, o.Concurrent)
+			if err != nil {
+				return nil, fmt.Errorf("core: template %d MPL %d: %w", k.id, k.mpl, err)
+			}
+			rs = append(rs, r)
 			cs = append(cs, cont.Point(o.Latency))
 		}
 		if len(rs) < 2 {
@@ -152,10 +156,10 @@ func (p *Predictor) predictKnown(primary int, concurrent []int) (float64, error)
 // price is the one body behind every known-template prediction
 // (PredictKnown, PredictBatch, PredictExplain, Feedback, Shard.Observe).
 // It loads the knowledge and serving snapshots once, resolves the
-// (primary, MPL) cell, rejects unknown concurrent IDs with
-// ErrUnknownTemplate in the walk that summarizes the mix's shared tables
-// (shareOf), and runs the CQI kernel on that same snapshot — so
-// no swap or mutation can slip between validating a mix and pricing it.
+// (primary, MPL) cell, and runs the CQI kernel on that same snapshot; the
+// kernel rejects unknown concurrent IDs with ErrUnknownTemplate in the
+// walk that summarizes the mix's shared tables (shareOf) — so no swap
+// or mutation can slip between validating a mix and pricing it.
 // It returns the cell and the mix's CQI; terms is cqiSlot's optional
 // per-neighbor sink (nil for plain predictions).
 //
@@ -167,11 +171,12 @@ func (p *Predictor) price(primary int, concurrent []int, terms []float64) (*serv
 	if err != nil {
 		return nil, 0, err
 	}
-	var sh mixShare
-	if bad := idx.shareOf(&sh, si, concurrent); bad >= 0 {
-		return nil, 0, fmt.Errorf("core: %w: concurrent template %d", ErrUnknownTemplate, concurrent[bad])
+	row := idx.row(si)
+	r, err := idx.cqiSlot(&row, concurrent, terms)
+	if err != nil {
+		return nil, 0, err
 	}
-	return cell, idx.cqiSlot(si, concurrent, &sh, terms), nil
+	return cell, r, nil
 }
 
 // NewTemplateOptions selects how the pipeline fills in the two unknowns of
@@ -248,7 +253,10 @@ func (p *Predictor) predictNew(t TemplateStats, concurrent []int, opts NewTempla
 	if !cont.Valid() {
 		return 0, fmt.Errorf("core: degenerate continuum [%g, %g] for template %d", cont.Min, cont.Max, t.ID)
 	}
-	r := p.Know.CQIForStats(t, concurrent)
+	r, err := p.Know.CQIForStats(t, concurrent)
+	if err != nil {
+		return 0, err
+	}
 	return cont.Latency(qs.Point(r)), nil
 }
 

@@ -54,7 +54,7 @@ func predictorFixture(t *testing.T) (*Knowledge, []Observation) {
 		cont3, _ := k.ContinuumFor(primary, 3)
 		for _, c1 := range ids {
 			// MPL 2 pair.
-			r := k.CQI(primary, []int{c1})
+			r := noErr(t)(k.CQI(primary, []int{c1}))
 			obs = append(obs, Observation{
 				Primary: primary, Concurrent: []int{c1},
 				Latency: cont2.Latency(qsFor(primary).Point(r)),
@@ -64,7 +64,7 @@ func predictorFixture(t *testing.T) (*Knowledge, []Observation) {
 				if c2 < c1 {
 					continue
 				}
-				r3 := k.CQI(primary, []int{c1, c2})
+				r3 := noErr(t)(k.CQI(primary, []int{c1, c2}))
 				obs = append(obs, Observation{
 					Primary: primary, Concurrent: []int{c1, c2},
 					Latency: cont3.Latency(qsFor(primary).Point(r3)),
@@ -225,7 +225,7 @@ func TestPredictNewWithExplicitQS(t *testing.T) {
 		Scans:          map[string]bool{"F": true},
 		SpoilerLatency: map[int]float64{2: 770},
 	}
-	r := k.CQIForStats(newT, []int{3})
+	r := noErr(t)(k.CQIForStats(newT, []int{3}))
 	want := Continuum{Min: 350, Max: 770}.Latency(qs.Point(r))
 	got, err := p.PredictNew(newT, []int{3}, NewTemplateOptions{QS: &qs})
 	if err != nil {

@@ -82,16 +82,6 @@ func (r *ReferenceModels) Coefficients() (mus, bs []float64) {
 	return mus, bs
 }
 
-// isolatedLatencies returns the isolated latency of each reference
-// template in ID order.
-func (r *ReferenceModels) isolatedLatencies() []float64 {
-	out := make([]float64, 0, len(r.models))
-	for _, id := range r.IDs() {
-		out = append(out, r.know.MustTemplate(id).IsolatedLatency)
-	}
-	return out
-}
-
 // EstimateForNew predicts a full QS model for a never-sampled template from
 // its isolated latency alone (the paper's Unknown-QS approach, Section
 // 5.3): a first regression over the reference set estimates µ from l_min
@@ -103,7 +93,14 @@ func (r *ReferenceModels) EstimateForNew(isolatedLatency float64) (QSModel, erro
 		return QSModel{}, fmt.Errorf("core: need at least 2 reference models, have %d", len(r.models))
 	}
 	mus, bs := r.Coefficients()
-	lmins := r.isolatedLatencies()
+	lmins := make([]float64, 0, len(mus))
+	for _, id := range r.IDs() {
+		t, ok := r.know.Template(id)
+		if !ok {
+			return QSModel{}, fmt.Errorf("core: %w: reference template %d", ErrUnknownTemplate, id)
+		}
+		lmins = append(lmins, t.IsolatedLatency)
+	}
 
 	muFit, err := stats.FitLinear(lmins, mus)
 	if err != nil {

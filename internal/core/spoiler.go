@@ -93,7 +93,7 @@ func NewKNNSpoilerPredictor(know *Knowledge, k int) (*KNNSpoilerPredictor, error
 	}
 	var feats, targets [][]float64
 	for _, id := range know.IDs() {
-		t := know.MustTemplate(id)
+		t := know.templates[id]
 		g, err := normalizedGrowth(t)
 		if err != nil {
 			continue
@@ -128,7 +128,7 @@ type IOTimeSpoilerPredictor struct {
 func NewIOTimeSpoilerPredictor(know *Knowledge) (*IOTimeSpoilerPredictor, error) {
 	var ps, mus, bs []float64
 	for _, id := range know.IDs() {
-		t := know.MustTemplate(id)
+		t := know.templates[id]
 		g, err := normalizedGrowth(t)
 		if err != nil {
 			continue

@@ -11,7 +11,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -105,20 +104,6 @@ func (k *Knowledge) ScanTime(table string) float64 { return k.scanSeconds[table]
 func (k *Knowledge) Template(id int) (TemplateStats, bool) {
 	t, ok := k.templates[id]
 	return t, ok
-}
-
-// MustTemplate returns the stats of template id or panics (programming
-// error in experiment wiring).
-func (k *Knowledge) MustTemplate(id int) TemplateStats {
-	t, ok := k.templates[id]
-	if !ok {
-		panicUnknownTemplate(id)
-	}
-	return t
-}
-
-func panicUnknownTemplate(id int) {
-	panic(fmt.Sprintf("core: unknown template %d", id))
 }
 
 // IDs returns the known template IDs in ascending order.

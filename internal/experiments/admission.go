@@ -51,7 +51,7 @@ func ExtAdmission(env *Env) (*Result, error) {
 			if err != nil {
 				return true // fail open
 			}
-			iso := env.Know.MustTemplate(primary).IsolatedLatency
+			iso := must(template(env.Know, primary)).IsolatedLatency
 			if l > sloSlowdown*iso {
 				return false
 			}
@@ -92,7 +92,7 @@ func ExtAdmission(env *Env) (*Result, error) {
 		var slow, queue, resp []float64
 		violations := 0
 		for _, o := range oc.out {
-			iso := env.Know.MustTemplate(o.TemplateID).IsolatedLatency
+			iso := must(template(env.Know, o.TemplateID)).IsolatedLatency
 			s := o.Latency / iso
 			slow = append(slow, s)
 			queue = append(queue, o.QueueTime)
@@ -150,7 +150,7 @@ func flexibleLatency(env *Env, models map[int]core.QSModel) func(primary int, co
 				return 0, fmt.Errorf("experiments: %w: no continuum for T%d", core.ErrUntrainedMPL, primary)
 			}
 		}
-		r := env.Know.CQI(primary, concurrent)
+		r := must(env.Know.CQI(primary, concurrent))
 		l := cont.Latency(qs.Point(r))
 		return math.Max(l, t.IsolatedLatency), nil
 	}

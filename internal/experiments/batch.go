@@ -44,7 +44,7 @@ func ExtBatch(env *Env) (*Result, error) {
 	}
 	predict := func(primary int, concurrent []int) (float64, error) {
 		if len(concurrent) == 0 {
-			return env.Know.MustTemplate(primary).IsolatedLatency, nil
+			return must(template(env.Know, primary)).IsolatedLatency, nil
 		}
 		// Pad or trim the QS model choice to the trained MPL: predictions
 		// for smaller active sets use the same model with the mix's CQI,
@@ -61,9 +61,9 @@ func ExtBatch(env *Env) (*Result, error) {
 				return 0, fmt.Errorf("%w: no continuum for T%d", core.ErrUntrainedMPL, primary)
 			}
 		}
-		r := env.Know.CQI(primary, concurrent)
+		r := must(env.Know.CQI(primary, concurrent))
 		l := cont.Latency(qs.Point(r))
-		iso := env.Know.MustTemplate(primary).IsolatedLatency
+		iso := must(template(env.Know, primary)).IsolatedLatency
 		if l < iso {
 			l = iso
 		}

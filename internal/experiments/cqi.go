@@ -20,9 +20,9 @@ type intensityVariant struct {
 
 func variants() []intensityVariant {
 	return []intensityVariant{
-		{"Baseline I/O", func(k *core.Knowledge, _ int, c []int) float64 { return k.BaselineIO(c) }},
-		{"Positive I/O", func(k *core.Knowledge, p int, c []int) float64 { return k.PositiveIO(p, c) }},
-		{"CQI", func(k *core.Knowledge, p int, c []int) float64 { return k.CQI(p, c) }},
+		{"Baseline I/O", func(k *core.Knowledge, _ int, c []int) float64 { return must(k.BaselineIO(c)) }},
+		{"Positive I/O", func(k *core.Knowledge, p int, c []int) float64 { return must(k.PositiveIO(p, c)) }},
+		{"CQI", func(k *core.Knowledge, p int, c []int) float64 { return must(k.CQI(p, c)) }},
 	}
 }
 

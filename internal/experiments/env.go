@@ -219,6 +219,26 @@ func (e *Env) campaign(opts Options) *campaign {
 // TemplateIDs returns the workload's template IDs.
 func (e *Env) TemplateIDs() []int { return e.Workload.IDs() }
 
+// template is Knowledge.Template with a miss as an error wrapping
+// core.ErrUnknownTemplate.
+func template(k *core.Knowledge, id int) (core.TemplateStats, error) {
+	t, ok := k.Template(id)
+	if !ok {
+		return t, fmt.Errorf("experiments: %w: T%d", core.ErrUnknownTemplate, id)
+	}
+	return t, nil
+}
+
+// must unwraps a knowledge-base read over IDs the experiment took from
+// that same knowledge base: an error there is a bug in the experiment's
+// wiring, so it panics.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // MPLs returns the sampled multiprogramming levels in ascending order.
 func (e *Env) MPLs() []int { return e.sortedMPLs() }
 

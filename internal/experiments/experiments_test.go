@@ -45,7 +45,7 @@ func TestEnvProfiling(t *testing.T) {
 		t.Fatalf("%d templates", len(env.TemplateIDs()))
 	}
 	for _, id := range env.TemplateIDs() {
-		ts := env.Know.MustTemplate(id)
+		ts := must(template(env.Know, id))
 		if ts.IsolatedLatency <= 0 {
 			t.Errorf("T%d has no isolated latency", id)
 		}
@@ -120,7 +120,7 @@ func TestConcurrencySlowsQueriesDown(t *testing.T) {
 			mean += o.Latency
 		}
 		mean /= float64(len(obs))
-		iso := env.Know.MustTemplate(id).IsolatedLatency
+		iso := must(template(env.Know, id)).IsolatedLatency
 		if mean < iso {
 			t.Errorf("T%d runs faster at MPL 4 (%g) than alone (%g)?", id, mean, iso)
 		}
@@ -442,7 +442,7 @@ func TestStageProfiles(t *testing.T) {
 		}
 	}
 	// The stage-profile sum approximates the template's isolated latency.
-	iso := env.Know.MustTemplate(71).IsolatedLatency
+	iso := must(template(env.Know, 71)).IsolatedLatency
 	if total < iso*0.8 || total > iso*1.2 {
 		t.Fatalf("profile sum %.0f vs isolated %.0f", total, iso)
 	}

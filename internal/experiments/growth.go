@@ -61,7 +61,7 @@ func ExtGrowth(env *Env) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ts := oracleKnow.MustTemplate(id)
+		ts := must(template(oracleKnow, id))
 		ts.IsolatedLatency = iso.Latency
 		ts.IOFraction = iso.IOFraction()
 		oracleKnow.AddTemplate(ts)
@@ -144,7 +144,7 @@ func ExtGrowth(env *Env) (*Result, error) {
 // from the original-scale training; continuum points are scale-free, so
 // the transfer carries over.
 func predictGrown(know *core.Knowledge, refs *core.ReferenceModels, knn *core.KNNSpoilerPredictor, primary int, concurrent []int, mpl int) (float64, error) {
-	t := know.MustTemplate(primary)
+	t := must(template(know, primary))
 	qs, err := refs.EstimateForNew(t.IsolatedLatency)
 	if err != nil {
 		return 0, err
@@ -157,6 +157,5 @@ func predictGrown(know *core.Knowledge, refs *core.ReferenceModels, knn *core.KN
 	if !cont.Valid() {
 		return 0, resilience.Corruptf("experiments: degenerate grown continuum for T%d", primary)
 	}
-	r := know.CQIForStats(t, concurrent)
-	return cont.Latency(qs.Point(r)), nil
+	return cont.Latency(qs.Point(must(know.CQIForStats(t, concurrent)))), nil
 }

@@ -110,7 +110,7 @@ func TestFlexibleLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if iso != env.Know.MustTemplate(71).IsolatedLatency {
+	if iso != must(template(env.Know, 71)).IsolatedLatency {
 		t.Fatal("empty mix must return isolated latency")
 	}
 

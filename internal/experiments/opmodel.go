@@ -52,14 +52,14 @@ func ExtOpModel(env *Env) (*Result, error) {
 			if !ok {
 				continue
 			}
-			t := env.Know.MustTemplate(id)
+			t := must(template(env.Know, id))
 			profiles := env.StageProfiles(id)
 			var obsL, qsPred, omPred []float64
 			for _, o := range env.ObservationsFor(mpl, id) {
 				if cont.IsOutlier(o.Latency) {
 					continue
 				}
-				r := env.Know.CQI(o.Primary, o.Concurrent)
+				r := must(env.Know.CQI(o.Primary, o.Concurrent))
 				op, err := om.Predict(t, profiles, o.Concurrent)
 				if err != nil {
 					return nil, err

@@ -65,13 +65,13 @@ func Sec61Outliers(env *Env) (*Result, error) {
 // maxPartnerRatio returns the largest concurrent-to-primary isolated
 // latency ratio in the mix.
 func maxPartnerRatio(env *Env, primary int, concurrent []int) float64 {
-	p := env.Know.MustTemplate(primary).IsolatedLatency
+	p := must(template(env.Know, primary)).IsolatedLatency
 	if p <= 0 {
 		return 0
 	}
 	worst := 0.0
 	for _, id := range concurrent {
-		if r := env.Know.MustTemplate(id).IsolatedLatency / p; r > worst {
+		if r := must(template(env.Know, id)).IsolatedLatency / p; r > worst {
 			worst = r
 		}
 	}

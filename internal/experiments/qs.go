@@ -50,7 +50,7 @@ func fitQSFor(env *Env, mpl, id int, obsIdx []int) (core.QSModel, error) {
 		if cont.IsOutlier(o.Latency) {
 			continue
 		}
-		rs = append(rs, env.Know.CQI(o.Primary, o.Concurrent))
+		rs = append(rs, must(env.Know.CQI(o.Primary, o.Concurrent)))
 		cs = append(cs, cont.Point(o.Latency))
 	}
 	return core.FitQS(rs, cs)
@@ -145,7 +145,7 @@ func Table3(env *Env) (*Result, error) {
 	for _, f := range features {
 		xs := make([]float64, len(ids))
 		for i, id := range ids {
-			xs[i] = f.get(env.Know.MustTemplate(id))
+			xs[i] = f.get(must(template(env.Know, id)))
 		}
 		r2b := signedR2(xs, bs)
 		r2mu := signedR2(xs, mus)
@@ -220,7 +220,7 @@ func fig8Known(env *Env, mpl int) float64 {
 				if cont.IsOutlier(o.Latency) {
 					continue
 				}
-				r := env.Know.CQI(o.Primary, o.Concurrent)
+				r := must(env.Know.CQI(o.Primary, o.Concurrent))
 				observed = append(observed, o.Latency)
 				predicted = append(predicted, cont.Latency(m.Point(r)))
 			}
@@ -259,7 +259,7 @@ func fig8Unknown(env *Env, mpl int) (unkY, unkQS float64, err error) {
 			if !ok {
 				continue
 			}
-			t := env.Know.MustTemplate(id)
+			t := must(template(env.Know, id))
 
 			qsNew, errN := refs.EstimateForNew(t.IsolatedLatency)
 			if errN != nil {
@@ -275,7 +275,7 @@ func fig8Unknown(env *Env, mpl int) (unkY, unkQS float64, err error) {
 				if cont.IsOutlier(o.Latency) {
 					continue
 				}
-				r := env.Know.CQI(o.Primary, o.Concurrent)
+				r := must(env.Know.CQI(o.Primary, o.Concurrent))
 				obsL = append(obsL, o.Latency)
 				predY = append(predY, cont.Latency(qsY.Point(r)))
 				predQS = append(predQS, cont.Latency(qsNew.Point(r)))

@@ -39,7 +39,7 @@ func ExtQSFeatures(env *Env) (*Result, error) {
 				if !ok {
 					continue
 				}
-				xs = append(xs, get(env.Know.MustTemplate(id), mpl))
+				xs = append(xs, get(must(template(env.Know, id)), mpl))
 				mus = append(mus, m.Mu)
 			}
 			fit, err := stats.FitLinear(xs, mus)
@@ -62,7 +62,7 @@ func ExtQSFeatures(env *Env) (*Result, error) {
 				if !ok {
 					continue
 				}
-				t := env.Know.MustTemplate(id)
+				t := must(template(env.Know, id))
 				xs = append(xs, []float64{t.IsolatedLatency, t.IOFraction, t.WorkingSetBytes})
 				mus = append(mus, m.Mu)
 			}
@@ -122,7 +122,7 @@ func ExtQSFeatures(env *Env) (*Result, error) {
 					if !ok {
 						continue
 					}
-					t := env.Know.MustTemplate(id)
+					t := must(template(env.Know, id))
 					qs, err := refs.EstimateInterceptFromMu(muOf(t))
 					if err != nil {
 						return nil, err
@@ -132,7 +132,7 @@ func ExtQSFeatures(env *Env) (*Result, error) {
 						if cont.IsOutlier(o.Latency) {
 							continue
 						}
-						r := env.Know.CQI(o.Primary, o.Concurrent)
+						r := must(env.Know.CQI(o.Primary, o.Concurrent))
 						obsL = append(obsL, o.Latency)
 						pred = append(pred, cont.Latency(qs.Point(r)))
 					}

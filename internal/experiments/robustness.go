@@ -98,7 +98,7 @@ func ExtCrossMPL(env *Env) (*Result, error) {
 					if cont.IsOutlier(o.Latency) {
 						continue
 					}
-					r := env.Know.CQI(o.Primary, o.Concurrent)
+					r := must(env.Know.CQI(o.Primary, o.Concurrent))
 					obsL = append(obsL, o.Latency)
 					pred = append(pred, cont.Latency(qs.Mu*r+qs.B))
 				}

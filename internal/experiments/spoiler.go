@@ -25,7 +25,7 @@ func Fig6(env *Env) (*Result, error) {
 	for _, mpl := range append([]int{1}, env.sortedMPLs()...) {
 		row := []string{fmt.Sprintf("%d", mpl)}
 		for _, id := range templates {
-			t := env.Know.MustTemplate(id)
+			t := must(template(env.Know, id))
 			l := t.IsolatedLatency
 			if mpl > 1 {
 				l = t.SpoilerLatency[mpl]
@@ -37,11 +37,11 @@ func Fig6(env *Env) (*Result, error) {
 	}
 	// Growth rates (normalized slope per MPL) expose the category ordering.
 	for _, id := range templates {
-		g, err := core.GrowthFromStats(env.Know.MustTemplate(id), nil)
+		g, err := core.GrowthFromStats(must(template(env.Know, id)), nil)
 		if err != nil {
 			return nil, err
 		}
-		norm := g.Mu / env.Know.MustTemplate(id).IsolatedLatency
+		norm := g.Mu / must(template(env.Know, id)).IsolatedLatency
 		res.SetMetric(fmt.Sprintf("slope-per-mpl/t%d", id), norm)
 		res.AddRow(fmt.Sprintf("T%d growth", id), fmt.Sprintf("%.0f s/MPL", g.Mu), fmt.Sprintf("%.2fx iso/MPL", norm), "")
 	}
@@ -59,7 +59,7 @@ func Sec55MPL(env *Env) (*Result, error) {
 	}
 	var all []float64
 	for _, id := range env.TemplateIDs() {
-		t := env.Know.MustTemplate(id)
+		t := must(template(env.Know, id))
 		g, err := core.GrowthFromStats(t, []int{1, 2, 3})
 		if err != nil {
 			continue
@@ -109,7 +109,7 @@ func Fig9(env *Env) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		full := env.Know.MustTemplate(id)
+		full := must(template(env.Know, id))
 		for _, mpl := range mpls {
 			obs, ok := full.SpoilerLatency[mpl]
 			if !ok {
@@ -178,7 +178,7 @@ func Fig10(env *Env) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			t := env.Know.MustTemplate(id)
+			t := must(template(env.Know, id))
 			cont, ok := env.Know.ContinuumFor(id, mpl)
 			if !ok {
 				continue
@@ -207,7 +207,7 @@ func Fig10(env *Env) (*Result, error) {
 				if cont.IsOutlier(o.Latency) {
 					continue
 				}
-				r := env.Know.CQI(o.Primary, o.Concurrent)
+				r := must(env.Know.CQI(o.Primary, o.Concurrent))
 				predKnown := cont.Latency(qs.Point(r))
 				predKNN := core.Continuum{Min: t.IsolatedLatency, Max: lmaxKNN}.Latency(qs.Point(r))
 				predIso := core.Continuum{Min: pert.IsolatedLatency, Max: lmaxIso}.Latency(qsIso.Point(r))

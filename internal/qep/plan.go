@@ -146,7 +146,7 @@ func (p *Plan) RecordsAccessed() float64 {
 // Validate checks structural invariants: non-negative cardinalities, scans
 // are leaves and carry a table, non-scan interior nodes have children.
 func (p *Plan) Validate() error {
-	if p.Root == nil {
+	if p == nil || p.Root == nil {
 		return fmt.Errorf("qep: plan has no root")
 	}
 	var err error

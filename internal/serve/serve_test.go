@@ -64,7 +64,10 @@ func trainedPredictor(t testing.TB) *core.Predictor {
 		cont2, _ := k.ContinuumFor(primary, 2)
 		cont3, _ := k.ContinuumFor(primary, 3)
 		for _, c1 := range ids {
-			r := k.CQI(primary, []int{c1})
+			r, err := k.CQI(primary, []int{c1})
+			if err != nil {
+				t.Fatal(err)
+			}
 			observations = append(observations, core.Observation{
 				Primary: primary, Concurrent: []int{c1},
 				Latency: cont2.Latency(qsFor(primary).Point(r)),
@@ -73,7 +76,10 @@ func trainedPredictor(t testing.TB) *core.Predictor {
 				if c2 < c1 {
 					continue
 				}
-				r3 := k.CQI(primary, []int{c1, c2})
+				r3, err := k.CQI(primary, []int{c1, c2})
+				if err != nil {
+					t.Fatal(err)
+				}
 				observations = append(observations, core.Observation{
 					Primary: primary, Concurrent: []int{c1, c2},
 					Latency: cont3.Latency(qsFor(primary).Point(r3)),

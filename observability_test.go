@@ -200,7 +200,9 @@ func TestServingSpans(t *testing.T) {
 		t.Errorf("batch leaked %d extra predict_known spans", n-1)
 	}
 
-	pred.CQI(71, []int{2})
+	if _, err := pred.CQI(71, []int{2}); err != nil {
+		t.Fatal(err)
+	}
 	if n := rec.CountSpan(SpanServeCQI); n != 1 {
 		t.Errorf("%d cqi spans, want 1", n)
 	}

@@ -68,15 +68,16 @@ func (p *Predictor) PredictKnown(template int, concurrent []int) (float64, error
 
 // CQI returns the Concurrent Query Intensity of a mix from the primary's
 // point of view — the fraction of time the concurrent queries will spend
-// competing with it for the I/O bus (Eq. 5 of the paper). The primary must
-// be a known template; use CQIForStats for ad-hoc primaries.
-func (p *Predictor) CQI(primary int, concurrent []int) float64 {
+// competing with it for the I/O bus (Eq. 5 of the paper); 0 for an empty
+// mix. An unknown primary or neighbor is an error wrapping
+// ErrUnknownTemplate; use CQIForStats for ad-hoc primaries.
+func (p *Predictor) CQI(primary int, concurrent []int) (float64, error) {
 	o := p.inner.Observer()
 	if o == nil {
 		return p.inner.Know.CQI(primary, concurrent)
 	}
 	start := time.Now()
-	r := p.inner.Know.CQI(primary, concurrent)
+	r, err := p.inner.Know.CQI(primary, concurrent)
 	obs.Emit(o, Event{
 		Kind:     obs.SpanEnd,
 		Span:     obs.SpanServeCQI,
@@ -84,13 +85,15 @@ func (p *Predictor) CQI(primary int, concurrent []int) float64 {
 		MPL:      len(concurrent) + 1,
 		Value:    r,
 		Dur:      time.Since(start),
+		Err:      obs.ErrLabel(err),
 	})
-	return r
+	return r, err
 }
 
 // CQIForStats computes the mix's CQI for an ad-hoc primary described by
-// its isolated statistics (the concurrent templates must be known).
-func (p *Predictor) CQIForStats(primary TemplateStats, concurrent []int) float64 {
+// its isolated statistics. The concurrent templates must be known; an
+// unknown one returns an error wrapping ErrUnknownTemplate.
+func (p *Predictor) CQIForStats(primary TemplateStats, concurrent []int) (float64, error) {
 	return p.inner.Know.CQIForStats(primary, concurrent)
 }
 

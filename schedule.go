@@ -1,11 +1,11 @@
 package contender
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
 	"contender/internal/sched"
-	"contender/internal/sim"
 )
 
 // Scheduling: the batch-scheduling application of the paper's
@@ -33,22 +33,27 @@ type JobForecast = sched.JobForecast
 
 // batchLatency adapts the predictor to the scheduler: isolation uses the
 // isolated latency; trained MPLs use the exact model; other MPLs fall back
-// to the nearest trained MPL's QS model with the actual mix's CQI.
+// to the nearest trained MPL's QS model with the actual mix's CQI. An
+// unknown template is an error, never a fallback.
 func (p *Predictor) batchLatency(primary int, concurrent []int) (float64, error) {
 	stats, ok := p.inner.Know.Template(primary)
 	if !ok {
-		return 0, fmt.Errorf("contender: unknown template %d", primary)
+		return 0, fmt.Errorf("contender: template %d: %w", primary, ErrUnknownTemplate)
 	}
 	if len(concurrent) == 0 {
 		return stats.IsolatedLatency, nil
 	}
-	if l, err := p.PredictKnown(primary, concurrent); err == nil {
+	l, err := p.PredictKnown(primary, concurrent)
+	if err == nil {
 		return clampMin(l, stats.IsolatedLatency), nil
+	}
+	if errors.Is(err, ErrUnknownTemplate) {
+		return 0, err
 	}
 	// Fall back to the nearest trained MPL.
 	mpls := p.MPLs()
 	if len(mpls) == 0 {
-		return 0, fmt.Errorf("contender: predictor has no trained MPLs")
+		return 0, fmt.Errorf("contender: %w: predictor has no trained MPLs", ErrUntrainedMPL)
 	}
 	want := len(concurrent) + 1
 	nearest := mpls[0]
@@ -60,13 +65,16 @@ func (p *Predictor) batchLatency(primary int, concurrent []int) (float64, error)
 	refs, _ := p.inner.References(nearest)
 	qs, ok := refs.Model(primary)
 	if !ok {
-		return 0, fmt.Errorf("contender: no QS model for template %d", primary)
+		return 0, fmt.Errorf("contender: %w: no QS model for template %d", ErrUntrainedMPL, primary)
 	}
 	cont, ok := p.inner.Know.ContinuumFor(primary, nearest)
 	if !ok {
-		return 0, fmt.Errorf("contender: no continuum for template %d at MPL %d", primary, nearest)
+		return 0, fmt.Errorf("contender: %w: no continuum for template %d at MPL %d", ErrUntrainedMPL, primary, nearest)
 	}
-	r := p.inner.Know.CQI(primary, concurrent)
+	r, err := p.inner.Know.CQI(primary, concurrent)
+	if err != nil {
+		return 0, err
+	}
 	return clampMin(cont.Latency(qs.Point(r)), stats.IsolatedLatency), nil
 }
 
@@ -92,6 +100,9 @@ func (p *Predictor) ScheduleBatch(batch []int, mpl int, policy SchedulePolicy) (
 	if len(batch) == 0 {
 		return nil, nil, 0, fmt.Errorf("contender: empty batch")
 	}
+	if policy == nil {
+		return nil, nil, 0, fmt.Errorf("contender: nil schedule policy")
+	}
 	o := p.inner.Observer()
 	order, err := sched.Observed(policy, o).Order(batch, mpl, p.batchLatency)
 	if err != nil {
@@ -114,13 +125,9 @@ func (p *Predictor) ForecastBatch(order []int, mpl int) ([]JobForecast, float64,
 // MPL and returns the per-job results (in order) and the measured
 // makespan — ground truth for schedule validation.
 func (w *Workbench) RunBatch(order []int, mpl int) ([]QueryResult, float64, error) {
-	specs := make([]sim.QuerySpec, len(order))
-	for i, id := range order {
-		s, ok := w.env.Workload.Spec(id)
-		if !ok {
-			return nil, 0, fmt.Errorf("contender: unknown template %d", id)
-		}
-		specs[i] = s
+	specs, err := w.specs(order...)
+	if err != nil {
+		return nil, 0, err
 	}
 	return w.env.Engine.RunBatch(specs, mpl)
 }
@@ -134,6 +141,9 @@ func ComparePolicies(wb *Workbench, pred *Predictor, batch []int, mpl int, polic
 	}
 	var out []PolicyOutcome
 	for _, pol := range policies {
+		if pol == nil {
+			return nil, fmt.Errorf("contender: nil schedule policy")
+		}
 		order, _, forecast, err := pred.ScheduleBatch(batch, mpl, pol)
 		if err != nil {
 			return nil, fmt.Errorf("contender: policy %s: %w", pol.Name(), err)
