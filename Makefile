@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet vet-v2 fuzz-smoke wire-lock staticcheck bench-guard chaos-golden selfheal-golden blame-golden bench-record clean
+.PHONY: all build test race vet vet-v2 fuzz-smoke wire-lock staticcheck bench-guard chaos-golden selfheal-golden blame-golden bench-record loc clean
 
 all: build test vet
 
@@ -138,6 +138,11 @@ bench-record:
 		printf '{\n  "workload": "%s",\n  "machine": "%s",\n  "command": "bash bench/run.sh --workload %s --seed 1 --seconds 20 --trace 0|1",\n  "untraced": %s,\n  "traced": %s\n}\n' \
 			"$$w" "$$machine" "$$w" "$$untraced" "$$traced" > BENCH_$$w.json; \
 	done
+
+# Print the non-test Go lines outside bench/ and testdata/: the size
+# figure a change reports before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' -not -path './.git/*' -print0 | xargs -0 cat | wc -l
 
 clean:
 	rm -rf bin

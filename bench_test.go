@@ -296,9 +296,6 @@ func trainedPredictor(b testing.TB) *Predictor {
 			return
 		}
 		benchPred, predErr = wb.Train()
-		if predErr == nil {
-			benchPred.Prime()
-		}
 	})
 	if predErr != nil {
 		b.Fatal(predErr)

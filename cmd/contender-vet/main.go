@@ -12,7 +12,6 @@
 //	errtaxonomy    transient/permanent/corrupt error classification
 //	ctxplumb       exported ctx-accepting functions plumb ctx through
 //	lockblock      no mutex held across a blocking call or observer emission
-//	snapshotsafe   atomic snapshot loads are read-only outside priming
 //	goroleak       serve/lifecycle goroutines tie to WaitGroup/done/ctx
 //	wirecompat     the v1 wire surface matches internal/serve/wire.lock
 //
@@ -43,7 +42,6 @@ import (
 	"contender/internal/analysis/lockblock"
 	"contender/internal/analysis/nodeterminism"
 	"contender/internal/analysis/obsemit"
-	"contender/internal/analysis/snapshotsafe"
 	"contender/internal/analysis/wirecompat"
 )
 
@@ -56,7 +54,6 @@ func suite() []*analysis.Analyzer {
 		errtaxonomy.Analyzer,
 		ctxplumb.Analyzer,
 		lockblock.Analyzer,
-		snapshotsafe.Analyzer,
 		goroleak.Analyzer,
 		wirecompat.Analyzer,
 	}

@@ -301,9 +301,7 @@ func fit(know *core.Knowledge, observations []core.Observation, o Observer, q *Q
 	if err != nil {
 		return nil, fmt.Errorf("contender: training: %w", err)
 	}
-	p.SetObserver(o)
-	p.SetQuality(q)
-	return p, nil
+	return p.WithHooks(o, q), nil
 }
 
 // Simulate executes a mix of known templates at steady state on the

@@ -58,11 +58,10 @@ func TestContinuumOutlier(t *testing.T) {
 }
 
 func TestContinuumForFromKnowledge(t *testing.T) {
-	k := NewKnowledge()
-	k.AddTemplate(TemplateStats{
+	k := NewKnowledge(nil, []TemplateStats{{
 		ID: 1, IsolatedLatency: 100,
 		SpoilerLatency: map[int]float64{3: 400},
-	})
+	}})
 	c, ok := k.ContinuumFor(1, 3)
 	if !ok || c.Min != 100 || c.Max != 400 {
 		t.Fatalf("continuum %+v ok=%v", c, ok)

@@ -76,7 +76,7 @@ func (idx *cqiIndex) cqiSlot(row *primaryRow, concurrent []int, terms []float64)
 //
 //contender:hotpath
 func (k *Knowledge) CQI(primary int, concurrent []int) (float64, error) {
-	idx := k.index()
+	idx := k.idx
 	pi := idx.posOf(primary)
 	if pi < 0 {
 		return 0, fmt.Errorf("core: %w: template %d", ErrUnknownTemplate, primary)
@@ -89,7 +89,7 @@ func (k *Knowledge) CQI(primary int, concurrent []int) (float64, error) {
 // knowledge base: its row is filled from its scan set for this call, then
 // priced by the same kernel. The concurrent templates must be known.
 func (k *Knowledge) CQIForStats(primary TemplateStats, concurrent []int) (float64, error) {
-	idx := k.index()
+	idx := k.idx
 	row := idx.adhocRow(primary.Scans)
 	return idx.cqiSlot(&row, concurrent, nil)
 }
@@ -102,7 +102,7 @@ func (k *Knowledge) BaselineIO(concurrent []int) (float64, error) {
 	if len(concurrent) == 0 {
 		return 0, nil
 	}
-	idx := k.index()
+	idx := k.idx
 	var sum float64
 	for _, id := range concurrent {
 		ci := idx.posOf(id)
@@ -119,7 +119,7 @@ func (k *Knowledge) BaselineIO(concurrent []int) (float64, error) {
 //
 //contender:hotpath
 func (k *Knowledge) PositiveIO(primary int, concurrent []int) (float64, error) {
-	idx := k.index()
+	idx := k.idx
 	pi := idx.posOf(primary)
 	if pi < 0 {
 		return 0, fmt.Errorf("core: %w: template %d", ErrUnknownTemplate, primary)

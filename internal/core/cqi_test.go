@@ -28,17 +28,16 @@ func noErr(t testing.TB) func(float64, error) float64 {
 //	T2: scans F, G;             l_min 400, p 0.9
 //	T3: scans G;                l_min 100, p 1.0
 //	T4: no fact scans;          l_min 300, p 0.5
-func testKnowledge() *Knowledge {
-	k := NewKnowledge()
-	k.SetScanTime("F", 100)
-	k.SetScanTime("G", 50)
-	k.SetScanTime("H", 20)
+//
+// Templates in extra are added after T1–T4.
+func testKnowledge(extra ...TemplateStats) *Knowledge {
+	var ts []TemplateStats
 	add := func(id int, lmin, p float64, scans ...string) {
 		s := make(map[string]bool)
 		for _, f := range scans {
 			s[f] = true
 		}
-		k.AddTemplate(TemplateStats{
+		ts = append(ts, TemplateStats{
 			ID: id, IsolatedLatency: lmin, IOFraction: p,
 			Scans: s, SpoilerLatency: map[int]float64{},
 		})
@@ -47,7 +46,7 @@ func testKnowledge() *Knowledge {
 	add(2, 400, 0.9, "F", "G")
 	add(3, 100, 1.0, "G")
 	add(4, 300, 0.5)
-	return k
+	return NewKnowledge(map[string]float64{"F": 100, "G": 50, "H": 20}, append(ts, extra...))
 }
 
 func TestCQIHandComputed(t *testing.T) {
@@ -80,14 +79,12 @@ func TestCQIHandComputed(t *testing.T) {
 // primary's set), but never counts toward h_f and never marks the
 // template as a sharer.
 func TestCQIFalseScanEntries(t *testing.T) {
-	k := testKnowledge()
 	// T7 "scans" G only nominally (explicit false), T8 nominally reads F
 	// (false) and truly scans G.
-	k.AddTemplate(TemplateStats{
+	k := testKnowledge(TemplateStats{
 		ID: 7, IsolatedLatency: 300, IOFraction: 1.0,
 		Scans: map[string]bool{"G": false}, SpoilerLatency: map[int]float64{},
-	})
-	k.AddTemplate(TemplateStats{
+	}, TemplateStats{
 		ID: 8, IsolatedLatency: 200, IOFraction: 1.0,
 		Scans: map[string]bool{"F": false, "G": true}, SpoilerLatency: map[int]float64{},
 	})
@@ -112,10 +109,9 @@ func TestCQIFalseScanEntries(t *testing.T) {
 }
 
 func TestCQITruncatesNegative(t *testing.T) {
-	k := testKnowledge()
 	// A template whose shared scans exceed its total I/O time: T5 scans F
 	// (100 s shared) but has only 60 s of I/O in isolation.
-	k.AddTemplate(TemplateStats{
+	k := testKnowledge(TemplateStats{
 		ID: 5, IsolatedLatency: 100, IOFraction: 0.6,
 		Scans: map[string]bool{"F": true}, SpoilerLatency: map[int]float64{},
 	})
@@ -191,24 +187,53 @@ func TestKnowledgeHelpers(t *testing.T) {
 	if _, ok := k.Template(99); ok {
 		t.Fatal("unknown template must not resolve")
 	}
-	cl := k.Clone()
-	cl.SetScanTime("F", 999)
+	scans := k.ScanTimes()
+	scans["F"] = 999
 	if k.ScanTime("F") != 100 {
-		t.Fatal("Clone must not share scan times")
+		t.Fatal("ScanTimes must return a copy")
 	}
-	ts, _ := cl.Template(1)
-	ts.Scans["Z"] = true
-	if k.templates[1].Scans["Z"] {
-		t.Fatal("Clone must deep-copy scan sets")
+	all := k.Templates()
+	if len(all) != 4 || all[0].ID != 1 || all[3].ID != 4 {
+		t.Fatalf("Templates = %+v", all)
 	}
-	if _, ok := cl.Remove(1); !ok {
-		t.Fatal("Remove must report presence")
+	// A later duplicate ID replaces the earlier one.
+	k = testKnowledge(TemplateStats{ID: 1, IsolatedLatency: 50})
+	if ts, _ := k.Template(1); ts.IsolatedLatency != 50 || ts.Scans == nil || ts.SpoilerLatency == nil {
+		t.Fatalf("duplicate ID: template 1 = %+v", ts)
 	}
-	if _, ok := cl.Template(1); ok {
-		t.Fatal("Remove must delete")
+	if n := len(k.IDs()); n != 4 {
+		t.Fatalf("duplicate ID: %d templates, want 4", n)
 	}
-	if _, ok := cl.Remove(1); ok {
-		t.Fatal("second Remove must report absence")
+}
+
+// TestNewKnowledgeCopiesInputs: the knowledge base keeps its own copies
+// of the scan and spoiler maps, so a caller mutating its inputs after
+// NewKnowledge returns changes neither the stored stats nor the index
+// built from them.
+func TestNewKnowledgeCopiesInputs(t *testing.T) {
+	t1 := TemplateStats{ID: 1, IsolatedLatency: 200, IOFraction: 0.8,
+		Scans: map[string]bool{"F": true}, SpoilerLatency: map[int]float64{2: 400}}
+	t2 := TemplateStats{ID: 2, IsolatedLatency: 400, IOFraction: 0.9,
+		Scans: map[string]bool{"F": true, "G": true}, SpoilerLatency: map[int]float64{2: 900}}
+	k := NewKnowledge(map[string]float64{"F": 100, "G": 50}, []TemplateStats{t1, t2})
+	p := newPredictor(k, map[int]map[int]QSModel{2: {1: {Mu: 1, B: 0.1}, 2: {Mu: 0.5, B: 0.2}}})
+	read := func() (TemplateStats, Continuum, float64, float64) {
+		ts, _ := k.Template(2)
+		cont, _ := k.ContinuumFor(1, 2)
+		return ts, cont, noErr(t)(k.CQI(1, []int{2})), noErr(t)(p.PredictKnown(1, []int{2}))
+	}
+	ts0, cont0, cqi0, pred0 := read()
+	t1.SpoilerLatency[2] = 10_000
+	t2.Scans["F"] = false
+	t2.Scans["Z"] = true
+	delete(t2.SpoilerLatency, 2)
+	ts1, cont1, cqi1, pred1 := read()
+	if len(ts1.Scans) != len(ts0.Scans) || !ts1.Scans["F"] || ts1.Scans["Z"] || ts1.SpoilerLatency[2] != 900 {
+		t.Fatalf("Template(2) changed with the caller's maps: %+v", ts1)
+	}
+	if cont1 != cont0 || cqi1 != cqi0 || pred1 != pred0 {
+		t.Fatalf("continuum %+v→%+v, CQI %g→%g, PredictKnown %g→%g after mutating the inputs",
+			cont0, cont1, cqi0, cqi1, pred0, pred1)
 	}
 }
 

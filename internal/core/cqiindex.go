@@ -51,8 +51,8 @@ type tmplHot struct {
 	scanEnd int32
 }
 
-// cqiIndex is an immutable snapshot of the knowledge base, rebuilt lazily
-// after any mutation.
+// cqiIndex is the knowledge base's immutable hot-path view, built once by
+// NewKnowledge.
 type cqiIndex struct {
 	n   int
 	pos map[int]int // ID → slot (always present; serving-index build + sparse fallback)
@@ -77,27 +77,6 @@ type cqiIndex struct {
 
 	tableID map[string]int // interned in first-seen order
 }
-
-// index returns the current index, building it on first use after a
-// mutation. Reads are lock-free; concurrent builders serialize on the
-// knowledge base's mutex. Mutating the knowledge base concurrently with
-// reads is not supported (and never was).
-func (k *Knowledge) index() *cqiIndex {
-	if idx := k.cqi.Load(); idx != nil {
-		return idx
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if idx := k.cqi.Load(); idx != nil {
-		return idx
-	}
-	idx := k.buildIndex()
-	k.cqi.Store(idx)
-	return idx
-}
-
-// invalidate drops the index after a mutation.
-func (k *Knowledge) invalidate() { k.cqi.Store(nil) }
 
 // densePosLimit bounds how much larger than the template count the dense
 // ID → slot array may grow before falling back to the map (avoids a huge

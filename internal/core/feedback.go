@@ -14,11 +14,7 @@ import (
 //
 // Feedback is opt-in and entirely off the uninstrumented serving path:
 // PredictKnown/PredictBatch never consult the quality tracker, and a
-// predictor without SetQuality/SetObserver pays nothing.
-
-// SetQuality installs (or, with nil, removes) the prediction-quality
-// aggregator that Feedback streams into.
-func (p *Predictor) SetQuality(q *obs.Quality) { p.quality = q }
+// predictor without hooks (WithHooks) pays nothing.
 
 // Quality returns the installed quality aggregator (nil when none).
 func (p *Predictor) Quality() *obs.Quality { return p.quality }
@@ -48,7 +44,7 @@ type FeedbackResult struct {
 // Feedback pairs an observed latency for (primary, concurrent) with the
 // prediction the pipeline serves for that mix and folds the signed
 // relative error into the quality aggregator (when one is installed via
-// SetQuality). Prediction errors (unknown template, untrained MPL,
+// WithHooks). Prediction errors (unknown template, untrained MPL,
 // empty mix), non-positive or non-finite observed latencies, and
 // observations so small that the relative error overflows return an
 // error without recording anything.

@@ -48,12 +48,13 @@ func ScaleStats(t TemplateStats, factor float64) TemplateStats {
 // s_f grows linearly with the table. The result feeds CQI computation and
 // QS-model transfer at the new scale.
 func ScaleKnowledge(k *Knowledge, factor float64) *Knowledge {
-	out := NewKnowledge()
-	for _, id := range k.IDs() {
-		out.AddTemplate(ScaleStats(k.templates[id], factor))
-	}
+	scans := make(map[string]float64, len(k.scanSeconds))
 	for f, s := range k.scanSeconds {
-		out.SetScanTime(f, s*factor)
+		scans[f] = s * factor
 	}
-	return out
+	templates := make([]TemplateStats, 0, len(k.templates))
+	for _, id := range k.IDs() {
+		templates = append(templates, ScaleStats(k.templates[id], factor))
+	}
+	return NewKnowledge(scans, templates)
 }

@@ -98,7 +98,7 @@ func (m *OperatorModel) Predict(primary TemplateStats, stages []StageProfile, co
 	}
 	// Per-competitor intensity, as in Eq. 4: the CQI kernel's terms
 	// against the primary's transient row.
-	idx := m.know.index()
+	idx := m.know.idx
 	intensities := make([]float64, len(concurrent))
 	row := idx.adhocRow(primary.Scans)
 	if _, err := idx.cqiSlot(&row, concurrent, intensities); err != nil {

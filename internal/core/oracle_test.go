@@ -241,21 +241,11 @@ func (kb *oracleKB) ids() []int {
 
 // predictor builds a Knowledge and a Predictor from the oracle's maps.
 func (kb *oracleKB) predictor() *Predictor {
-	k := NewKnowledge()
-	for f, s := range kb.scanTime {
-		k.SetScanTime(f, s)
-	}
+	var ts []TemplateStats
 	for _, t := range kb.tmpl {
-		k.AddTemplate(t)
+		ts = append(ts, t)
 	}
-	p := &Predictor{Know: k, refs: map[int]*ReferenceModels{}}
-	for mpl, models := range kb.qs {
-		p.refs[mpl] = NewReferenceModels(k, mpl)
-		for id, m := range models {
-			p.refs[mpl].Add(id, m)
-		}
-	}
-	return p
+	return newPredictor(NewKnowledge(kb.scanTime, ts), kb.qs)
 }
 
 // TestCQIMatchesReferenceOracle prices random mixes over seeded random
@@ -289,7 +279,7 @@ func TestCQIMatchesReferenceOracle(t *testing.T) {
 		shape := shapes[round%len(shapes)]
 		kb := randomOracleKB(rng, shape, oracleMaxMPL)
 		p := kb.predictor()
-		if p.Know.index().maskW > 1 {
+		if p.know.idx.maskW > 1 {
 			cov.wide++
 		}
 
@@ -410,10 +400,10 @@ func (kb *oracleKB) checkKnown(t testing.TB, v oracleVariant, primary int, mixes
 	}
 	for _, mix := range mixes {
 		r, terms := kb.oracleCQI(ps, mix)
-		if got, err := p.Know.CQI(primary, mix); err != nil || math.Float64bits(got) != math.Float64bits(r) {
+		if got, err := p.know.CQI(primary, mix); err != nil || math.Float64bits(got) != math.Float64bits(r) {
 			t.Fatalf("%s: CQI(%d, %v) = %v, %v; oracle %v", v.name, primary, mix, got, err, r)
 		}
-		if got, err := p.Know.CQIForStats(kb.tmpl[primary], mix); err != nil || math.Float64bits(got) != math.Float64bits(r) {
+		if got, err := p.know.CQIForStats(kb.tmpl[primary], mix); err != nil || math.Float64bits(got) != math.Float64bits(r) {
 			t.Fatalf("%s: CQIForStats(%d, %v) = %v, %v; oracle %v", v.name, primary, mix, got, err, r)
 		}
 		mpl := len(mix) + 1
@@ -458,10 +448,10 @@ func (kb *oracleKB) checkKnown(t testing.TB, v oracleVariant, primary int, mixes
 func (kb *oracleKB) checkAdhoc(t testing.TB, v oracleVariant, a oracleAdhoc, mixes [][]int) {
 	t.Helper()
 	p := v.p
-	om := NewOperatorModel(p.Know)
+	om := NewOperatorModel(p.know)
 	for _, mix := range mixes {
 		r, terms := kb.oracleCQI(a.stats.Scans, mix)
-		if got, err := p.Know.CQIForStats(a.stats, mix); err != nil || math.Float64bits(got) != math.Float64bits(r) {
+		if got, err := p.know.CQIForStats(a.stats, mix); err != nil || math.Float64bits(got) != math.Float64bits(r) {
 			t.Fatalf("%s: ad-hoc CQIForStats(%v, %v) = %v, %v; oracle %v", v.name, a.stats.Scans, mix, got, err, r)
 		}
 		want := kb.oracleStages(a.stages, mix, terms)

@@ -134,7 +134,7 @@ func (k *Knowledge) Snapshot() *KnowledgeSnapshot {
 
 // Snapshot captures the predictor's full trained state.
 func (p *Predictor) Snapshot() *Snapshot {
-	ks := p.Know.Snapshot()
+	ks := p.know.Snapshot()
 	s := &Snapshot{Version: snapshotVersion, Templates: ks.Templates, ScanTimes: ks.ScanTimes}
 	for _, mpl := range p.MPLs() {
 		refs := p.refs[mpl]
@@ -218,24 +218,22 @@ func (s *Snapshot) Validate() error {
 }
 
 // PredictorFromSnapshot validates the snapshot and rebuilds the predictor
-// from it.
+// from it, serving index included.
 func PredictorFromSnapshot(s *Snapshot) (*Predictor, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	know := NewKnowledge()
-	for f, v := range s.ScanTimes {
-		know.SetScanTime(f, v)
+	templates := make([]TemplateStats, len(s.Templates))
+	for i, ts := range s.Templates {
+		templates[i] = ts.Stats()
 	}
-	for _, ts := range s.Templates {
-		know.AddTemplate(ts.Stats())
-	}
-	p := &Predictor{Know: know, refs: make(map[int]*ReferenceModels)}
+	know := NewKnowledge(s.ScanTimes, templates)
+	models := make(map[int]map[int]QSModel)
 	for _, m := range s.Models {
-		if p.refs[m.MPL] == nil {
-			p.refs[m.MPL] = NewReferenceModels(know, m.MPL)
+		if models[m.MPL] == nil {
+			models[m.MPL] = make(map[int]QSModel)
 		}
-		p.refs[m.MPL].Add(m.Template, QSModel{Mu: m.Mu, B: m.B})
+		models[m.MPL][m.Template] = QSModel{Mu: m.Mu, B: m.B}
 	}
-	return p, nil
+	return newPredictor(know, models), nil
 }

@@ -43,10 +43,10 @@ func TestPredictorRoundTrip(t *testing.T) {
 		}
 	}
 	// Knowledge details survive too.
-	if loaded.Know.ScanTime("F") != k.ScanTime("F") {
+	if loaded.know.ScanTime("F") != k.ScanTime("F") {
 		t.Fatal("scan times lost")
 	}
-	lt := loaded.Know.templates[2]
+	lt := loaded.know.templates[2]
 	ot := k.templates[2]
 	if !lt.Scans["F"] || lt.SpoilerLatency[2] != ot.SpoilerLatency[2] {
 		t.Fatal("template details lost")

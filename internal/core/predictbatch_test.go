@@ -48,7 +48,7 @@ func TestPredictBatchMatchesPredictKnown(t *testing.T) {
 }
 
 // TestPredictBufferReuseAcrossPrimaries reuses one buffer for different
-// primaries and after knowledge mutations: nothing a buffer carries over
+// primaries and across predictors: nothing a buffer carries over
 // from a previous call may skew results. Every batch must stay
 // bit-identical to per-mix PredictKnown.
 func TestPredictBufferReuseAcrossPrimaries(t *testing.T) {
@@ -78,9 +78,13 @@ func TestPredictBufferReuseAcrossPrimaries(t *testing.T) {
 	check(2)
 	check(5) // different primary, same buffer
 	check(2) // and back
-	// A knowledge mutation invalidates the index; the next batch must
-	// price against the new snapshot.
-	k.SetScanTime("F", 140)
+	// A predictor over different scan times prices through the same
+	// buffer against its own knowledge base.
+	snap := p.Snapshot()
+	snap.ScanTimes["F"] = 140
+	if p, err = PredictorFromSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
 	check(2)
 	check(5)
 }
@@ -198,7 +202,6 @@ func TestServingPathDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Prime()
 	shapes := []struct {
 		name    string
 		primary int
@@ -213,7 +216,7 @@ func TestServingPathDoesNotAllocate(t *testing.T) {
 		{"read-by-primary", 2, []int{2, 3}, [][]int{{1}, {2}, {1, 3}}},
 	}
 	var buf PredictBuffer
-	p.SetQuality(obspkg.NewQuality(obspkg.DriftConfig{}))
+	p = p.WithHooks(nil, obspkg.NewQuality(obspkg.DriftConfig{}))
 	sharded, err := NewSharded(p)
 	if err != nil {
 		t.Fatal(err)

@@ -3,8 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
+	"sort"
 	"time"
 
 	"contender/internal/obs"
@@ -15,10 +14,14 @@ import (
 // latency predictions for known templates (CQI → QS → continuum → seconds)
 // and for ad-hoc templates (estimated QS + predicted spoiler).
 
-// Predictor is a trained Contender instance for a set of MPLs.
+// Predictor is a trained Contender instance for a set of MPLs. Train and
+// PredictorFromSnapshot build it whole, serving index included, and
+// nothing changes it afterwards: WithHooks returns a copy.
 type Predictor struct {
-	Know *Knowledge
+	know *Knowledge
 	refs map[int]*ReferenceModels
+	// serv is the flat (template × MPL) serving index (serveindex.go).
+	serv *servIndex
 
 	// observer, when non-nil, receives a serve.* span for every
 	// prediction. The nil check happens before any clock read, so an
@@ -29,17 +32,31 @@ type Predictor struct {
 	// per-template accuracy statistics and drift states. Only Feedback
 	// consults it — the PredictKnown/PredictBatch hot path never does.
 	quality *obs.Quality
-
-	// serv caches the flat (template × MPL) serving index, keyed by the
-	// knowledge snapshot it was built from so knowledge mutations
-	// invalidate it transitively (serveindex.go). The zero value is
-	// ready: snapshot-loaded predictors build it on first use or Prime.
-	serv atomic.Pointer[servIndex]
-	smu  sync.Mutex
 }
 
-// SetObserver installs (or, with nil, removes) the serving observer.
-func (p *Predictor) SetObserver(o obs.Observer) { p.observer = o }
+// newPredictor builds the reference models (MPL → template ID → QS
+// model) against their knowledge base, then the serving index.
+func newPredictor(know *Knowledge, models map[int]map[int]QSModel) *Predictor {
+	p := &Predictor{know: know, refs: make(map[int]*ReferenceModels, len(models))}
+	for mpl, ms := range models {
+		p.refs[mpl] = NewReferenceModels(know, mpl, ms)
+	}
+	p.serv = p.buildServing()
+	return p
+}
+
+// WithHooks returns a copy of the predictor that reports serve.* spans
+// to o and folds Feedback into q; nil removes either. The models and
+// indexes are shared, and the receiver is left as it was, so a published
+// predictor keeps serving with its own hooks.
+func (p *Predictor) WithHooks(o obs.Observer, q *obs.Quality) *Predictor {
+	cp := *p
+	cp.observer, cp.quality = o, q
+	return &cp
+}
+
+// Knowledge returns the knowledge base the predictor was trained on.
+func (p *Predictor) Knowledge() *Knowledge { return p.know }
 
 // Observer returns the installed serving observer (nil when none).
 func (p *Predictor) Observer() obs.Observer { return p.observer }
@@ -53,15 +70,16 @@ type TrainOptions struct {
 
 // Train builds reference QS models from steady-state observations of known
 // templates. Observations are grouped by (primary, MPL); each group needs
-// at least two samples to fit a line. Templates must already be registered
-// in the knowledge base with isolated and spoiler latencies.
+// at least two samples to fit a line. Templates must already be in the
+// knowledge base with isolated and spoiler latencies. The predictor comes
+// back with its serving index built.
 func Train(know *Knowledge, observations []Observation, opts TrainOptions) (*Predictor, error) {
 	type key struct{ id, mpl int }
 	groups := make(map[key][]Observation)
 	for _, o := range observations {
 		groups[key{o.Primary, o.MPL()}] = append(groups[key{o.Primary, o.MPL()}], o)
 	}
-	p := &Predictor{Know: know, refs: make(map[int]*ReferenceModels)}
+	models := make(map[int]map[int]QSModel)
 	for k, obs := range groups {
 		cont, ok := know.ContinuumFor(k.id, k.mpl)
 		if !ok {
@@ -86,15 +104,15 @@ func Train(know *Knowledge, observations []Observation, opts TrainOptions) (*Pre
 		if err != nil {
 			return nil, fmt.Errorf("core: template %d MPL %d: %w", k.id, k.mpl, err)
 		}
-		if p.refs[k.mpl] == nil {
-			p.refs[k.mpl] = NewReferenceModels(know, k.mpl)
+		if models[k.mpl] == nil {
+			models[k.mpl] = make(map[int]QSModel)
 		}
-		p.refs[k.mpl].Add(k.id, m)
+		models[k.mpl][k.id] = m
 	}
-	if len(p.refs) == 0 {
+	if len(models) == 0 {
 		return nil, fmt.Errorf("core: no reference models could be trained from %d observations", len(observations))
 	}
-	return p, nil
+	return newPredictor(know, models), nil
 }
 
 // References returns the reference models at the given MPL.
@@ -109,16 +127,8 @@ func (p *Predictor) MPLs() []int {
 	for m := range p.refs {
 		out = append(out, m)
 	}
-	sortInts(out)
+	sort.Ints(out)
 	return out
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // PredictKnown estimates the latency of a known (sampled) template in a
@@ -155,22 +165,20 @@ func (p *Predictor) predictKnown(primary int, concurrent []int) (float64, error)
 
 // price is the one body behind every known-template prediction
 // (PredictKnown, PredictBatch, PredictExplain, Feedback, Shard.Observe).
-// It loads the knowledge and serving snapshots once, resolves the
-// (primary, MPL) cell, and runs the CQI kernel on that same snapshot; the
-// kernel rejects unknown concurrent IDs with ErrUnknownTemplate in the
-// walk that summarizes the mix's shared tables (shareOf) — so no swap
-// or mutation can slip between validating a mix and pricing it.
-// It returns the cell and the mix's CQI; terms is cqiSlot's optional
-// per-neighbor sink (nil for plain predictions).
+// It resolves the (primary, MPL) cell in the serving index and runs the
+// CQI kernel on the knowledge index; the kernel rejects unknown
+// concurrent IDs with ErrUnknownTemplate in the walk that summarizes the
+// mix's shared tables (shareOf). It returns the cell and the mix's CQI;
+// terms is cqiSlot's optional per-neighbor sink (nil for plain
+// predictions).
 //
 //contender:hotpath
 func (p *Predictor) price(primary int, concurrent []int, terms []float64) (*servCell, float64, error) {
-	idx := p.Know.index()
-	s := p.serving(idx)
-	cell, si, err := p.cellFor(s, idx, primary, len(concurrent))
+	cell, si, err := p.cellFor(primary, len(concurrent))
 	if err != nil {
 		return nil, 0, err
 	}
+	idx := p.know.idx
 	row := idx.row(si)
 	r, err := idx.cqiSlot(&row, concurrent, terms)
 	if err != nil {
@@ -253,7 +261,7 @@ func (p *Predictor) predictNew(t TemplateStats, concurrent []int, opts NewTempla
 	if !cont.Valid() {
 		return 0, fmt.Errorf("core: degenerate continuum [%g, %g] for template %d", cont.Min, cont.Max, t.ID)
 	}
-	r, err := p.Know.CQIForStats(t, concurrent)
+	r, err := p.know.CQIForStats(t, concurrent)
 	if err != nil {
 		return 0, err
 	}

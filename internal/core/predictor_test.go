@@ -12,9 +12,6 @@ import (
 // produce perfect predictions.
 func predictorFixture(t *testing.T) (*Knowledge, []Observation) {
 	t.Helper()
-	k := NewKnowledge()
-	k.SetScanTime("F", 100)
-	k.SetScanTime("G", 50)
 	templates := []struct {
 		id    int
 		lmin  float64
@@ -27,12 +24,13 @@ func predictorFixture(t *testing.T) (*Knowledge, []Observation) {
 		{4, 300, 0.5, nil},
 		{5, 500, 0.95, []string{"F"}},
 	}
+	var stats []TemplateStats
 	for _, tpl := range templates {
 		scans := make(map[string]bool)
 		for _, f := range tpl.scans {
 			scans[f] = true
 		}
-		k.AddTemplate(TemplateStats{
+		stats = append(stats, TemplateStats{
 			ID: tpl.id, IsolatedLatency: tpl.lmin, IOFraction: tpl.p,
 			Scans: scans,
 			SpoilerLatency: map[int]float64{
@@ -41,6 +39,7 @@ func predictorFixture(t *testing.T) (*Knowledge, []Observation) {
 			},
 		})
 	}
+	k := NewKnowledge(map[string]float64{"F": 100, "G": 50}, stats)
 
 	// For each template, generate observations with c = µ·r + b for a
 	// per-template ground-truth QS model.

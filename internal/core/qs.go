@@ -36,21 +36,26 @@ func FitQS(cqis, points []float64) (QSModel, error) {
 
 // ReferenceModels is the set of QS models Contender has learned for known
 // templates at one MPL, together with the isolated latencies it needs to
-// transfer them to new templates.
+// transfer them to new templates. It never changes once built.
 type ReferenceModels struct {
-	MPL    int
+	mpl    int
 	models map[int]QSModel
 	know   *Knowledge
 }
 
-// NewReferenceModels creates an empty reference set bound to a knowledge
-// base.
-func NewReferenceModels(know *Knowledge, mpl int) *ReferenceModels {
-	return &ReferenceModels{MPL: mpl, models: make(map[int]QSModel), know: know}
+// NewReferenceModels builds the reference set of the given MPL from fitted
+// QS models keyed by template ID, bound to a knowledge base. It keeps a
+// copy of models.
+func NewReferenceModels(know *Knowledge, mpl int, models map[int]QSModel) *ReferenceModels {
+	r := &ReferenceModels{mpl: mpl, models: make(map[int]QSModel, len(models)), know: know}
+	for id, m := range models {
+		r.models[id] = m
+	}
+	return r
 }
 
-// Add registers a fitted QS model for a known template.
-func (r *ReferenceModels) Add(id int, m QSModel) { r.models[id] = m }
+// MPL returns the multiprogramming level the models were fitted at.
+func (r *ReferenceModels) MPL() int { return r.mpl }
 
 // Model returns the QS model of template id.
 func (r *ReferenceModels) Model(id int) (QSModel, bool) {

@@ -34,19 +34,20 @@ func TestFitQSInsufficient(t *testing.T) {
 // regressions must recover new templates' models perfectly.
 func syntheticRefs(t *testing.T) (*Knowledge, *ReferenceModels) {
 	t.Helper()
-	k := NewKnowledge()
-	refs := NewReferenceModels(k, 2)
+	var ts []TemplateStats
+	models := make(map[int]QSModel)
 	// µ = 1.2 − 0.001·l_min; b = 0.5 − 0.4·µ.
 	for i, lmin := range []float64{100, 200, 300, 400, 500, 700} {
 		id := i + 1
-		k.AddTemplate(TemplateStats{
+		ts = append(ts, TemplateStats{
 			ID: id, IsolatedLatency: lmin, IOFraction: 0.9,
 			SpoilerLatency: map[int]float64{2: lmin * 2},
 		})
 		mu := 1.2 - 0.001*lmin
-		refs.Add(id, QSModel{Mu: mu, B: 0.5 - 0.4*mu})
+		models[id] = QSModel{Mu: mu, B: 0.5 - 0.4*mu}
 	}
-	return k, refs
+	k := NewKnowledge(nil, ts)
+	return k, NewReferenceModels(k, 2, models)
 }
 
 func TestEstimateForNew(t *testing.T) {
@@ -77,8 +78,7 @@ func TestEstimateInterceptFromMu(t *testing.T) {
 }
 
 func TestEstimateNeedsReferences(t *testing.T) {
-	k := NewKnowledge()
-	refs := NewReferenceModels(k, 2)
+	refs := NewReferenceModels(NewKnowledge(nil, nil), 2, nil)
 	if _, err := refs.EstimateForNew(100); err == nil {
 		t.Fatal("expected error with no references")
 	}
@@ -103,8 +103,8 @@ func TestCoefficientRelation(t *testing.T) {
 
 func TestReferenceModelAccessors(t *testing.T) {
 	_, refs := syntheticRefs(t)
-	if refs.Len() != 6 {
-		t.Fatalf("Len = %d", refs.Len())
+	if refs.Len() != 6 || refs.MPL() != 2 {
+		t.Fatalf("Len = %d, MPL = %d", refs.Len(), refs.MPL())
 	}
 	ids := refs.IDs()
 	for i := 1; i < len(ids); i++ {

@@ -8,13 +8,9 @@ import "fmt"
 // hash + pointer hop. servIndex precomputes one servCell per
 // (template slot, trained MPL) pair — QS slope/intercept and continuum
 // endpoints side by side in a contiguous slab — so a prediction is slot
-// arithmetic, one cell load, and the CQI kernel.
-//
-// The index is keyed by the cqiIndex snapshot it was built against:
-// mutating the knowledge base invalidates the cqiIndex, which makes the
-// identity check in serving() fail and triggers a rebuild. Reference
-// models are add-only after Train, so no separate invalidation hook is
-// needed.
+// arithmetic, one cell load, and the CQI kernel. It is built with the
+// predictor (newPredictor), over the same immutable knowledge base and
+// reference models the predictor holds.
 
 const (
 	cellHasQS uint8 = 1 << iota
@@ -30,10 +26,9 @@ type servCell struct {
 	flags      uint8
 }
 
-// servIndex is an immutable serving snapshot for one cqiIndex.
+// servIndex is the predictor's immutable serving index.
 type servIndex struct {
-	idx     *cqiIndex // the knowledge snapshot this was built against
-	nm      int       // number of trained MPLs
+	nm      int // number of trained MPLs
 	minMPL  int
 	mplSlot []int32    // mpl-minMPL → column, -1 untrained
 	cells   []servCell // n×nm slab: cells[slot*nm+col]
@@ -51,34 +46,12 @@ func (s *servIndex) mplIdx(mpl int) int {
 	return -1
 }
 
-// serving returns the serving index for the given knowledge snapshot,
-// rebuilding it the first time the snapshot is seen. The fast path is a
-// single atomic load plus a pointer compare; rebuilds serialize on the
-// predictor's build mutex.
-func (p *Predictor) serving(idx *cqiIndex) *servIndex {
-	if s := p.serv.Load(); s != nil && s.idx == idx {
-		return s
-	}
-	p.smu.Lock()
-	defer p.smu.Unlock()
-	if s := p.serv.Load(); s != nil && s.idx == idx {
-		return s
-	}
-	s := p.buildServing(idx)
-	p.serv.Store(s)
-	return s
-}
-
-// Prime forces the knowledge base's hot-path index and the serving index
-// to be built now, so the first prediction served to a latency-sensitive
-// caller does not pay the one-time construction cost.
-func (p *Predictor) Prime() {
-	p.serving(p.Know.index())
-}
-
-func (p *Predictor) buildServing(idx *cqiIndex) *servIndex {
+// buildServing fills one cell per (template, trained MPL) pair from the
+// reference models and the knowledge base's continua.
+func (p *Predictor) buildServing() *servIndex {
+	idx := p.know.idx
 	mpls := p.MPLs()
-	s := &servIndex{idx: idx, nm: len(mpls)}
+	s := &servIndex{nm: len(mpls)}
 	if len(mpls) == 0 {
 		return s
 	}
@@ -98,7 +71,7 @@ func (p *Predictor) buildServing(idx *cqiIndex) *servIndex {
 				cell.mu, cell.b = qs.Mu, qs.B
 				cell.flags |= cellHasQS
 			}
-			if cont, ok := p.Know.ContinuumFor(id, mpl); ok {
+			if cont, ok := p.know.ContinuumFor(id, mpl); ok {
 				cell.cmin, cell.cmax = cont.Min, cont.Max
 				cell.flags |= cellHasCont
 			}
@@ -114,23 +87,18 @@ func (p *Predictor) buildServing(idx *cqiIndex) *servIndex {
 // missing QS model, missing continuum.
 //
 //contender:hotpath
-func (p *Predictor) cellFor(s *servIndex, idx *cqiIndex, primary, nconc int) (*servCell, int, error) {
+func (p *Predictor) cellFor(primary, nconc int) (*servCell, int, error) {
 	if nconc == 0 {
 		return nil, 0, fmt.Errorf("core: %w: predicting template %d at MPL 1 (use the isolated latency)", ErrEmptyMix, primary)
 	}
+	s := p.serv
 	mpl := nconc + 1
 	col := s.mplIdx(mpl)
 	if col < 0 {
 		return nil, 0, fmt.Errorf("core: %w: no reference models at MPL %d", ErrUntrainedMPL, mpl)
 	}
-	si := idx.posOf(primary)
+	si := p.know.idx.posOf(primary)
 	if si < 0 {
-		// Match the historical lookup order: a template that still has a
-		// QS model but was removed from the knowledge base fails on the
-		// continuum, not on template resolution.
-		if _, ok := p.refs[mpl].Model(primary); ok {
-			return nil, 0, fmt.Errorf("core: %w: no continuum for template %d at MPL %d", ErrUntrainedMPL, primary, mpl)
-		}
 		return nil, 0, fmt.Errorf("core: %w: template %d", ErrUnknownTemplate, primary)
 	}
 	cell := &s.cells[si*s.nm+col]

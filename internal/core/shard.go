@@ -6,12 +6,13 @@ import (
 )
 
 // Sharded serving: one immutable predictor snapshot published through an
-// atomic.Pointer. Swap installs a freshly trained (and pre-primed)
-// predictor without ever blocking a serving goroutine; readers at worst
-// finish their current call on the old snapshot. Callers price on
-// Snapshot() with scratch of their own (a PredictBuffer, an
-// ExplainBuffer), and feedback folds inline through the snapshot's
-// Predictor.Feedback, so every sample reaches the quality aggregator.
+// atomic.Pointer. Swap installs a freshly built predictor (Train and
+// PredictorFromSnapshot return it with every index built) without ever
+// blocking a serving goroutine; readers at worst finish their current
+// call on the old snapshot. Callers price on Snapshot() with scratch of
+// their own (a PredictBuffer, an ExplainBuffer), and feedback folds
+// inline through the snapshot's Predictor.Feedback, so every sample
+// reaches the quality aggregator.
 
 // Sharded holds the serving snapshot. Construction and Swap are
 // control-plane operations; Snapshot is the data plane.
@@ -23,13 +24,11 @@ type Sharded struct {
 	observed atomic.Int64
 }
 
-// NewSharded wraps a trained predictor for serving. The predictor is
-// primed so no serving call pays the index construction cost.
+// NewSharded wraps a trained predictor for serving.
 func NewSharded(p *Predictor) (*Sharded, error) {
 	if p == nil {
 		return nil, fmt.Errorf("core: NewSharded needs a trained predictor")
 	}
-	p.Prime()
 	s := &Sharded{}
 	s.snap.Store(p)
 	return s, nil
@@ -41,15 +40,13 @@ func NewSharded(p *Predictor) (*Sharded, error) {
 func (s *Sharded) Snapshot() *Predictor { return s.snap.Load() }
 
 // Swap atomically installs a new (freshly trained or snapshot-loaded)
-// predictor and returns the previous one. The new predictor is primed
-// before publication, so no serving call ever pays its index build.
-// In-flight calls complete on the old snapshot; the caller owns its
-// retirement (it is safe to keep using).
+// predictor and returns the previous one. In-flight calls complete on
+// the old snapshot; the caller owns its retirement (it is safe to keep
+// using).
 func (s *Sharded) Swap(p *Predictor) (*Predictor, error) {
 	if p == nil {
 		return nil, fmt.Errorf("core: Swap needs a non-nil predictor")
 	}
-	p.Prime()
 	return s.snap.Swap(p), nil
 }
 

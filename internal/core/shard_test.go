@@ -129,8 +129,7 @@ func TestShardedDrainMatchesFeedback(t *testing.T) {
 	direct := trainedFixture(t)
 	qd := obspkg.NewQuality(obspkg.DriftConfig{})
 	rd := obspkg.NewRecording()
-	direct.SetQuality(qd)
-	direct.SetObserver(rd)
+	direct = direct.WithHooks(rd, qd)
 	for _, sm := range samples {
 		if _, err := direct.Feedback(sm.tmpl, sm.mix, sm.observed); err != nil {
 			t.Fatal(err)
@@ -140,8 +139,7 @@ func TestShardedDrainMatchesFeedback(t *testing.T) {
 	sharded := trainedFixture(t)
 	qs := obspkg.NewQuality(obspkg.DriftConfig{})
 	rs := obspkg.NewRecording()
-	sharded.SetQuality(qs)
-	sharded.SetObserver(rs)
+	sharded = sharded.WithHooks(rs, qs)
 	s, err := NewSharded(sharded)
 	if err != nil {
 		t.Fatal(err)
@@ -185,9 +183,8 @@ func TestShardedDrainMatchesFeedback(t *testing.T) {
 // before anything is recorded: nothing is folded into the quality
 // aggregator and Observe counts nothing for DrainFeedback.
 func TestSubnormalObservationRefused(t *testing.T) {
-	p := trainedFixture(t)
 	q := obspkg.NewQuality(obspkg.DriftConfig{})
-	p.SetQuality(q)
+	p := trainedFixture(t).WithHooks(nil, q)
 	s, err := NewSharded(p)
 	if err != nil {
 		t.Fatal(err)
@@ -213,9 +210,8 @@ func TestSubnormalObservationRefused(t *testing.T) {
 // lost or doubled sample breaks either sum, and -race flags any
 // unsynchronized access.
 func TestShardObserveConcurrent(t *testing.T) {
-	p := trainedFixture(t)
 	q := obspkg.NewQuality(obspkg.DriftConfig{})
-	p.SetQuality(q)
+	p := trainedFixture(t).WithHooks(nil, q)
 	s, err := NewSharded(p)
 	if err != nil {
 		t.Fatal(err)
@@ -266,11 +262,9 @@ func TestShardObserveConcurrent(t *testing.T) {
 // unsynchronized access into a failure, and every sample must reach the
 // aggregator whichever snapshot folded it.
 func TestShardedConcurrentSwapFeedbackQuality(t *testing.T) {
-	p1 := trainedFixture(t)
-	p2 := trainedFixture(t)
 	q := obspkg.NewQuality(obspkg.DriftConfig{})
-	p1.SetQuality(q)
-	p2.SetQuality(q)
+	p1 := trainedFixture(t).WithHooks(nil, q)
+	p2 := trainedFixture(t).WithHooks(nil, q)
 	const workers, rounds = 4, 300
 	s, err := NewSharded(p1)
 	if err != nil {

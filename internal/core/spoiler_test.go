@@ -54,14 +54,14 @@ func TestGrowthFromStatsErrors(t *testing.T) {
 // exact function of (working set, I/O fraction) clusters, so KNN can
 // recover it.
 func spoilerKnowledge() *Knowledge {
-	k := NewKnowledge()
+	var ts []TemplateStats
 	add := func(id int, ws, p, rate float64) {
 		lmin := 100.0
 		sp := make(map[int]float64)
 		for mpl := 2; mpl <= 5; mpl++ {
 			sp[mpl] = lmin * (rate*float64(mpl-1) + 1) // normalized: rate·n − rate + 1
 		}
-		k.AddTemplate(TemplateStats{
+		ts = append(ts, TemplateStats{
 			ID: id, IsolatedLatency: lmin, IOFraction: p,
 			WorkingSetBytes: ws, SpoilerLatency: sp,
 		})
@@ -74,7 +74,7 @@ func spoilerKnowledge() *Knowledge {
 	add(4, 5e9, 0.6, 3.0)
 	add(5, 5.2e9, 0.58, 3.0)
 	add(6, 4.8e9, 0.62, 3.0)
-	return k
+	return NewKnowledge(nil, ts)
 }
 
 func TestKNNSpoilerPredictor(t *testing.T) {
@@ -109,8 +109,7 @@ func TestKNNSpoilerPredictor(t *testing.T) {
 }
 
 func TestKNNSpoilerTooFewTemplates(t *testing.T) {
-	k := NewKnowledge()
-	k.AddTemplate(TemplateStats{ID: 1, IsolatedLatency: 100, SpoilerLatency: map[int]float64{2: 200}})
+	k := NewKnowledge(nil, []TemplateStats{{ID: 1, IsolatedLatency: 100, SpoilerLatency: map[int]float64{2: 200}}})
 	if _, err := NewKNNSpoilerPredictor(k, 3); err == nil {
 		t.Fatal("expected error with fewer templates than k")
 	}

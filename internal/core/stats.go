@@ -10,11 +10,7 @@
 // from the bundled simulator or a real DBMS is invisible to it.
 package core
 
-import (
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+import "sort"
 
 // TemplateStats holds the isolated-execution observables of one template —
 // everything Contender is allowed to know about a query without running it
@@ -54,56 +50,75 @@ func (t TemplateStats) SpoilerSlowdown(mpl int) float64 {
 }
 
 // Knowledge is Contender's training-time view of the workload: per-template
-// isolated statistics plus the measured per-table scan times s_f.
-//
-// Reads (CQI, prediction) are safe to run concurrently; mutation
-// (AddTemplate, SetScanTime, Remove) must not overlap with reads or other
-// mutation. Always handle Knowledge by pointer — it embeds sync state.
+// isolated statistics plus the measured per-table scan times s_f. It is
+// built once, by NewKnowledge, and never changes afterwards, so every read
+// (CQI, prediction) is safe to run concurrently.
 type Knowledge struct {
 	templates map[int]TemplateStats
 	// scanSeconds[f] is s_f: time to sequentially scan fact table f in
 	// isolation, measured by running a scan-only query.
 	scanSeconds map[string]float64
 
-	// cqi caches the resolved hot-path index (cqiindex.go); it is rebuilt
-	// lazily after any mutation. mu serializes concurrent rebuilds.
-	cqi atomic.Pointer[cqiIndex]
-	mu  sync.Mutex
+	// idx is the flat hot-path index (cqiindex.go), built by NewKnowledge.
+	idx *cqiIndex
 }
 
-// NewKnowledge builds an empty knowledge base.
-func NewKnowledge() *Knowledge {
-	return &Knowledge{
-		templates:   make(map[int]TemplateStats),
-		scanSeconds: make(map[string]float64),
+// NewKnowledge builds a knowledge base from the measured scan times and
+// the templates' isolated statistics, and builds its CQI index. It keeps
+// deep copies of its inputs, so the caller may reuse or mutate them
+// afterwards. A later template with an already-seen ID replaces the
+// earlier one.
+func NewKnowledge(scans map[string]float64, templates []TemplateStats) *Knowledge {
+	k := &Knowledge{
+		templates:   make(map[int]TemplateStats, len(templates)),
+		scanSeconds: make(map[string]float64, len(scans)),
 	}
-}
-
-// AddTemplate records (or replaces) a template's isolated statistics.
-func (k *Knowledge) AddTemplate(ts TemplateStats) {
-	if ts.SpoilerLatency == nil {
-		ts.SpoilerLatency = make(map[int]float64)
+	for f, v := range scans {
+		k.scanSeconds[f] = v
 	}
-	if ts.Scans == nil {
-		ts.Scans = make(map[string]bool)
+	for _, ts := range templates {
+		cp := ts
+		cp.SpoilerLatency = make(map[int]float64, len(ts.SpoilerLatency))
+		for m, v := range ts.SpoilerLatency {
+			cp.SpoilerLatency[m] = v
+		}
+		cp.Scans = make(map[string]bool, len(ts.Scans))
+		for f, v := range ts.Scans {
+			cp.Scans[f] = v
+		}
+		k.templates[cp.ID] = cp
 	}
-	k.templates[ts.ID] = ts
-	k.invalidate()
-}
-
-// SetScanTime records s_f for a fact table.
-func (k *Knowledge) SetScanTime(table string, seconds float64) {
-	k.scanSeconds[table] = seconds
-	k.invalidate()
+	k.idx = k.buildIndex()
+	return k
 }
 
 // ScanTime returns s_f, or 0 if the table was never profiled.
 func (k *Knowledge) ScanTime(table string) float64 { return k.scanSeconds[table] }
 
-// Template returns the stats of template id.
+// ScanTimes returns a copy of every measured scan time s_f.
+func (k *Knowledge) ScanTimes() map[string]float64 {
+	out := make(map[string]float64, len(k.scanSeconds))
+	for f, v := range k.scanSeconds {
+		out[f] = v
+	}
+	return out
+}
+
+// Template returns the stats of template id. Its maps belong to the
+// knowledge base: read them, do not write them.
 func (k *Knowledge) Template(id int) (TemplateStats, bool) {
 	t, ok := k.templates[id]
 	return t, ok
+}
+
+// Templates returns every template's stats in ascending ID order, with
+// maps shared as in Template.
+func (k *Knowledge) Templates() []TemplateStats {
+	out := make([]TemplateStats, 0, len(k.templates))
+	for _, id := range k.IDs() {
+		out = append(out, k.templates[id])
+	}
+	return out
 }
 
 // IDs returns the known template IDs in ascending order.
@@ -114,39 +129,6 @@ func (k *Knowledge) IDs() []int {
 	}
 	sort.Ints(ids)
 	return ids
-}
-
-// Clone returns a deep copy, letting experiments fork knowledge bases for
-// leave-one-out protocols without cross-talk.
-func (k *Knowledge) Clone() *Knowledge {
-	out := NewKnowledge()
-	for _, ts := range k.templates {
-		cp := ts
-		cp.SpoilerLatency = make(map[int]float64, len(ts.SpoilerLatency))
-		for m, v := range ts.SpoilerLatency {
-			cp.SpoilerLatency[m] = v
-		}
-		cp.Scans = make(map[string]bool, len(ts.Scans))
-		for f, v := range ts.Scans {
-			cp.Scans[f] = v
-		}
-		out.templates[cp.ID] = cp
-	}
-	for f, v := range k.scanSeconds {
-		out.scanSeconds[f] = v
-	}
-	return out
-}
-
-// Remove deletes a template (used by leave-one-out experiments) and returns
-// its stats if present.
-func (k *Knowledge) Remove(id int) (TemplateStats, bool) {
-	t, ok := k.templates[id]
-	if ok {
-		delete(k.templates, id)
-		k.invalidate()
-	}
-	return t, ok
 }
 
 // Observation is one steady-state measurement: the primary's average

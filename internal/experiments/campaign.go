@@ -646,13 +646,14 @@ type Campaign struct {
 // order.
 func (c *campaign) merge() *Campaign {
 	out := &Campaign{
-		Know:       core.NewKnowledge(),
 		Samples:    make(map[int][]MixSample),
 		Resilience: c.report,
 		mpls:       c.opts.MPLs,
 		injector:   c.injector,
 	}
 	bad := c.badTemplates()
+	scans := make(map[string]float64)
+	var templates []core.TemplateStats
 	for i, t := range c.plan {
 		if t.kind == templateTask {
 			out.Resilience.TotalTemplates++
@@ -666,10 +667,10 @@ func (c *campaign) merge() *Campaign {
 		e := c.entries[i]
 		switch t.kind {
 		case scanTask:
-			out.Know.SetScanTime(t.table, e.Scan)
+			scans[t.table] = e.Scan
 		case templateTask:
 			ts, isolated, spoiler := c.templateStats(t.meta, e)
-			out.Know.AddTemplate(ts)
+			templates = append(templates, ts)
 			out.Resilience.TrainedTemplates++
 			out.SimulatedSeconds.Isolated += isolated
 			out.SimulatedSeconds.Spoiler += spoiler
@@ -686,6 +687,7 @@ func (c *campaign) merge() *Campaign {
 			out.SimulatedSeconds.Mixes += e.Seconds
 		}
 	}
+	out.Know = core.NewKnowledge(scans, templates)
 	out.buildObservationIndex()
 	return out
 }

@@ -55,17 +55,18 @@ func ExtGrowth(env *Env) (*Result, error) {
 	}
 
 	// Oracle isolated latencies at the new scale (one run per template).
-	oracleKnow := scaledKnow.Clone()
+	oracle := scaledKnow.Templates()
 	for _, id := range grown.IDs() {
 		iso, err := truthEngine.RunIsolated(grown.MustSpec(id))
 		if err != nil {
 			return nil, err
 		}
-		ts := must(template(oracleKnow, id))
+		ts := must(template(scaledKnow, id))
 		ts.IsolatedLatency = iso.Latency
 		ts.IOFraction = iso.IOFraction()
-		oracleKnow.AddTemplate(ts)
+		oracle = append(oracle, ts)
 	}
+	oracleKnow := core.NewKnowledge(scaledKnow.ScanTimes(), oracle)
 
 	ids := env.TemplateIDs()
 	staleAll, scaledAll, oracleAll := []float64{}, []float64{}, []float64{}
@@ -75,11 +76,7 @@ func ExtGrowth(env *Env) (*Result, error) {
 			return nil, err
 		}
 		refsFor := func(know *core.Knowledge) *core.ReferenceModels {
-			refs := core.NewReferenceModels(know, mpl)
-			for id, m := range models {
-				refs.Add(id, m)
-			}
-			return refs
+			return core.NewReferenceModels(know, mpl, models)
 		}
 		staleRefs, scaledRefs, oracleRefs := refsFor(env.Know), refsFor(scaledKnow), refsFor(oracleKnow)
 		mixes := lhs.SampleDisjoint(len(ids), mpl, 4, env.Opts.Seed+int64(77*mpl))

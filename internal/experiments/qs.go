@@ -59,13 +59,13 @@ func fitQSFor(env *Env, mpl, id int, obsIdx []int) (core.QSModel, error) {
 // referenceSet assembles a ReferenceModels from fitted QS models,
 // excluding the given template IDs (for leave-out protocols).
 func referenceSet(env *Env, mpl int, models map[int]core.QSModel, exclude map[int]bool) *core.ReferenceModels {
-	refs := core.NewReferenceModels(env.Know, mpl)
+	kept := make(map[int]core.QSModel, len(models))
 	for id, m := range models {
 		if !exclude[id] {
-			refs.Add(id, m)
+			kept[id] = m
 		}
 	}
-	return refs
+	return core.NewReferenceModels(env.Know, mpl, kept)
 }
 
 // Fig4 reproduces Figure 4: the linear relationship between QS slopes and

@@ -105,12 +105,13 @@ func ExtQSFeatures(env *Env) (*Result, error) {
 			for i, j := range fold.Train {
 				train[i] = ids[j]
 			}
-			refs := core.NewReferenceModels(env.Know, mpl)
+			kept := make(map[int]core.QSModel, len(train))
 			for _, id := range train {
 				if m, ok := models[id]; ok {
-					refs.Add(id, m)
+					kept[id] = m
 				}
 			}
+			refs := core.NewReferenceModels(env.Know, mpl, kept)
 			for _, est := range estimators {
 				muOf, err := est.fit(train, models, mpl)
 				if err != nil {

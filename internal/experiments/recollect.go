@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"contender/internal/core"
 	"contender/internal/resilience"
@@ -98,19 +97,9 @@ func (e *Env) Recollect(ctx context.Context, cfg RecollectConfig) (*core.Predict
 
 	// Rebuild knowledge: untargeted templates keep their original stats;
 	// targets get the fresh profile pushed through the drifted World.
-	ks := e.Know.Snapshot()
-	know := core.NewKnowledge()
-	scanTables := make([]string, 0, len(ks.ScanTimes))
-	for table := range ks.ScanTimes {
-		scanTables = append(scanTables, table)
-	}
-	sort.Strings(scanTables)
-	for _, table := range scanTables {
-		know.SetScanTime(table, ks.ScanTimes[table])
-	}
-	for _, ts := range ks.Templates {
+	templates := e.Know.Templates()
+	for i, ts := range templates {
 		if !targets[ts.ID] {
-			know.AddTemplate(ts.Stats())
 			continue
 		}
 		fresh, _ := sub.Know.Template(ts.ID)
@@ -120,8 +109,9 @@ func (e *Env) Recollect(ctx context.Context, cfg RecollectConfig) (*core.Predict
 			spoilers[mpl] = world(ts.ID, mpl, lat)
 		}
 		fresh.SpoilerLatency = spoilers
-		know.AddTemplate(fresh)
+		templates[i] = fresh
 	}
+	know := core.NewKnowledge(e.Know.ScanTimes(), templates)
 
 	// Merge observations in canonical sample order: untouched mixes come
 	// from the original campaign; touched mixes from the re-measurement

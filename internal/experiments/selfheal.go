@@ -44,7 +44,7 @@ func ExtSelfheal(e *Env) (*Result, error) {
 		return nil, err
 	}
 	quality := obs.NewQuality(qualityDriftConfig())
-	p1.SetQuality(quality)
+	p1 = p1.WithHooks(nil, quality)
 
 	mpls := e.sortedMPLs()
 	refs, ok := p1.References(mpls[0])

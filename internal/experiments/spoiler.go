@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"contender/internal/core"
 	"contender/internal/stats"
@@ -99,8 +100,7 @@ func Fig9(env *Env) (*Result, error) {
 	knnErrs := make(map[int][]float64)
 	ioErrs := make(map[int][]float64)
 	for _, id := range env.TemplateIDs() {
-		loo := env.Know.Clone()
-		target, _ := loo.Remove(id)
+		loo, target := leaveOut(env.Know, id)
 		knn, err := core.NewKNNSpoilerPredictor(loo, 3)
 		if err != nil {
 			return nil, err
@@ -172,8 +172,7 @@ func Fig10(env *Env) (*Result, error) {
 				continue // excluded as in Section 6.5
 			}
 			refs := referenceSet(env, mpl, models, map[int]bool{id: true})
-			loo := env.Know.Clone()
-			target, _ := loo.Remove(id)
+			loo, target := leaveOut(env.Know, id)
 			knn, err := core.NewKNNSpoilerPredictor(loo, 3)
 			if err != nil {
 				return nil, err
@@ -281,3 +280,11 @@ func Sec54Cost(env *Env) (*Result, error) {
 }
 
 func fmtHours(seconds float64) string { return fmt.Sprintf("%.1f h", seconds/3600) }
+
+// leaveOut returns the knowledge base without template id, and id's
+// stats, for the leave-one-out protocols.
+func leaveOut(know *core.Knowledge, id int) (*core.Knowledge, core.TemplateStats) {
+	target, _ := know.Template(id)
+	rest := slices.DeleteFunc(know.Templates(), func(t core.TemplateStats) bool { return t.ID == id })
+	return core.NewKnowledge(know.ScanTimes(), rest), target
+}

@@ -312,20 +312,15 @@ func (m *Manager) retrainLocked(ctx context.Context, rep StepReport) (StepReport
 		}
 	}
 
-	// Candidate accepted: persist first, then hot-swap. The candidate
-	// inherits the quality aggregator and observer so post-swap feedback
-	// keeps flowing into the same telemetry. Both writes are skipped when
-	// already correct: a collector may hand back a predictor that served
-	// before (A/B alternation), and a predictor must not be mutated
-	// while lock-free readers can still hold it.
-	if candidate.Quality() != m.cfg.Quality {
-		candidate.SetQuality(m.cfg.Quality)
+	// Candidate accepted: persist first, then hot-swap. The promoted
+	// copy carries the quality aggregator and (unless the candidate has
+	// its own) the old observer, so post-swap feedback keeps flowing
+	// into the same telemetry.
+	o := candidate.Observer()
+	if o == nil {
+		o = old.Observer()
 	}
-	if candidate.Observer() == nil {
-		if o := old.Observer(); o != nil {
-			candidate.SetObserver(o)
-		}
-	}
+	candidate = candidate.WithHooks(o, m.cfg.Quality)
 	if m.cfg.Store != nil {
 		v, perr := m.cfg.Store.Publish(candidate.Snapshot(), retrainNote(rep.Stale))
 		if perr != nil {

@@ -81,10 +81,9 @@ func qcfg() obs.DriftConfig {
 }
 
 func TestStepPromotesOnImprovedCanary(t *testing.T) {
-	old := makePredictor(t, 1.0)
-	better := makePredictor(t, 1.8)
 	q := obs.NewQuality(qcfg())
-	old.SetQuality(q)
+	old := makePredictor(t, 1.0).WithHooks(nil, q)
+	better := makePredictor(t, 1.8)
 	sh, err := core.NewSharded(old)
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
@@ -125,7 +124,9 @@ func TestStepPromotesOnImprovedCanary(t *testing.T) {
 	if rep.NewMRE >= rep.OldMRE {
 		t.Fatalf("canary did not improve: old %g new %g", rep.OldMRE, rep.NewMRE)
 	}
-	if sh.Snapshot() != better {
+	// Promotion serves a hooked copy of the candidate, which shares its
+	// knowledge base and models.
+	if sh.Snapshot().Knowledge() != better.Knowledge() {
 		t.Fatal("promotion did not hot-swap the candidate")
 	}
 	if sh.Snapshot().Quality() != q {
@@ -159,10 +160,9 @@ func TestStepPromotesOnImprovedCanary(t *testing.T) {
 // judged on their own — while rows where the template is only a
 // neighbor keep their history.
 func TestPromotionResetsBlame(t *testing.T) {
-	old := makePredictor(t, 1.0)
-	better := makePredictor(t, 1.8)
 	q := obs.NewQuality(qcfg())
-	old.SetQuality(q)
+	old := makePredictor(t, 1.0).WithHooks(nil, q)
+	better := makePredictor(t, 1.8)
 	b := obs.NewBlame(obs.BlameConfig{})
 	b.Observe(2, []int{22}, []float64{3.5})  // primary 2: reset on its promotion
 	b.Observe(22, []int{2}, []float64{1.25}) // primary 22: untouched
@@ -198,10 +198,9 @@ func TestPromotionResetsBlame(t *testing.T) {
 }
 
 func TestStepRollsBackOnCanaryRegression(t *testing.T) {
-	old := makePredictor(t, 1.0)
-	worse := makePredictor(t, 5.0)
 	q := obs.NewQuality(qcfg())
-	old.SetQuality(q)
+	old := makePredictor(t, 1.0).WithHooks(nil, q)
+	worse := makePredictor(t, 5.0)
 	sh, _ := core.NewSharded(old)
 	rec := obs.NewRecording()
 	m, err := New(sh, Config{
@@ -243,9 +242,8 @@ func TestStepRollsBackOnCanaryRegression(t *testing.T) {
 }
 
 func TestRetrainFailureDegradesGracefully(t *testing.T) {
-	old := makePredictor(t, 1.0)
 	q := obs.NewQuality(qcfg())
-	old.SetQuality(q)
+	old := makePredictor(t, 1.0).WithHooks(nil, q)
 	sh, _ := core.NewSharded(old)
 	boom := errors.New("substrate unreachable")
 	m, err := New(sh, Config{
@@ -297,11 +295,9 @@ func TestForceRetrainNeedsTemplates(t *testing.T) {
 // whose feedback counter must end up holding every sample exactly once
 // (promotion resets the victim's tracker, not the counter).
 func TestHotSwapUnderFire(t *testing.T) {
-	pa := makePredictor(t, 1.0)
-	pb := makePredictor(t, 1.8)
 	q := obs.NewQuality(qcfg())
-	pa.SetQuality(q)
-	pb.SetQuality(q)
+	pa := makePredictor(t, 1.0).WithHooks(nil, q)
+	pb := makePredictor(t, 1.8).WithHooks(nil, q)
 	sh, err := core.NewSharded(pa)
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
@@ -369,7 +365,7 @@ func TestHotSwapUnderFire(t *testing.T) {
 	if got := q.Registry().Snapshot().Counter(`contender_quality_feedback_total{template="2"}`); got != want {
 		t.Errorf("contender_quality_feedback_total = %d, want the %d samples sent", got, want)
 	}
-	if got := sh.Snapshot(); got != pa && got != pb {
+	if got := sh.Snapshot().Knowledge(); got != pa.Knowledge() && got != pb.Knowledge() {
 		t.Fatal("serving snapshot is neither candidate")
 	}
 	// Content-addressed store: 100 promotions of two predictors are two

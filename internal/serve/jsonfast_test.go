@@ -310,9 +310,8 @@ func TestHTTPConcurrentScratch(t *testing.T) {
 // benchmarkHTTPHandler serves one body through the in-memory handler
 // with the Metrics observer installed as contender-serve installs it.
 func benchmarkHTTPHandler(b *testing.B, path string, body any) {
-	p := trainedPredictor(b)
 	m := obs.NewMetrics()
-	p.SetObserver(m)
+	p := trainedPredictor(b).WithHooks(m, nil)
 	sh, err := core.NewSharded(p)
 	if err != nil {
 		b.Fatal(err)

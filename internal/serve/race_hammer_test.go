@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -32,14 +33,10 @@ func TestSwapHammerUnderLoad(t *testing.T) {
 		t.Skip("swap hammer: skipped in -short")
 	}
 
-	// The ping-pong pair is pre-primed via Swap's own Prime call, which
-	// is idempotent and internally synchronized, so re-publishing a
-	// retired predictor is safe.
+	// Predictors never change once built, so re-publishing a retired
+	// one in the ping-pong is safe.
 	q := obs.NewQuality(obs.DriftConfig{MinSamples: 4, Delta: 0.05, Lambda: 1, StaleMRE: 0.3, RecoverMRE: 0.1, Window: 4})
-	p0, p1, p2 := trainedPredictor(t), trainedPredictor(t), trainedPredictor(t)
-	for _, p := range []*core.Predictor{p0, p1, p2} {
-		p.SetQuality(q)
-	}
+	p0, p1, p2 := trainedPredictor(t).WithHooks(nil, q), trainedPredictor(t).WithHooks(nil, q), trainedPredictor(t).WithHooks(nil, q)
 	sh, err := core.NewSharded(p0)
 	if err != nil {
 		t.Fatal(err)
@@ -60,10 +57,8 @@ func TestSwapHammerUnderLoad(t *testing.T) {
 		}
 	})
 
-	// Each ForceRetrain promotes a fresh candidate: promotion calls
-	// SetQuality on it, which must never hit a predictor that is
-	// already serving. Pre-build them here so the collector goroutine
-	// never touches testing.TB. Promotion resets the retrained
+	// Each ForceRetrain promotes a fresh candidate. Pre-build them here
+	// so the collector goroutine never touches testing.TB. Promotion resets the retrained
 	// templates' trackers, so feedback names only the other templates.
 	const retrains = 4
 	retrained := []int{1, 2}
@@ -207,9 +202,9 @@ func TestSwapHammerUnderLoad(t *testing.T) {
 }
 
 // TestShrinkingSwapHammer swaps the serving snapshot between the fixture
-// predictor and a clone whose knowledge base lacks one template, while
+// predictor and one rebuilt from its snapshot without one template, while
 // binary and HTTP clients keep naming that template as a neighbor. The
-// core validates and prices each request against a single snapshot load,
+// core validates and prices each request against a single snapshot,
 // so every answer must be a success (the request saw the full snapshot)
 // or unknown_template (it saw the shrunken one) — never a transient
 // failure born in a gap between validation and pricing. Both snapshots
@@ -220,15 +215,26 @@ func TestShrinkingSwapHammer(t *testing.T) {
 		t.Skip("swap hammer: skipped in -short")
 	}
 	const removed = 5
-	full, shrunk := trainedPredictor(t), trainedPredictor(t)
-	know := shrunk.Know.Clone()
-	if _, ok := know.Remove(removed); !ok {
+	q := obs.NewQuality(obs.DriftConfig{})
+	full := trainedPredictor(t).WithHooks(nil, q)
+	snap := full.Snapshot()
+	n := len(snap.Templates)
+	snap.Templates = slices.DeleteFunc(snap.Templates, func(ts core.TemplateSnapshot) bool { return ts.ID == removed })
+	if len(snap.Templates) == n {
 		t.Fatalf("fixture has no template %d", removed)
 	}
-	shrunk.Know = know
-	q := obs.NewQuality(obs.DriftConfig{})
-	full.SetQuality(q)
-	shrunk.SetQuality(q)
+	models := snap.Models[:0]
+	for _, m := range snap.Models {
+		if m.Template != removed {
+			models = append(models, m)
+		}
+	}
+	snap.Models = models
+	shrunk, err := core.PredictorFromSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shrunk = shrunk.WithHooks(nil, q)
 
 	s, _, addr := testServer(t, Config{})
 	h := s.Handler()

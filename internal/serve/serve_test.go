@@ -26,9 +26,6 @@ import (
 // models, mirroring the core test fixture through the public API.
 func trainedPredictor(t testing.TB) *core.Predictor {
 	t.Helper()
-	k := core.NewKnowledge()
-	k.SetScanTime("F", 100)
-	k.SetScanTime("G", 50)
 	templates := []struct {
 		id    int
 		lmin  float64
@@ -41,12 +38,13 @@ func trainedPredictor(t testing.TB) *core.Predictor {
 		{4, 300, 0.5, nil},
 		{5, 500, 0.95, []string{"F"}},
 	}
+	var stats []core.TemplateStats
 	for _, tpl := range templates {
 		scans := make(map[string]bool)
 		for _, f := range tpl.scans {
 			scans[f] = true
 		}
-		k.AddTemplate(core.TemplateStats{
+		stats = append(stats, core.TemplateStats{
 			ID: tpl.id, IsolatedLatency: tpl.lmin, IOFraction: tpl.p,
 			Scans: scans,
 			SpoilerLatency: map[int]float64{
@@ -55,6 +53,7 @@ func trainedPredictor(t testing.TB) *core.Predictor {
 			},
 		})
 	}
+	k := core.NewKnowledge(map[string]float64{"F": 100, "G": 50}, stats)
 	qsFor := func(id int) core.QSModel {
 		return core.QSModel{Mu: 0.5 + 0.05*float64(id), B: 0.1 + 0.01*float64(id)}
 	}
@@ -867,8 +866,7 @@ func TestFeedbackFoldsEverySample(t *testing.T) {
 	} {
 		t.Run(tc.front, func(t *testing.T) {
 			q := obs.NewQuality(obs.DriftConfig{})
-			p := trainedPredictor(t)
-			p.SetQuality(q)
+			p := trainedPredictor(t).WithHooks(nil, q)
 			sh, err := core.NewSharded(p)
 			if err != nil {
 				t.Fatal(err)

@@ -16,8 +16,7 @@ import (
 // become that fingerprint and the blob's checksum, so a mutated blob
 // stays addressable and reaches the decoder and validation. Opening
 // must never panic: each input ends in an error of the resilience
-// taxonomy, in an empty store, or in a current predictor that primes
-// and prices.
+// taxonomy, in an empty store, or in a current predictor that prices.
 func FuzzStoreOpen(f *testing.F) {
 	blob, _, _, err := encode(testSnapshot(f, 0))
 	if err != nil {
@@ -58,8 +57,7 @@ func FuzzStoreOpen(f *testing.F) {
 			requireClassified(t, "CurrentPredictor", err)
 			return
 		}
-		p.Prime()
-		for _, id := range p.Know.IDs() {
+		for _, id := range p.Knowledge().IDs() {
 			_, _ = p.PredictKnown(id, []int{id})
 		}
 	})

@@ -2,7 +2,10 @@ package contender
 
 import (
 	"context"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -154,7 +157,6 @@ func TestPanickingObserverOnSystemPath(t *testing.T) {
 // performs zero heap allocations.
 func TestPredictKnownZeroAllocWithoutObserver(t *testing.T) {
 	_, pred := testWorkbench(t)
-	pred.Prime()
 	mix := []int{2, 22}
 	if _, err := pred.PredictKnown(71, mix); err != nil {
 		t.Fatal(err)
@@ -166,6 +168,79 @@ func TestPredictKnownZeroAllocWithoutObserver(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("PredictKnown without observer: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestSnapshotSettersLeaveServedPredictor: SetObserver and SetQuality
+// rebind only the handle they are called on. Called on a Sharded's
+// Snapshot while readers serve through the Sharded, they leave the
+// served predictor's hooks as they were, so the new recorder sees none
+// of the readers' spans and the new aggregator none of their feedback.
+func TestSnapshotSettersLeaveServedPredictor(t *testing.T) {
+	wb, _ := testWorkbench(t)
+	pred, err := wb.Train()
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, servedQ := NewRecordingObserver(), NewQuality(DriftConfig{})
+	pred.SetObserver(served)
+	pred.SetQuality(servedQ)
+	sh, err := NewSharded(pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Readers serve until they have made 200 calls after the setters
+	// ran; the setters start once every reader has served once.
+	var served0, after atomic.Int64
+	var setDone atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for after.Load() < 200 {
+				p := sh.Snapshot()
+				if _, err := p.PredictKnown(71, []int{2, 22}); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := p.Feedback(71, []int{2, 22}, 100); err != nil {
+					t.Error(err)
+					return
+				}
+				served0.Add(1)
+				if setDone.Load() {
+					after.Add(1)
+				}
+			}
+		}()
+	}
+	for served0.Load() < 2 {
+		runtime.Gosched()
+	}
+	rec, q := NewRecordingObserver(), NewQuality(DriftConfig{})
+	for i := 0; i < 200; i++ {
+		h := sh.Snapshot()
+		h.SetObserver(rec)
+		h.SetQuality(q)
+		if h.Observer() != Observer(rec) || h.Quality() != q {
+			t.Fatal("the setters did not rebind the handle they were called on")
+		}
+		runtime.Gosched()
+	}
+	setDone.Store(true)
+	wg.Wait()
+	if n := rec.Len(); n != 0 {
+		t.Errorf("the new observer saw %d serving events: the served predictor was rebound", n)
+	}
+	if n := q.Report().Samples; n != 0 {
+		t.Errorf("the new aggregator folded %d samples: the served predictor was rebound", n)
+	}
+	if p := sh.Snapshot(); p.Observer() != Observer(served) || p.Quality() != servedQ {
+		t.Error("the served predictor lost its own hooks")
+	}
+	if served.CountSpan(SpanServePredictKnown) == 0 || servedQ.Report().Samples == 0 {
+		t.Error("the readers served nothing through their own hooks")
 	}
 }
 

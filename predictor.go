@@ -25,9 +25,11 @@ func (p *Predictor) MPLs() []int { return p.inner.MPLs() }
 // receives this predictor's serve.* spans. Predictors trained with
 // WithObserver or TrainConfig.Observer inherit the training observer
 // automatically; SetObserver exists for predictors loaded from a
-// snapshot and for swapping observers at runtime. Without an observer
-// the serving hot path performs no clock reads and no allocations.
-func (p *Predictor) SetObserver(o Observer) { p.inner.SetObserver(o) }
+// snapshot. It rebinds this handle to a copy of the model carrying the
+// new observer, so a Sharded or server already serving the model keeps
+// its own. Without an observer the serving hot path performs no clock
+// reads and no allocations.
+func (p *Predictor) SetObserver(o Observer) { p.inner = p.inner.WithHooks(o, p.inner.Quality()) }
 
 // Observer returns the predictor's serving observer (nil when none).
 func (p *Predictor) Observer() Observer { return p.inner.Observer() }
@@ -35,10 +37,10 @@ func (p *Predictor) Observer() Observer { return p.inner.Observer() }
 // SetQuality installs (or, with nil, removes) the prediction-quality
 // aggregator that Feedback streams into. Predictors trained with
 // WithQuality or TrainConfig.Quality inherit it automatically;
-// SetQuality exists for predictors loaded from a snapshot and for
-// swapping aggregators at runtime. The aggregation is entirely off the
-// uninstrumented serving path.
-func (p *Predictor) SetQuality(q *Quality) { p.inner.SetQuality(q) }
+// SetQuality exists for predictors loaded from a snapshot. Like
+// SetObserver it rebinds only this handle. The aggregation is entirely
+// off the uninstrumented serving path.
+func (p *Predictor) SetQuality(q *Quality) { p.inner = p.inner.WithHooks(p.inner.Observer(), q) }
 
 // Quality returns the installed quality aggregator (nil when none).
 func (p *Predictor) Quality() *Quality { return p.inner.Quality() }
@@ -74,10 +76,10 @@ func (p *Predictor) PredictKnown(template int, concurrent []int) (float64, error
 func (p *Predictor) CQI(primary int, concurrent []int) (float64, error) {
 	o := p.inner.Observer()
 	if o == nil {
-		return p.inner.Know.CQI(primary, concurrent)
+		return p.inner.Knowledge().CQI(primary, concurrent)
 	}
 	start := time.Now()
-	r, err := p.inner.Know.CQI(primary, concurrent)
+	r, err := p.inner.Knowledge().CQI(primary, concurrent)
 	obs.Emit(o, Event{
 		Kind:     obs.SpanEnd,
 		Span:     obs.SpanServeCQI,
@@ -94,7 +96,7 @@ func (p *Predictor) CQI(primary int, concurrent []int) (float64, error) {
 // its isolated statistics. The concurrent templates must be known; an
 // unknown one returns an error wrapping ErrUnknownTemplate.
 func (p *Predictor) CQIForStats(primary TemplateStats, concurrent []int) (float64, error) {
-	return p.inner.Know.CQIForStats(primary, concurrent)
+	return p.inner.Knowledge().CQIForStats(primary, concurrent)
 }
 
 // PredictBuffer holds the reusable scratch space of PredictBatch. The zero
@@ -104,7 +106,7 @@ type PredictBuffer = core.PredictBuffer
 
 // PredictBatch predicts the primary's latency under every mix, appending
 // into buf's storage and returning the filled slice (valid until the next
-// call with the same buffer). With a primed predictor the call performs no
+// call with the same buffer). A warm buffer makes the call perform no
 // heap allocations.
 func (p *Predictor) PredictBatch(buf *PredictBuffer, primary int, mixes [][]int) ([]float64, error) {
 	return p.inner.PredictBatch(buf, primary, mixes)
@@ -125,10 +127,6 @@ type ExplainBuffer = core.ExplainBuffer
 func (p *Predictor) Explain(buf *ExplainBuffer, primary int, concurrent []int) (float64, error) {
 	return p.inner.PredictExplain(buf, primary, concurrent)
 }
-
-// Prime forces construction of the internal prediction index so the first
-// PredictKnown/PredictBatch call doesn't pay the one-time build cost.
-func (p *Predictor) Prime() { p.inner.Prime() }
 
 // QSModelFor returns the reference QS model of a known template at an MPL.
 func (p *Predictor) QSModelFor(template, mpl int) (QSModel, bool) {
@@ -161,7 +159,7 @@ const (
 func (p *Predictor) PredictNew(t TemplateStats, concurrent []int, mode NewTemplateMode) (float64, error) {
 	opts := core.NewTemplateOptions{}
 	if mode == SpoilerKNN {
-		knn, err := core.NewKNNSpoilerPredictor(p.inner.Know, 3)
+		knn, err := core.NewKNNSpoilerPredictor(p.inner.Knowledge(), 3)
 		if err != nil {
 			return 0, fmt.Errorf("contender: building spoiler predictor: %w", err)
 		}
@@ -173,7 +171,7 @@ func (p *Predictor) PredictNew(t TemplateStats, concurrent []int, mode NewTempla
 // PredictSpoiler predicts the worst-case (spoiler) latency of an ad-hoc
 // template at an MPL from its isolated statistics alone.
 func (p *Predictor) PredictSpoiler(t TemplateStats, mpl int) (float64, error) {
-	knn, err := core.NewKNNSpoilerPredictor(p.inner.Know, 3)
+	knn, err := core.NewKNNSpoilerPredictor(p.inner.Knowledge(), 3)
 	if err != nil {
 		return 0, err
 	}
@@ -182,7 +180,7 @@ func (p *Predictor) PredictSpoiler(t TemplateStats, mpl int) (float64, error) {
 
 // Knowledge exposes the underlying knowledge base for advanced use
 // (inspection, custom experiments).
-func (p *Predictor) Knowledge() *core.Knowledge { return p.inner.Know }
+func (p *Predictor) Knowledge() *core.Knowledge { return p.inner.Knowledge() }
 
 // ProgressTracker is a concurrency-aware query progress indicator — one of
 // the paper's motivating applications. See Predictor.TrackProgress.
@@ -194,7 +192,7 @@ type ProgressTracker = core.ProgressTracker
 // mix. Isolation (no concurrent queries) uses the template's isolated
 // latency directly.
 func (p *Predictor) TrackProgress(template int) (*ProgressTracker, error) {
-	stats, ok := p.inner.Know.Template(template)
+	stats, ok := p.inner.Knowledge().Template(template)
 	if !ok {
 		return nil, fmt.Errorf("contender: template %d: %w", template, ErrUnknownTemplate)
 	}

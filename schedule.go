@@ -36,7 +36,7 @@ type JobForecast = sched.JobForecast
 // to the nearest trained MPL's QS model with the actual mix's CQI. An
 // unknown template is an error, never a fallback.
 func (p *Predictor) batchLatency(primary int, concurrent []int) (float64, error) {
-	stats, ok := p.inner.Know.Template(primary)
+	stats, ok := p.inner.Knowledge().Template(primary)
 	if !ok {
 		return 0, fmt.Errorf("contender: template %d: %w", primary, ErrUnknownTemplate)
 	}
@@ -67,11 +67,11 @@ func (p *Predictor) batchLatency(primary int, concurrent []int) (float64, error)
 	if !ok {
 		return 0, fmt.Errorf("contender: %w: no QS model for template %d", ErrUntrainedMPL, primary)
 	}
-	cont, ok := p.inner.Know.ContinuumFor(primary, nearest)
+	cont, ok := p.inner.Knowledge().ContinuumFor(primary, nearest)
 	if !ok {
 		return 0, fmt.Errorf("contender: %w: no continuum for template %d at MPL %d", ErrUntrainedMPL, primary, nearest)
 	}
-	r, err := p.inner.Know.CQI(primary, concurrent)
+	r, err := p.inner.Knowledge().CQI(primary, concurrent)
 	if err != nil {
 		return 0, err
 	}

@@ -19,8 +19,9 @@ type Sharded struct {
 	inner *core.Sharded
 }
 
-// NewSharded wraps a trained predictor for serving, priming its indexes
-// so no serving call pays construction costs.
+// NewSharded wraps a trained predictor for serving. A trained or loaded
+// predictor already has every index built, so no serving call pays a
+// construction cost.
 func NewSharded(p *Predictor) (*Sharded, error) {
 	s, err := core.NewSharded(p.inner)
 	if err != nil {
@@ -33,8 +34,9 @@ func NewSharded(p *Predictor) (*Sharded, error) {
 // benchmark's ladder.
 func (s *Sharded) Acquire() *Shard { return s.inner.Acquire() }
 
-// Snapshot returns the predictor currently serving. Treat it as
-// read-only; it may be retired by a concurrent Swap at any time.
+// Snapshot returns a handle on the predictor currently serving; it may be
+// retired by a concurrent Swap at any time. SetObserver and SetQuality
+// on the handle rebind only the handle, never the served predictor.
 func (s *Sharded) Snapshot() *Predictor {
 	return &Predictor{inner: s.inner.Snapshot()}
 }
