@@ -16,9 +16,11 @@ race:
 bin/contender-vet: FORCE
 	$(GO) build -o $@ ./cmd/contender-vet
 
-# Run the invariant suite both standalone and through go vet's vettool
-# protocol (the two paths exercise different loaders).
+# Fail on any file gofmt would change (testdata included), then run the
+# invariant suite both standalone and through go vet's vettool protocol
+# (the two paths exercise different loaders).
 vet: bin/contender-vet
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l . lists unformatted files:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
 	./bin/contender-vet ./...
 	$(GO) vet -vettool=./bin/contender-vet ./...

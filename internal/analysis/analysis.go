@@ -94,8 +94,8 @@ type directive struct {
 	pos       token.Pos
 	analyzers map[string]bool
 	reason    string
-	line      int      // line the directive comment sits on
-	funcScope [2]int   // when inside a func doc comment: [startLine, endLine] of the func body; zero otherwise
+	line      int    // line the directive comment sits on
+	funcScope [2]int // when inside a func doc comment: [startLine, endLine] of the func body; zero otherwise
 	file      string
 }
 

@@ -157,4 +157,3 @@ func isBackgroundOrTODO(pass *analysis.Pass, call *ast.CallExpr) bool {
 	}
 	return fn.Pkg().Path() == "context" && (fn.Name() == "Background" || fn.Name() == "TODO")
 }
-

@@ -14,8 +14,8 @@ import (
 )
 
 func Clocks() time.Duration {
-	t0 := time.Now()   // want `call to time.Now breaks the deterministic-collection invariant`
-	_ = time.Since(t0) // want `call to time.Since breaks the deterministic-collection invariant`
+	t0 := time.Now()      // want `call to time.Now breaks the deterministic-collection invariant`
+	_ = time.Since(t0)    // want `call to time.Since breaks the deterministic-collection invariant`
 	return time.Until(t0) // want `call to time.Until breaks the deterministic-collection invariant`
 }
 

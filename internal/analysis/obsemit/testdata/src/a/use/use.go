@@ -50,7 +50,7 @@ func digest(vs ...any) string { return fmt.Sprint(vs...) }
 func campaignFingerprint(o Options) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "seed=%d|mpls=%v", o.Seed, o.MPLs)
-	_ = digest(o) // want `value of type a/use.Options carries observer state`
+	_ = digest(o)  // want `value of type a/use.Options carries observer state`
 	_ = o.Observer // want `observer state \(a/internal/obs.Observer\) must not reach the checkpoint fingerprint`
 	return digest(h.Sum64())
 }

@@ -133,20 +133,23 @@ func (e *Engine) RunSteadyState(mix []QuerySpec, opts SteadyStateOptions) (Stead
 		Samples: make([][]float64, len(mix)),
 		Results: make([][]Result, len(mix)),
 	}
+	for i := range mix {
+		res.Samples[i] = make([]float64, 0, opts.Samples)
+		res.Results[i] = make([]Result, 0, opts.Samples)
+	}
 	completions := make([]int, len(mix))
+	// restart[i] is stream i's spec for every instance after its first.
+	restart := mix
+	if len(opts.RestartCost) > 0 {
+		restart = make([]QuerySpec, len(mix))
+		for i, q := range mix {
+			stages := make([]Stage, 0, len(opts.RestartCost)+len(q.Stages))
+			restart[i] = q
+			restart[i].Stages = append(append(stages, opts.RestartCost...), q.Stages...)
+		}
+	}
 	for i, q := range mix {
 		e.addRun(q, i)
-	}
-
-	withRestart := func(q QuerySpec) QuerySpec {
-		if len(opts.RestartCost) == 0 {
-			return q
-		}
-		out := q
-		out.Stages = make([]Stage, 0, len(opts.RestartCost)+len(q.Stages))
-		out.Stages = append(out.Stages, opts.RestartCost...)
-		out.Stages = append(out.Stages, q.Stages...)
-		return out
 	}
 
 	collected := func() bool {
@@ -171,7 +174,7 @@ func (e *Engine) RunSteadyState(mix []QuerySpec, opts SteadyStateOptions) (Stead
 				res.Results[s] = append(res.Results[s], r.result)
 			}
 			// Keep the mix constant: immediately start the next instance.
-			e.addRun(withRestart(mix[s]), s)
+			e.addRun(restart[s], s)
 		}
 		if collected() {
 			res.Duration = e.clock

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -23,11 +22,23 @@ type Engine struct {
 
 	// tracer, when non-nil, observes executor lifecycle events.
 	tracer Tracer
+
+	// Per-step scratch, so a warm step allocates nothing. progress, swap
+	// and inflation are indexed like runs and written by rates; addRun
+	// grows them. finished holds the runs the last step completed and is
+	// valid until the next step, which moves them to free; addRun takes
+	// its runs (and their Stages buffers) from free.
+	progress, swap, inflation []float64
+	finished                  []*run
+	free                      []*run
 }
 
 // run is one in-flight query instance.
 type run struct {
-	spec      QuerySpec
+	spec QuerySpec
+	// ioBytes is the spec's TotalIOBytes, at least one page: the useful
+	// I/O volume that swap inflation is normalized against.
+	ioBytes   float64
 	stageIdx  int
 	remaining float64
 	start     float64
@@ -55,10 +66,12 @@ func (e *Engine) Config() Config { return e.cfg }
 func (e *Engine) Clock() float64 { return e.clock }
 
 // reset clears all run state (but not the RNG, so instance noise differs
-// between consecutive measurements, as it would on real hardware).
+// between consecutive measurements, as it would on real hardware). Runs
+// still active or just finished go to the free list.
 func (e *Engine) reset() {
 	e.clock = 0
-	e.runs = e.runs[:0]
+	e.free = append(append(e.free, e.runs...), e.finished...)
+	e.runs, e.finished = e.runs[:0], e.finished[:0]
 	e.spoilerPinBytes = 0
 	e.spoilerStreams = 0
 }
@@ -75,12 +88,16 @@ func (e *Engine) setSpoiler(mpl int) {
 }
 
 // jitter returns spec with per-instance and per-stage log-normal noise
-// applied, modeling predicate variation and I/O-timing variance.
-func (e *Engine) jitter(spec QuerySpec) QuerySpec {
+// applied, modeling predicate variation and I/O-timing variance. The
+// jittered stages are written into buf, or a new buffer if buf is short.
+func (e *Engine) jitter(buf []Stage, spec QuerySpec) QuerySpec {
 	inst := lognormal(e.rng, e.cfg.InstanceNoise)
 	out := spec
-	out.Stages = make([]Stage, len(spec.Stages))
-	for i, s := range spec.Stages {
+	out.Stages = buf[:0]
+	if cap(buf) < len(spec.Stages) {
+		out.Stages = make([]Stage, 0, len(spec.Stages))
+	}
+	for _, s := range spec.Stages {
 		var sigma float64
 		switch s.Kind {
 		case StageSeqIO, StageCachedIO:
@@ -91,7 +108,7 @@ func (e *Engine) jitter(spec QuerySpec) QuerySpec {
 			sigma = e.cfg.CPUNoise
 		}
 		s.Amount *= inst * lognormal(e.rng, sigma)
-		out.Stages[i] = s
+		out.Stages = append(out.Stages, s)
 	}
 	return out
 }
@@ -103,11 +120,25 @@ func lognormal(rng *rand.Rand, sigma float64) float64 {
 	return math.Exp(rng.NormFloat64()*sigma - sigma*sigma/2)
 }
 
-// addRun starts a (jittered) instance of spec at the current clock.
+// addRun starts a (jittered) instance of spec at the current clock,
+// reusing a run from the free list when there is one, and grows the rate
+// scratch to cover the new run.
 func (e *Engine) addRun(spec QuerySpec, stream int) *run {
-	r := &run{spec: e.jitter(spec), start: e.clock, stream: stream}
+	var r *run
+	if n := len(e.free); n > 0 {
+		r, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		r = new(run)
+	}
+	*r = run{spec: e.jitter(r.spec.Stages, spec), start: e.clock, stream: stream}
+	r.ioBytes = maxf(r.spec.TotalIOBytes(e.cfg.PageBytes), e.cfg.PageBytes)
 	r.remaining = r.spec.Stages[0].Amount
 	e.runs = append(e.runs, r)
+	if n := len(e.runs); cap(e.progress) < n {
+		e.progress = make([]float64, n, 2*n)
+		e.swap = make([]float64, n, 2*n)
+		e.inflation = make([]float64, n, 2*n)
+	}
 	first := r.spec.Stages[0]
 	e.trace(TraceEvent{Kind: TraceStart, TemplateID: r.spec.TemplateID,
 		Stream: stream, Stage: first.Kind, Table: first.Table})
@@ -116,11 +147,20 @@ func (e *Engine) addRun(spec QuerySpec, stream int) *run {
 
 // rates computes, for every active run, the progress rate in the native
 // units of its current stage (bytes/s, pages/s, or cpu-seconds/s), along
-// with the swap-traffic rate in bytes/s used for accounting.
+// with the swap-traffic rate in bytes/s used for accounting. Both slices
+// are engine scratch, valid until the next call.
+//
+// The disk is shared equally among its consumers: the spoiler's streams,
+// every random-I/O run, and every scanner that no earlier live run is
+// already scanning the same table alongside (with SharedScans off, every
+// scanner). Members of a shared-scan group each advance at the same
+// share as a lone scanner, so the group needs no state beyond that count.
+//
+//contender:hotpath
 func (e *Engine) rates() (progress, swap []float64) {
 	n := len(e.runs)
-	progress = make([]float64, n)
-	swap = make([]float64, n)
+	progress, swap = e.progress[:n], e.swap[:n]
+	inflation := e.inflation[:n]
 
 	// Memory pressure: proportional spill of each pinned working set.
 	var totalWS float64
@@ -137,46 +177,28 @@ func (e *Engine) rates() (progress, swap []float64) {
 
 	// inflation[i] multiplies the disk cost of run i's I/O: spilled
 	// working-set bytes are rewritten/reread WorkingSetReuse times over the
-	// course of the query, normalized by its useful I/O volume.
-	inflation := make([]float64, n)
+	// course of the query, normalized by its useful I/O volume. The same
+	// pass counts disk consumers and CPU stages.
+	consumers := e.spoilerStreams
+	cpuRuns := 0
 	for i, r := range e.runs {
 		inflation[i] = 1
-		if r.done || deficit <= 0 || totalWS <= 0 || r.spec.WorkingSetBytes <= 0 {
-			continue
-		}
-		spill := deficit * r.spec.WorkingSetBytes / totalWS
-		useful := r.spec.TotalIOBytes(e.cfg.PageBytes)
-		if useful < e.cfg.PageBytes {
-			useful = e.cfg.PageBytes
-		}
-		inflation[i] = 1 + r.spec.WorkingSetReuse*spill/useful
-	}
-
-	// Disk consumers: one per shared-scan group (or per scanner when
-	// sharing is disabled), one per random-I/O run, plus spoiler streams.
-	type groupKey struct{ table string }
-	groups := make(map[groupKey][]int)
-	consumers := e.spoilerStreams
-	var randRuns []int
-	for i, r := range e.runs {
 		if r.done {
 			continue
 		}
+		if deficit > 0 && totalWS > 0 && r.spec.WorkingSetBytes > 0 {
+			spill := deficit * r.spec.WorkingSetBytes / totalWS
+			inflation[i] = 1 + r.spec.WorkingSetReuse*spill/r.ioBytes
+		}
 		switch st := r.spec.Stages[r.stageIdx]; st.Kind {
 		case StageSeqIO:
-			if e.cfg.SharedScans {
-				k := groupKey{st.Table}
-				if len(groups[k]) == 0 {
-					consumers++
-				}
-				groups[k] = append(groups[k], i)
-			} else {
-				groups[groupKey{fmt.Sprintf("!%d", i)}] = []int{i}
+			if !e.cfg.SharedScans || !e.scannedBefore(i, st.Table) {
 				consumers++
 			}
 		case StageRandIO:
-			randRuns = append(randRuns, i)
 			consumers++
+		case StageCPU:
+			cpuRuns++
 		}
 	}
 
@@ -184,38 +206,26 @@ func (e *Engine) rates() (progress, swap []float64) {
 	if consumers > 0 {
 		share = 1 / float64(consumers)
 	}
-
 	// CPU sharing (usually uncontended: cores >= MPL).
-	cpuRuns := 0
-	for _, r := range e.runs {
-		if !r.done && r.spec.Stages[r.stageIdx].Kind == StageCPU {
-			cpuRuns++
-		}
-	}
 	cpuShare := 1.0
 	if cpuRuns > e.cfg.Cores {
 		cpuShare = float64(e.cfg.Cores) / float64(cpuRuns)
 	}
 
-	for _, members := range groups {
-		// The whole group consumes one disk share; every member advances at
-		// the group's stream rate, divided by its own swap inflation.
-		for _, i := range members {
-			rate := share * e.cfg.SeqBandwidth / inflation[i]
-			progress[i] = rate
-			swap[i] = rate * (inflation[i] - 1)
-		}
-	}
-	for _, i := range randRuns {
-		rate := share * e.cfg.RandIOPS / inflation[i]
-		progress[i] = rate
-		swap[i] = rate * e.cfg.PageBytes * (inflation[i] - 1)
-	}
 	for i, r := range e.runs {
+		progress[i], swap[i] = 0, 0
 		if r.done {
 			continue
 		}
 		switch r.spec.Stages[r.stageIdx].Kind {
+		case StageSeqIO:
+			rate := share * e.cfg.SeqBandwidth / inflation[i]
+			progress[i] = rate
+			swap[i] = rate * (inflation[i] - 1)
+		case StageRandIO:
+			rate := share * e.cfg.RandIOPS / inflation[i]
+			progress[i] = rate
+			swap[i] = rate * e.cfg.PageBytes * (inflation[i] - 1)
 		case StageCachedIO:
 			progress[i] = e.cfg.CachedBandwidth
 		case StageCPU:
@@ -223,31 +233,40 @@ func (e *Engine) rates() (progress, swap []float64) {
 			// sort / spilled hash probes), scaled by SwapCPUWeight.
 			infl := 1 + e.cfg.SwapCPUWeight*(inflation[i]-1)
 			progress[i] = cpuShare / infl
-			swap[i] = 0
 		}
 	}
 	return progress, swap
 }
 
+// scannedBefore reports whether a live run before index i is in a
+// sequential scan of table.
+func (e *Engine) scannedBefore(i int, table string) bool {
+	for _, r := range e.runs[:i] {
+		if st := r.spec.Stages[r.stageIdx]; !r.done && st.Kind == StageSeqIO && st.Table == table {
+			return true
+		}
+	}
+	return false
+}
+
 // step advances the simulation to the next stage-completion event and
 // returns the runs that finished entirely during the step. It returns
-// ok=false when no active runs remain or no run can make progress.
+// ok=false when no active runs remain or no run can make progress. The
+// returned slice and its runs belong to the engine and are valid only
+// until the next step.
 func (e *Engine) step() (completed []*run, ok bool) {
 	return e.stepUntil(-1)
 }
 
 // compact drops completed runs from the active list to keep rate
-// computation proportional to the live population.
+// computation proportional to the live population. The dropped runs stay
+// reachable from finished until the next step recycles them.
 func (e *Engine) compact() {
 	live := e.runs[:0]
 	for _, r := range e.runs {
 		if !r.done {
 			live = append(live, r)
 		}
-	}
-	// Zero the tail so finished runs can be collected.
-	for i := len(live); i < len(e.runs); i++ {
-		e.runs[i] = nil
 	}
 	e.runs = live
 }

@@ -124,12 +124,10 @@ func (e *Engine) RunOpenSystem(arrivals []Arrival, maxActive int, admit AdmitFun
 		}
 
 		// Advance to the next completion, but never past the next arrival.
-		before := e.clock
 		completed, ok := e.stepUntil(nextArrivalTime(sorted, nextArrival))
 		if !ok {
 			return nil, ErrStalled
 		}
-		_ = before
 		for _, r := range completed {
 			out[r.stream].Result = r.result
 			completedCount++
@@ -147,7 +145,12 @@ func nextArrivalTime(arrivals []Arrival, next int) float64 {
 
 // stepUntil advances like step but caps the time step at `deadline` (a
 // virtual timestamp; negative = no cap) so arrivals are processed on time.
+// The returned slice and its runs belong to the engine and are valid only
+// until the next step: the step first moves the previous step's finished
+// runs to the free list that addRun draws from.
 func (e *Engine) stepUntil(deadline float64) (completed []*run, ok bool) {
+	e.free = append(e.free, e.finished...)
+	e.finished = e.finished[:0]
 	progress, swap := e.rates()
 
 	dt := -1.0
@@ -202,7 +205,7 @@ func (e *Engine) stepUntil(deadline float64) (completed []*run, ok bool) {
 					Start:      r.start,
 					End:        e.clock,
 				}
-				completed = append(completed, r)
+				e.finished = append(e.finished, r)
 				e.trace(TraceEvent{Kind: TraceComplete,
 					TemplateID: r.spec.TemplateID, Stream: r.stream})
 			} else {
@@ -215,7 +218,7 @@ func (e *Engine) stepUntil(deadline float64) (completed []*run, ok bool) {
 		}
 	}
 	e.compact()
-	return completed, true
+	return e.finished, true
 }
 
 func maxf(a, b float64) float64 {
