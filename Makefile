@@ -84,11 +84,13 @@ BENCH_GUARD_ROWS = \
 	BenchmarkPredictBatch/random256 \
 	BenchmarkPredictKnownFeedback \
 	BenchmarkShardedPredict \
-	BenchmarkShardedObserve
+	BenchmarkShardedObserve \
+	BenchmarkDecodeBatchFrame
 
 bench-guard:
 	$(GO) test -run TestServingPathDoesNotAllocate -v ./internal/core/
-	@out=$$($(GO) test -run XXX -bench 'BenchmarkPredictKnown$$|BenchmarkPredictExplain$$|BenchmarkPredictBatch$$|BenchmarkPredictKnownFeedback$$|BenchmarkShardedPredict$$|BenchmarkShardedObserve$$' -benchtime 100x .); \
+	@out=$$($(GO) test -run XXX -bench 'BenchmarkPredictKnown$$|BenchmarkPredictExplain$$|BenchmarkPredictBatch$$|BenchmarkPredictKnownFeedback$$|BenchmarkShardedPredict$$|BenchmarkShardedObserve$$' -benchtime 100x . && \
+		$(GO) test -run XXX -bench 'BenchmarkDecodeBatchFrame$$' -benchtime 100x ./internal/serve/); \
 	echo "$$out"; \
 	for b in $(BENCH_GUARD_ROWS); do \
 		allocs=$$(echo "$$out" | awk -v b="$$b" '$$1 ~ ("^" b "(-[0-9]+)?$$") && $$NF == "allocs/op" {print $$(NF-1)}'); \

@@ -35,7 +35,7 @@ func (c Continuum) Latency(point float64) float64 {
 // the knowledge base's measured isolated and spoiler latencies. ok is false
 // when the spoiler latency for that MPL has not been sampled.
 func (k *Knowledge) ContinuumFor(id int, mpl int) (Continuum, bool) {
-	t, ok := k.Template(id)
+	t, ok := k.templates[id]
 	if !ok {
 		return Continuum{}, false
 	}

@@ -30,7 +30,8 @@ func (idx *cqiIndex) intensitySlot(ci int, omega, tau float64) float64 {
 // cqiSlot is the one CQI kernel: mean competing intensity of the
 // concurrent templates against a known or ad-hoc primary's row. shareOf
 // resolves every ID (an unknown one wraps ErrUnknownTemplate) and
-// summarizes the mix's shared tables in one walk. τ (Eq. 3) is computed
+// summarizes the mix's shared tables in one walk; an exact summary
+// keeps the slots, so no ID is resolved twice. τ (Eq. 3) is computed
 // per concurrent without allocating; a concurrent whose scan list misses
 // every table in sh.cand has τ = 0, so its term is the row's term0. An
 // empty mix has CQI 0. A non-nil terms (len(concurrent) entries) records
@@ -48,14 +49,13 @@ func (idx *cqiIndex) cqiSlot(row *primaryRow, concurrent []int, terms []float64)
 	}
 	var sum float64
 	for i, id := range concurrent {
-		ci := idx.posOf(id)
 		var term float64
-		switch {
-		case !sh.exact:
+		if !sh.exact {
+			ci := idx.posOf(id)
 			term = idx.intensitySlot(ci, row.omega[ci], idx.tauSlot(row, ci, concurrent))
-		case idx.listFold[ci]&sh.cand == 0:
+		} else if ci := int(sh.slot[i]); idx.listFold[ci]&sh.cand == 0 {
 			term = row.term0[ci]
-		default:
+		} else {
 			term = idx.intensitySlot(ci, row.omega[ci], idx.tauShared(ci, &sh))
 		}
 		if terms != nil {

@@ -283,3 +283,53 @@ func TestSpoilerSlowdown(t *testing.T) {
 		t.Fatal("zero isolated latency must yield 0")
 	}
 }
+
+// TestCQIInterningOrder pins τ's summation order and its per-sharer
+// factor. Tables are first seen in reverse name order (T1 scans D, T2 C,
+// T3 B and C), and the three scans of T4 (A, B, C) are each shared by
+// all three concurrents of {4, 4, 4}, so every one is a τ candidate with
+// h_f = 3. The oracle sums τ_4 = (1 − 1/3)·s_A + (1 − 1/3)·s_B +
+// (1 − 1/3)·s_C in name order. The scan times make r_4 = 1 − τ_4 move by
+// an ulp when τ is summed in first-seen order or when 1 − 1/3 is taken
+// as an exactly rounded constant.
+func TestCQIInterningOrder(t *testing.T) {
+	scans := func(tables ...string) map[string]bool {
+		s := map[string]bool{}
+		for _, f := range tables {
+			s[f] = true
+		}
+		return s
+	}
+	kb := &oracleKB{
+		scanTime: map[string]float64{"A": 0.01, "B": 0.01, "C": 0.25, "D": 5},
+		tmpl: map[int]TemplateStats{
+			1: {ID: 1, IsolatedLatency: 10, IOFraction: 1, Scans: scans("D")},
+			2: {ID: 2, IsolatedLatency: 10, IOFraction: 1, Scans: scans("C")},
+			3: {ID: 3, IsolatedLatency: 10, IOFraction: 1, Scans: scans("B", "C")},
+			4: {ID: 4, IsolatedLatency: 1, IOFraction: 1, Scans: scans("A", "B", "C")},
+		},
+	}
+	p := kb.predictor()
+	idx := p.know.idx
+	for f, want := range map[string]int{"A": 0, "B": 1, "C": 2, "D": 3} {
+		if got := idx.tableID[f]; got != want {
+			t.Errorf("table %s interned as %d, want %d (sorted-name order)", f, got, want)
+		}
+	}
+	mix := []int{4, 4, 4}
+	r, want := kb.oracleCQI(kb.tmpl[1].Scans, mix)
+	row := idx.row(idx.posOf(1))
+	terms := make([]float64, len(mix))
+	got, err := idx.cqiSlot(&row, mix, terms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range terms {
+		if math.Float64bits(terms[i]) != math.Float64bits(want[i]) {
+			t.Errorf("r_4 term %d = %v, oracle %v", i, terms[i], want[i])
+		}
+	}
+	if math.Float64bits(got) != math.Float64bits(r) {
+		t.Errorf("CQI = %v, oracle %v", got, r)
+	}
+}

@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // The CQI hot path — every PredictKnown call, every candidate mix a
 // scheduler evaluates — used to materialize a []TemplateStats per call and
@@ -15,9 +18,11 @@ import "sort"
 //     two per cache line, walked sequentially by CQI.
 //   - omega: the pairwise shared-scan seconds ω(i,j) of Eq. 2 as one
 //     contiguous n×n float64 slab indexed by i*n+j.
-//   - scanTID/scanSec: every template's fact scans concatenated into two
-//     parallel slabs (table IDs interned to small ints, s_f resolved),
-//     in canonical table order.
+//   - scanTID: every template's fact scans concatenated into one slab of
+//     interned table IDs, in canonical table order. Tables are interned
+//     in sorted-name order, so each slot's window ascends by table ID.
+//   - tableSec: s_f per interned table, read through scanTID or by a
+//     table ID directly.
 //   - masks: per-slot scan-set bitsets (maskW words per slot), so the
 //     "does template t scan table f" membership tests of Eq. 2/3 are a
 //     shift and an AND instead of a string-keyed map lookup.
@@ -47,7 +52,7 @@ type tmplHot struct {
 	ioSecs  float64 // IsolatedLatency · IOFraction, precomputed (Eq. 4 numerator head)
 	iso     float64 // IsolatedLatency (the Eq. 4 divisor; ≤ 0 short-circuits to 0)
 	ioFrac  float64 // IOFraction (BaselineIO's term)
-	scanOff int32   // window [scanOff, scanEnd) into scanTID/scanSec
+	scanOff int32   // window [scanOff, scanEnd) into scanTID
 	scanEnd int32
 }
 
@@ -63,8 +68,8 @@ type cqiIndex struct {
 	hot   []tmplHot
 	omega []float64 // n×n slab: omega[i*n+j] = ω when j runs with primary i
 
-	scanTID []int32
-	scanSec []float64
+	scanTID  []int32
+	tableSec []float64 // s_f by interned table ID
 
 	maskW int      // bitset words per slot
 	masks []uint64 // n×maskW slab; bit t set ⇔ template truly scans table t
@@ -75,7 +80,7 @@ type cqiIndex struct {
 	listFold []uint64  // one word per slot: bit t set ⇔ t is in the scan list
 	term0    []float64 // n×n slab: term0[i*n+j] = intensitySlot(j, omega[i*n+j], 0)
 
-	tableID map[string]int // interned in first-seen order
+	tableID map[string]int // interned in sorted-name order
 }
 
 // densePosLimit bounds how much larger than the template count the dense
@@ -99,12 +104,30 @@ func (k *Knowledge) buildIndex() *cqiIndex {
 		}
 	}
 
+	// Tables are interned in sorted-name order, so a slot's scan list,
+	// sorted by name, ascends by table ID: walking the set bits of a
+	// folded list word visits the scans in list order.
+	var names []string
+	for _, id := range ids {
+		for f := range k.templates[id].Scans {
+			if _, ok := idx.tableID[f]; !ok {
+				idx.tableID[f] = 0
+				names = append(names, f)
+			}
+		}
+	}
+	sort.Strings(names)
+	idx.tableSec = make([]float64, len(names))
+	for tid, f := range names {
+		idx.tableID[f] = tid
+		idx.tableSec[tid] = k.scanSeconds[f]
+	}
+
 	// Scan slabs: each slot's scan *list* carries every key of its Scans
 	// map in table order (matching the historical behavior of iterating
-	// the map), with tables interned in first-seen order. Its mask
-	// (fillRow) encodes only the keys mapped to true — the two differ
-	// when a caller stored explicit false entries, and ω/τ membership
-	// tests always meant "maps to true".
+	// the map). Its mask (fillRow) encodes only the keys mapped to true —
+	// the two differ when a caller stored explicit false entries, and ω/τ
+	// membership tests always meant "maps to true".
 	idx.hot = make([]tmplHot, n)
 	idx.listFold = make([]uint64, n)
 	for i, id := range ids {
@@ -120,14 +143,9 @@ func (k *Knowledge) buildIndex() *cqiIndex {
 		sort.Strings(list)
 		off := int32(len(idx.scanTID))
 		for _, f := range list {
-			tid, ok := idx.tableID[f]
-			if !ok {
-				tid = len(idx.tableID)
-				idx.tableID[f] = tid
-			}
+			tid := idx.tableID[f]
 			idx.listFold[i] |= 1 << (uint(tid) & 63)
 			idx.scanTID = append(idx.scanTID, int32(tid))
-			idx.scanSec = append(idx.scanSec, k.scanSeconds[f])
 		}
 		idx.hot[i] = tmplHot{
 			ioSecs:  ts.IsolatedLatency * ts.IOFraction,
@@ -138,7 +156,7 @@ func (k *Knowledge) buildIndex() *cqiIndex {
 		}
 	}
 
-	idx.maskW = (len(idx.tableID) + 63) / 64
+	idx.maskW = (len(names) + 63) / 64
 	if idx.maskW == 0 {
 		idx.maskW = 1
 	}
@@ -192,8 +210,8 @@ func (idx *cqiIndex) fillRow(row *primaryRow, scans map[string]bool) {
 		h := &idx.hot[j]
 		var w float64
 		for s := h.scanOff; s < h.scanEnd; s++ {
-			if row.reads(int(idx.scanTID[s])) {
-				w += idx.scanSec[s]
+			if tid := idx.scanTID[s]; row.reads(int(tid)) {
+				w += idx.tableSec[tid]
 			}
 		}
 		row.omega[j] = w
@@ -238,18 +256,31 @@ const maxSharers = 7
 // mixShare summarizes which tables a mix shares. For each interned table
 // t, h_f (Eq. 3's count of concurrents truly scanning t) is bit t of
 // c0 + 2·c1 + 4·c2. cand holds the tables where τ can be non-zero:
-// h_f > 1 and the primary does not read t. When exact is false (the
-// index has more than 64 tables, or the mix is longer than maxSharers)
-// the counters are unset and τ is counted per scan over masks.
+// h_f > 1 and the primary does not read t, and slot[i] is concurrent
+// i's slot. When exact is false (the index has more than 64 tables, or
+// the mix is longer than maxSharers) the counters and slots are unset
+// and τ is counted per scan over masks.
 type mixShare struct {
 	c0, c1, c2 uint64
 	cand       uint64
+	slot       [maxSharers]int32
 	exact      bool
 }
 
+// shareGain[h] is Eq. 3's saving per sharer, 1 − 1/h, for h sharers. It
+// is filled with float64 arithmetic, as tauSlot computes it: a constant
+// expression such as 1 - 1/3.0 is evaluated exactly and rounded once,
+// which can land an ulp away.
+var shareGain = func() (g [maxSharers + 1]float64) {
+	for h := 1; h <= maxSharers; h++ {
+		g[h] = 1 - 1/float64(h)
+	}
+	return g
+}()
+
 // shareOf resolves every concurrent ID and, in the same walk, fills sh
-// with the mix's sharer counts against the primary's row. It returns the
-// position of the first unknown ID, or -1 when all resolve.
+// with the mix's slots and sharer counts against the primary's row. It
+// returns the position of the first unknown ID, or -1 when all resolve.
 //
 //contender:hotpath
 func (idx *cqiIndex) shareOf(sh *mixShare, row *primaryRow, concurrent []int) int {
@@ -260,7 +291,8 @@ func (idx *cqiIndex) shareOf(sh *mixShare, row *primaryRow, concurrent []int) in
 		if ci < 0 {
 			return i
 		}
-		if exact { // add masks[ci] to the bit-sliced counters
+		if exact { // record the slot; add masks[ci] to the bit-sliced counters
+			sh.slot[i] = int32(ci)
 			m := idx.masks[ci]
 			c := c0 & m
 			c0 ^= m
@@ -268,29 +300,26 @@ func (idx *cqiIndex) shareOf(sh *mixShare, row *primaryRow, concurrent []int) in
 			c1 ^= c
 		}
 	}
-	*sh = mixShare{c0: c0, c1: c1, c2: c2, exact: exact}
+	sh.c0, sh.c1, sh.c2, sh.cand, sh.exact = c0, c1, c2, 0, exact
 	if exact {
 		sh.cand = (c1 | c2) &^ row.mask[0]
 	}
 	return -1
 }
 
-// tauShared is tauSlot for an exact mixShare: it visits only the scans
-// in sh.cand and reads h_f from the counters. The scans it skips either
-// are read by the primary or have h_f ≤ 1, and tauSlot adds nothing for
-// those, so the sum is bit-identical.
+// tauShared is tauSlot for an exact mixShare: it walks the set bits of
+// the slot's folded scan list within sh.cand, in ascending table ID and
+// so in scan-list order, and reads h_f from the counters. The scans it
+// skips either are read by the primary or have h_f ≤ 1, and tauSlot
+// adds nothing for those, so the sum is bit-identical.
 //
 //contender:hotpath
 func (idx *cqiIndex) tauShared(ci int, sh *mixShare) float64 {
-	h := &idx.hot[ci]
 	var tau float64
-	for s := h.scanOff; s < h.scanEnd; s++ {
-		t := uint(idx.scanTID[s])
-		if sh.cand>>t&1 == 0 {
-			continue
-		}
+	for m := idx.listFold[ci] & sh.cand; m != 0; m &= m - 1 {
+		t := uint(bits.TrailingZeros64(m))
 		hf := sh.c0>>t&1 | (sh.c1>>t&1)<<1 | (sh.c2>>t&1)<<2
-		tau += (1 - 1/float64(hf)) * idx.scanSec[s]
+		tau += shareGain[hf] * idx.tableSec[t]
 	}
 	return tau
 }
@@ -316,7 +345,7 @@ func (idx *cqiIndex) tauSlot(row *primaryRow, ci int, concurrent []int) float64 
 			}
 		}
 		if hf > 1 {
-			tau += (1 - 1/float64(hf)) * idx.scanSec[s]
+			tau += (1 - 1/float64(hf)) * idx.tableSec[tid]
 		}
 	}
 	return tau

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -253,6 +254,8 @@ func (kb *oracleKB) predictor() *Predictor {
 // the naive oracle bit for bit: for known primaries CQI, CQIForStats,
 // PredictKnown, PredictBatch, and PredictExplain's per-neighbor terms;
 // for ad-hoc primaries CQIForStats, PredictNew and OperatorModel.Predict.
+// A batch with one failing mix planted among them must fail with
+// PredictKnown's error for that mix, named by its position.
 // The shapes cover more than 64 tables (multi-word masks), sparse and
 // negative IDs, MPL gaps, explicit false scan entries, iso ≤ 0,
 // duplicate concurrents, mixes longer than the sharer counters hold, and
@@ -369,6 +372,7 @@ func (kb *oracleKB) check(t testing.TB, rng *rand.Rand, shape oracleShape, varia
 		}
 		for _, v := range variants {
 			kb.checkKnown(t, v, primary, mixes, &pbuf, &ebuf, cov)
+			kb.checkBatchFailure(t, rng, v, primary, mixes, &pbuf)
 		}
 	}
 	for i := 0; i < nAdhoc; i++ {
@@ -423,8 +427,8 @@ func (kb *oracleKB) checkKnown(t testing.TB, v oracleVariant, primary int, mixes
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s: PredictKnown(%d, %v) = %v, oracle %v", v.name, primary, mix, got, want)
 		}
-		if math.Float64bits(batch[0]) != math.Float64bits(want) {
-			t.Fatalf("%s: PredictBatch (%d, %v) = %v, oracle %v", v.name, primary, mix, batch[0], want)
+		if math.Float64bits(batch[0]) != math.Float64bits(got) {
+			t.Fatalf("%s: PredictBatch (%d, %v) = %v, PredictKnown %v", v.name, primary, mix, batch[0], got)
 		}
 		batch = batch[1:]
 		if _, err := p.PredictExplain(ebuf, primary, mix); err != nil {
@@ -438,6 +442,46 @@ func (kb *oracleKB) checkKnown(t testing.TB, v oracleVariant, primary int, mixes
 		if math.Float64bits(ebuf.CQI) != math.Float64bits(r) || math.Float64bits(ebuf.Total) != math.Float64bits(want) {
 			t.Fatalf("%s: PredictExplain(%d, %v) = CQI %v total %v, oracle %v, %v", v.name, primary, mix, ebuf.CQI, ebuf.Total, r, want)
 		}
+	}
+}
+
+// oracleUnknownID is a template ID no random knowledge base holds.
+const oracleUnknownID = 1 << 29
+
+// checkBatchFailure plants one failing mix at a random position among a
+// known primary's mixes at trained MPLs: an unknown concurrent, a mix
+// past every trained MPL, or an empty mix for an unknown primary (first,
+// since an unknown primary fails every mix). PredictBatch must name that
+// mix with PredictKnown's error for it and leave no results.
+func (kb *oracleKB) checkBatchFailure(t testing.TB, rng *rand.Rand, v oracleVariant, primary int, mixes [][]int, pbuf *PredictBuffer) {
+	t.Helper()
+	var trained [][]int
+	for _, mix := range mixes {
+		if kb.qs[len(mix)+1] != nil {
+			trained = append(trained, mix)
+		}
+	}
+	at := rng.Intn(len(trained) + 1)
+	var bad []int
+	switch rng.Intn(3) {
+	case 0:
+		bad = []int{oracleUnknownID}
+	case 1:
+		bad = make([]int, oracleMaxMPL)
+		for i := range bad {
+			bad[i] = primary
+		}
+	default:
+		primary, bad, at = oracleUnknownID, []int{}, 0
+	}
+	batch := slices.Insert(slices.Clone(trained), at, bad)
+	_, want := v.p.PredictKnown(primary, bad)
+	_, err := v.p.PredictBatch(pbuf, primary, batch)
+	if want == nil || err == nil || err.Error() != fmt.Sprintf("core: batch mix %d: %v", at, want) {
+		t.Fatalf("%s: PredictBatch(%d) with %v planted at %d: err %v; PredictKnown err %v", v.name, primary, bad, at, err, want)
+	}
+	if res := pbuf.Results(); len(res) != 0 {
+		t.Fatalf("%s: failed PredictBatch left %d results", v.name, len(res))
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 
 // Batch prediction: schedulers and admission controllers evaluate many
 // candidate mixes per decision (which queued query to dispatch next, which
-// MPL keeps the SLO). PredictBatch prices them all through the same body
-// as PredictKnown, so results are bit-identical by construction, into a
-// reusable result slice so the decision loop stays allocation-free.
+// MPL keeps the SLO). PredictBatch resolves the primary once and prices
+// every mix through the same per-mix body as PredictKnown (priceMix), so
+// results are bit-identical by construction, into a reusable result slice
+// so the decision loop stays allocation-free.
 
 // PredictBuffer holds the result slice of PredictBatch. The zero value is
 // ready to use; a buffer must not be shared between goroutines.
@@ -58,8 +59,9 @@ func (p *Predictor) predictBatch(buf *PredictBuffer, primary int, mixes [][]int)
 		return nil, fmt.Errorf("core: PredictBatch needs a non-nil buffer")
 	}
 	buf.out = growSlice(buf.out, len(mixes))
+	rp := p.resolve(primary)
 	for i, mix := range mixes {
-		cell, r, err := p.price(primary, mix, nil)
+		cell, r, err := p.priceMix(&rp, mix, nil)
 		if err != nil {
 			buf.out = buf.out[:0]
 			return nil, fmt.Errorf("core: batch mix %d: %w", i, err)

@@ -163,28 +163,61 @@ func (p *Predictor) predictKnown(primary int, concurrent []int) (float64, error)
 	return cell.latency(r), nil
 }
 
-// price is the one body behind every known-template prediction
-// (PredictKnown, PredictBatch, PredictExplain, Feedback, Shard.Observe).
-// It resolves the (primary, MPL) cell in the serving index and runs the
-// CQI kernel on the knowledge index; the kernel rejects unknown
-// concurrent IDs with ErrUnknownTemplate in the walk that summarizes the
-// mix's shared tables (shareOf). It returns the cell and the mix's CQI;
-// terms is cqiSlot's optional per-neighbor sink (nil for plain
-// predictions).
+// Pricing a known-template prediction is two steps. resolve is the
+// per-primary step: the primary's slot in the knowledge index and its
+// CQI row. priceMix is the per-mix step and the one body behind every
+// known-template prediction (PredictKnown, PredictBatch, PredictExplain,
+// Feedback, Shard.Observe): it resolves the (primary, MPL) cell in the
+// serving index and runs the CQI kernel on the primary's row; the kernel
+// rejects unknown concurrent IDs with ErrUnknownTemplate in the walk
+// that summarizes the mix's shared tables (shareOf). PredictBatch
+// resolves its primary once and prices each mix; the others run both
+// steps through price.
+
+// resolvedPrimary is a primary after the per-primary step: its ID, its
+// slot in the knowledge index (-1 when unknown, which the per-mix step
+// reports) and, when known, its row.
+type resolvedPrimary struct {
+	id   int
+	slot int
+	row  primaryRow
+}
+
+// resolve is the per-primary step of pricing.
 //
 //contender:hotpath
-func (p *Predictor) price(primary int, concurrent []int, terms []float64) (*servCell, float64, error) {
-	cell, si, err := p.cellFor(primary, len(concurrent))
+func (p *Predictor) resolve(primary int) resolvedPrimary {
+	idx := p.know.idx
+	rp := resolvedPrimary{id: primary, slot: idx.posOf(primary)}
+	if rp.slot >= 0 {
+		rp.row = idx.row(rp.slot)
+	}
+	return rp
+}
+
+// priceMix is the per-mix step of pricing. It returns the cell and the
+// mix's CQI; terms is cqiSlot's optional per-neighbor sink (nil for
+// plain predictions).
+//
+//contender:hotpath
+func (p *Predictor) priceMix(rp *resolvedPrimary, concurrent []int, terms []float64) (*servCell, float64, error) {
+	cell, err := p.cellFor(rp, len(concurrent))
 	if err != nil {
 		return nil, 0, err
 	}
-	idx := p.know.idx
-	row := idx.row(si)
-	r, err := idx.cqiSlot(&row, concurrent, terms)
+	r, err := p.know.idx.cqiSlot(&rp.row, concurrent, terms)
 	if err != nil {
 		return nil, 0, err
 	}
 	return cell, r, nil
+}
+
+// price runs both pricing steps for one mix.
+//
+//contender:hotpath
+func (p *Predictor) price(primary int, concurrent []int, terms []float64) (*servCell, float64, error) {
+	rp := p.resolve(primary)
+	return p.priceMix(&rp, concurrent, terms)
 }
 
 // NewTemplateOptions selects how the pipeline fills in the two unknowns of

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -256,5 +258,55 @@ func TestPerturbStats(t *testing.T) {
 	}
 	if !anyChanged {
 		t.Fatal("perturbation never changed anything")
+	}
+}
+
+// TestTemplateCopiesAreTheCallers writes into the maps Template and
+// Templates return: the knowledge base must not see it, so CQI,
+// PredictKnown and Snapshot read as before.
+func TestTemplateCopiesAreTheCallers(t *testing.T) {
+	k, obs := predictorFixture(t)
+	p, err := Train(k, obs, TrainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := []int{3, 5}
+	cqi := noErr(t)(k.CQI(2, mix))
+	pred := noErr(t)(p.PredictKnown(2, mix))
+	var before bytes.Buffer
+	if err := json.NewEncoder(&before).Encode(p.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+
+	tpl, ok := k.Template(2)
+	if !ok {
+		t.Fatal("template 2 missing")
+	}
+	tpl.Scans["G"] = false
+	tpl.Scans["H"] = true
+	tpl.SpoilerLatency[3] = 1
+	for _, ts := range k.Templates() {
+		ts.Scans["F"] = !ts.Scans["F"]
+		ts.SpoilerLatency[2] = 2
+	}
+
+	if got := noErr(t)(k.CQI(2, mix)); math.Float64bits(got) != math.Float64bits(cqi) {
+		t.Errorf("CQI after writing a returned map = %v, want %v", got, cqi)
+	}
+	if got := noErr(t)(p.PredictKnown(2, mix)); math.Float64bits(got) != math.Float64bits(pred) {
+		t.Errorf("PredictKnown after writing a returned map = %v, want %v", got, pred)
+	}
+	var after bytes.Buffer
+	if err := json.NewEncoder(&after).Encode(p.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Errorf("Snapshot changed after writing a returned map:\nbefore %s\nafter  %s", before.Bytes(), after.Bytes())
+	}
+	if iso, ok := k.IsolatedLatency(2); !ok || iso != 400 {
+		t.Errorf("IsolatedLatency(2) = %v, %v; want 400, true", iso, ok)
+	}
+	if _, ok := k.IsolatedLatency(99); ok {
+		t.Error("IsolatedLatency(99) found an unknown template")
 	}
 }

@@ -100,11 +100,11 @@ func (r *ReferenceModels) EstimateForNew(isolatedLatency float64) (QSModel, erro
 	mus, bs := r.Coefficients()
 	lmins := make([]float64, 0, len(mus))
 	for _, id := range r.IDs() {
-		t, ok := r.know.Template(id)
+		iso, ok := r.know.IsolatedLatency(id)
 		if !ok {
 			return QSModel{}, fmt.Errorf("core: %w: reference template %d", ErrUnknownTemplate, id)
 		}
-		lmins = append(lmins, t.IsolatedLatency)
+		lmins = append(lmins, iso)
 	}
 
 	muFit, err := stats.FitLinear(lmins, mus)

@@ -80,35 +80,35 @@ func (p *Predictor) buildServing() *servIndex {
 	return s
 }
 
-// cellFor validates a (primary, mix-size) pair against the serving index
-// and returns the matching cell plus the primary's slot. The error cases
-// and messages mirror the historical predictKnown checks exactly, in the
+// cellFor validates a resolved primary and a mix size against the
+// serving index and returns the matching cell. The error cases and
+// messages mirror the historical predictKnown checks exactly, in the
 // same precedence order: empty mix, untrained MPL, unknown template,
 // missing QS model, missing continuum.
 //
 //contender:hotpath
-func (p *Predictor) cellFor(primary, nconc int) (*servCell, int, error) {
+func (p *Predictor) cellFor(rp *resolvedPrimary, nconc int) (*servCell, error) {
+	primary := rp.id
 	if nconc == 0 {
-		return nil, 0, fmt.Errorf("core: %w: predicting template %d at MPL 1 (use the isolated latency)", ErrEmptyMix, primary)
+		return nil, fmt.Errorf("core: %w: predicting template %d at MPL 1 (use the isolated latency)", ErrEmptyMix, primary)
 	}
 	s := p.serv
 	mpl := nconc + 1
 	col := s.mplIdx(mpl)
 	if col < 0 {
-		return nil, 0, fmt.Errorf("core: %w: no reference models at MPL %d", ErrUntrainedMPL, mpl)
+		return nil, fmt.Errorf("core: %w: no reference models at MPL %d", ErrUntrainedMPL, mpl)
 	}
-	si := p.know.idx.posOf(primary)
-	if si < 0 {
-		return nil, 0, fmt.Errorf("core: %w: template %d", ErrUnknownTemplate, primary)
+	if rp.slot < 0 {
+		return nil, fmt.Errorf("core: %w: template %d", ErrUnknownTemplate, primary)
 	}
-	cell := &s.cells[si*s.nm+col]
+	cell := &s.cells[rp.slot*s.nm+col]
 	if cell.flags&cellHasQS == 0 {
-		return nil, 0, fmt.Errorf("core: %w: no QS model for template %d at MPL %d", ErrUntrainedMPL, primary, mpl)
+		return nil, fmt.Errorf("core: %w: no QS model for template %d at MPL %d", ErrUntrainedMPL, primary, mpl)
 	}
 	if cell.flags&cellHasCont == 0 {
-		return nil, 0, fmt.Errorf("core: %w: no continuum for template %d at MPL %d", ErrUntrainedMPL, primary, mpl)
+		return nil, fmt.Errorf("core: %w: no continuum for template %d at MPL %d", ErrUntrainedMPL, primary, mpl)
 	}
-	return cell, si, nil
+	return cell, nil
 }
 
 // latency evaluates the full QS → continuum pipeline at CQI r:

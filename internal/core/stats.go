@@ -77,16 +77,7 @@ func NewKnowledge(scans map[string]float64, templates []TemplateStats) *Knowledg
 		k.scanSeconds[f] = v
 	}
 	for _, ts := range templates {
-		cp := ts
-		cp.SpoilerLatency = make(map[int]float64, len(ts.SpoilerLatency))
-		for m, v := range ts.SpoilerLatency {
-			cp.SpoilerLatency[m] = v
-		}
-		cp.Scans = make(map[string]bool, len(ts.Scans))
-		for f, v := range ts.Scans {
-			cp.Scans[f] = v
-		}
-		k.templates[cp.ID] = cp
+		k.templates[ts.ID] = ts.clone()
 	}
 	k.idx = k.buildIndex()
 	return k
@@ -104,21 +95,45 @@ func (k *Knowledge) ScanTimes() map[string]float64 {
 	return out
 }
 
-// Template returns the stats of template id. Its maps belong to the
-// knowledge base: read them, do not write them.
+// Template returns a copy of the stats of template id: its maps are the
+// caller's own. A caller that needs only the isolated latency should use
+// IsolatedLatency, which copies nothing.
 func (k *Knowledge) Template(id int) (TemplateStats, bool) {
 	t, ok := k.templates[id]
-	return t, ok
+	if !ok {
+		return TemplateStats{}, false
+	}
+	return t.clone(), true
 }
 
-// Templates returns every template's stats in ascending ID order, with
-// maps shared as in Template.
+// Templates returns a copy of every template's stats in ascending ID
+// order, as Template does.
 func (k *Knowledge) Templates() []TemplateStats {
 	out := make([]TemplateStats, 0, len(k.templates))
 	for _, id := range k.IDs() {
-		out = append(out, k.templates[id])
+		out = append(out, k.templates[id].clone())
 	}
 	return out
+}
+
+// IsolatedLatency returns l_min of template id.
+func (k *Knowledge) IsolatedLatency(id int) (float64, bool) {
+	t, ok := k.templates[id]
+	return t.IsolatedLatency, ok
+}
+
+// clone returns t with its maps deep-copied.
+func (t TemplateStats) clone() TemplateStats {
+	cp := t
+	cp.SpoilerLatency = make(map[int]float64, len(t.SpoilerLatency))
+	for m, v := range t.SpoilerLatency {
+		cp.SpoilerLatency[m] = v
+	}
+	cp.Scans = make(map[string]bool, len(t.Scans))
+	for f, v := range t.Scans {
+		cp.Scans[f] = v
+	}
+	return cp
 }
 
 // IDs returns the known template IDs in ascending order.

@@ -125,12 +125,12 @@ func ExtAdmission(env *Env) (*Result, error) {
 func flexibleLatency(env *Env, models map[int]core.QSModel) func(primary int, concurrent []int) (float64, error) {
 	mpls := env.sortedMPLs()
 	return func(primary int, concurrent []int) (float64, error) {
-		t, ok := env.Know.Template(primary)
+		iso, ok := env.Know.IsolatedLatency(primary)
 		if !ok {
 			return 0, fmt.Errorf("experiments: %w: T%d", core.ErrUnknownTemplate, primary)
 		}
 		if len(concurrent) == 0 {
-			return t.IsolatedLatency, nil
+			return iso, nil
 		}
 		qs, ok := models[primary]
 		if !ok {
@@ -152,7 +152,7 @@ func flexibleLatency(env *Env, models map[int]core.QSModel) func(primary int, co
 		}
 		r := must(env.Know.CQI(primary, concurrent))
 		l := cont.Latency(qs.Point(r))
-		return math.Max(l, t.IsolatedLatency), nil
+		return math.Max(l, iso), nil
 	}
 }
 

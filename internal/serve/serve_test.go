@@ -9,9 +9,11 @@ import (
 	"errors"
 	"io"
 	"math"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -949,23 +951,39 @@ func TestServeMetricsFamilies(t *testing.T) {
 	}
 }
 
-// TestDecodeMixesWarmAllocFree pins that a warm connection decodes a
-// binary batch frame without allocating: mix IDs, mix views and their
-// boundaries all live in buffers the connection reuses across frames.
-func TestDecodeMixesWarmAllocFree(t *testing.T) {
-	const m = 256
-	var payload []byte
-	for i := 0; i < m; i++ {
-		mix := []int{1 + i%5, 1 + (i/5)%5}[:1+i%2]
-		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(mix)))
-		for _, id := range mix {
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(id))
+// randomBatch encodes a batch payload of m seeded random mixes of 1 to
+// maxLen concurrents over templates 1–5, and returns the mixes.
+func randomBatch(m, maxLen int, seed int64) ([]byte, [][]int) {
+	rng := rand.New(rand.NewSource(seed))
+	mixes := make([][]int, m)
+	for i := range mixes {
+		mixes[i] = make([]int, 1+rng.Intn(maxLen))
+		for j := range mixes[i] {
+			mixes[i][j] = 1 + rng.Intn(5)
 		}
 	}
+	return appendBatch(nil, 1, mixes), mixes
+}
+
+// decodeBatch decodes a batch payload into st's arena the way
+// handleFrame does, and reports whether it was well formed.
+func (st *connState) decodeBatch(payload []byte) bool {
+	r := frameReader{b: payload}
+	_ = r.u32() // primary
+	m := int(r.u16())
+	return st.decodeMixes(&r, m) && r.done()
+}
+
+// TestDecodeMixesWarmAllocFree pins that a warm connection decodes a
+// binary batch frame without allocating: mix IDs and mix views live in
+// buffers the connection reuses across frames. A smaller frame after a
+// larger one, with mixes longer than shortMix, must decode into the same
+// buffers, with nothing left over.
+func TestDecodeMixesWarmAllocFree(t *testing.T) {
+	payload, mixes := randomBatch(256, 4, 1)
 	st := &connState{}
 	decode := func() {
-		r := frameReader{b: payload}
-		if !st.decodeMixes(&r, m) || !r.done() {
+		if !st.decodeBatch(payload) {
 			t.Fatal("batch frame did not decode")
 		}
 	}
@@ -973,8 +991,36 @@ func TestDecodeMixesWarmAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, decode); allocs != 0 {
 		t.Errorf("warm batch decode: %g allocs/op, want 0", allocs)
 	}
-	if len(st.mixes) != m || len(st.mixes[m-1]) != 2 || st.mixes[m-1][1] != 1+((m-1)/5)%5 {
-		t.Errorf("decoded %d mixes, last %v", len(st.mixes), st.mixes[len(st.mixes)-1])
+	if !reflect.DeepEqual(st.mixes, mixes) {
+		t.Errorf("decoded %v, want %v", st.mixes, mixes)
+	}
+	small, smallMixes := randomBatch(12, 9, 2)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if !st.decodeBatch(small) {
+			t.Fatal("small batch frame did not decode")
+		}
+	}); allocs != 0 {
+		t.Errorf("smaller batch after a larger one: %g allocs/op, want 0", allocs)
+	}
+	if !reflect.DeepEqual(st.mixes, smallMixes) {
+		t.Errorf("decoded %v, want %v", st.mixes, smallMixes)
+	}
+}
+
+// BenchmarkDecodeBatchFrame decodes a 256-mix batch frame of 1–4
+// concurrents per mix on a warm connection.
+func BenchmarkDecodeBatchFrame(b *testing.B) {
+	payload, _ := randomBatch(256, 4, 1)
+	st := &connState{}
+	if !st.decodeBatch(payload) { // warm the connection's buffers
+		b.Fatal("batch frame did not decode")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !st.decodeBatch(payload) {
+			b.Fatal("batch frame did not decode")
+		}
 	}
 }
 

@@ -416,7 +416,6 @@ type connState struct {
 
 	mixes   [][]int // decoded batch mixes, reused across frames
 	mixArea []int   // backing storage for mixes, reused across frames
-	mixOffs []int   // mix boundaries in mixArea, reused across frames
 
 	out []byte // responses framed but not yet sent or handed off
 
@@ -692,31 +691,69 @@ func (st *connState) decodeMix(r *frameReader) (int, []int) {
 	return primary, st.mixArea
 }
 
-// decodeMixes reads m mixes into the connection's arena.
+// decodeMixes reads m mixes into the connection's arena in one pass. The
+// arena is sized once, up front, to the most IDs the frame can hold: no
+// more than the payload's bytes over four, nor m·MaxMix. Each mix's count
+// is checked against MaxMix and the bytes left before its IDs are copied
+// and the mix is sliced out of the arena, so a malformed frame returns
+// false before anything is priced. (A first pass that totals the counts
+// costs more than the copy it sizes: each count's offset hangs on the
+// count before it.)
+//
+// A mix of at most shortMix IDs is copied as shortMix fixed loads when
+// the payload and the arena have room: the words past the mix's end are
+// overwritten by the next mix or left past the arena's length. That
+// spares the mispredicted exit of a copy loop whose trip count changes
+// from mix to mix: BenchmarkDecodeBatchFrame reads about 1.1 µs a frame
+// with the fixed loads against 1.9 µs with the loop alone (DESIGN.md §13).
 func (st *connState) decodeMixes(r *frameReader, m int) bool {
-	st.mixes = st.mixes[:0]
-	st.mixArea = st.mixArea[:0]
-	// Mixes are sliced out of mixArea only after it stops growing, so
-	// record the boundaries first.
-	st.mixOffs = append(st.mixOffs[:0], 0)
-	for i := 0; i < m; i++ {
-		k := int(r.u16())
-		if k > MaxMix || r.err {
-			return false
-		}
-		for j := 0; j < k; j++ {
-			st.mixArea = append(st.mixArea, int(r.u32()))
-		}
-		st.mixOffs = append(st.mixOffs, len(st.mixArea))
-	}
 	if r.err {
 		return false
 	}
-	for i := 0; i < m; i++ {
-		st.mixes = append(st.mixes, st.mixArea[st.mixOffs[i]:st.mixOffs[i+1]])
+	b := r.b[r.off:]
+	room := min(len(b)/4, m*MaxMix)
+	if cap(st.mixArea) < room {
+		st.mixArea = make([]int, room)
 	}
+	if cap(st.mixes) < m {
+		st.mixes = make([][]int, m)
+	}
+	area, mixes, n := st.mixArea[:room], st.mixes[:m], 0
+	for i := range mixes {
+		if len(b) < 2 {
+			r.err = true
+			return false
+		}
+		k := int(binary.LittleEndian.Uint16(b))
+		if k > MaxMix {
+			return false
+		}
+		if len(b) < 2+4*k {
+			r.err = true
+			return false
+		}
+		if k <= shortMix && len(b) >= 2+4*shortMix && n+shortMix <= len(area) {
+			w := area[n : n+shortMix]
+			w[0] = int(binary.LittleEndian.Uint32(b[2:]))
+			w[1] = int(binary.LittleEndian.Uint32(b[6:]))
+			w[2] = int(binary.LittleEndian.Uint32(b[10:]))
+			w[3] = int(binary.LittleEndian.Uint32(b[14:]))
+		} else {
+			ids, mix := b[2:2+4*k], area[n:n+k]
+			for j := range mix {
+				mix[j] = int(binary.LittleEndian.Uint32(ids[4*j:]))
+			}
+		}
+		mixes[i], n, b = area[n:n+k:n+k], n+k, b[2+4*k:]
+	}
+	st.mixArea, st.mixes = area[:n], mixes
+	r.off = len(r.b) - len(b)
 	return true
 }
+
+// shortMix is the longest mix decodeMixes copies without a loop: four
+// concurrents, MPL 5.
+const shortMix = 4
 
 // replyOK frames a success response onto st.out; fill appends the
 // payload.

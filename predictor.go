@@ -192,13 +192,13 @@ type ProgressTracker = core.ProgressTracker
 // mix. Isolation (no concurrent queries) uses the template's isolated
 // latency directly.
 func (p *Predictor) TrackProgress(template int) (*ProgressTracker, error) {
-	stats, ok := p.inner.Knowledge().Template(template)
+	iso, ok := p.inner.Knowledge().IsolatedLatency(template)
 	if !ok {
 		return nil, fmt.Errorf("contender: template %d: %w", template, ErrUnknownTemplate)
 	}
 	return core.NewProgressTracker(func(concurrent []int) (float64, error) {
 		if len(concurrent) == 0 {
-			return stats.IsolatedLatency, nil
+			return iso, nil
 		}
 		return p.PredictKnown(template, concurrent)
 	}), nil

@@ -36,16 +36,16 @@ type JobForecast = sched.JobForecast
 // to the nearest trained MPL's QS model with the actual mix's CQI. An
 // unknown template is an error, never a fallback.
 func (p *Predictor) batchLatency(primary int, concurrent []int) (float64, error) {
-	stats, ok := p.inner.Knowledge().Template(primary)
+	iso, ok := p.inner.Knowledge().IsolatedLatency(primary)
 	if !ok {
 		return 0, fmt.Errorf("contender: template %d: %w", primary, ErrUnknownTemplate)
 	}
 	if len(concurrent) == 0 {
-		return stats.IsolatedLatency, nil
+		return iso, nil
 	}
 	l, err := p.PredictKnown(primary, concurrent)
 	if err == nil {
-		return clampMin(l, stats.IsolatedLatency), nil
+		return clampMin(l, iso), nil
 	}
 	if errors.Is(err, ErrUnknownTemplate) {
 		return 0, err
@@ -75,7 +75,7 @@ func (p *Predictor) batchLatency(primary int, concurrent []int) (float64, error)
 	if err != nil {
 		return 0, err
 	}
-	return clampMin(cont.Latency(qs.Point(r)), stats.IsolatedLatency), nil
+	return clampMin(cont.Latency(qs.Point(r)), iso), nil
 }
 
 func clampMin(v, floor float64) float64 {
