@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet vet-v2 fuzz-smoke wire-lock staticcheck bench-guard chaos-golden selfheal-golden blame-golden bench-record loc clean
+.PHONY: all build test race vet vet-v2 fuzz-smoke wire-lock staticcheck bench-guard chaos-golden selfheal-golden blame-golden paper-golden bench-record loc clean
 
 all: build test vet
 
@@ -70,11 +70,12 @@ wire-lock: bin/contender-vet
 staticcheck:
 	staticcheck ./...
 
-# Every serving benchmark row must report 0 allocs/op. Rows are matched
-# exactly (modulo the -GOMAXPROCS suffix) so one row's budget never
-# silently applies to another; the in-process complement is
-# TestServingPathDoesNotAllocate, the static one the hotpathalloc
-# analyzer.
+# Every serving benchmark row must report 0 allocs/op, and so must
+# reseeding a used simulator engine (a campaign does it once per task
+# attempt). Rows are matched exactly (modulo the -GOMAXPROCS suffix) so
+# one row's budget never silently applies to another; the in-process
+# complement is TestServingPathDoesNotAllocate, the static one the
+# hotpathalloc analyzer.
 BENCH_GUARD_ROWS = \
 	BenchmarkPredictKnown \
 	BenchmarkPredictExplain \
@@ -85,12 +86,14 @@ BENCH_GUARD_ROWS = \
 	BenchmarkPredictKnownFeedback \
 	BenchmarkShardedPredict \
 	BenchmarkShardedObserve \
-	BenchmarkDecodeBatchFrame
+	BenchmarkDecodeBatchFrame \
+	BenchmarkEngineReseed
 
 bench-guard:
 	$(GO) test -run TestServingPathDoesNotAllocate -v ./internal/core/
 	@out=$$($(GO) test -run XXX -bench 'BenchmarkPredictKnown$$|BenchmarkPredictExplain$$|BenchmarkPredictBatch$$|BenchmarkPredictKnownFeedback$$|BenchmarkShardedPredict$$|BenchmarkShardedObserve$$' -benchtime 100x . && \
-		$(GO) test -run XXX -bench 'BenchmarkDecodeBatchFrame$$' -benchtime 100x ./internal/serve/); \
+		$(GO) test -run XXX -bench 'BenchmarkDecodeBatchFrame$$' -benchtime 100x ./internal/serve/ && \
+		$(GO) test -run XXX -bench 'BenchmarkEngineReseed$$' -benchtime 100x ./internal/sim/); \
 	echo "$$out"; \
 	for b in $(BENCH_GUARD_ROWS); do \
 		allocs=$$(echo "$$out" | awk -v b="$$b" '$$1 ~ ("^" b "(-[0-9]+)?$$") && $$NF == "allocs/op" {print $$(NF-1)}'); \
@@ -126,6 +129,18 @@ blame-golden:
 	$(GO) run ./cmd/contender-bench -quick -mpls 2,3 -experiments ext-blame -workers 4 > /tmp/blame-w4.txt
 	diff -u /tmp/blame-w1.txt /tmp/blame-w4.txt
 	rm -f /tmp/blame-w1.txt /tmp/blame-w4.txt
+
+# docs/full-run.txt is the paper suite's stdout, byte for byte: run the
+# suite at one collection worker and at the default width and diff both
+# against the checked-in copy (mirrors the CI paper-golden job). After a
+# deliberate change to the numbers, regenerate the file with
+# `go run ./cmd/contender-bench > docs/full-run.txt`.
+paper-golden:
+	$(GO) run ./cmd/contender-bench -workers 1 > /tmp/paper-w1.txt
+	$(GO) run ./cmd/contender-bench > /tmp/paper-wdefault.txt
+	diff -u docs/full-run.txt /tmp/paper-w1.txt
+	diff -u docs/full-run.txt /tmp/paper-wdefault.txt
+	rm -f /tmp/paper-w1.txt /tmp/paper-wdefault.txt
 
 # Record the serving benchmark: every workload of BENCHMARK.json, run
 # untraced (the gated end-to-end metrics) and traced (the per-layer

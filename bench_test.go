@@ -276,6 +276,17 @@ func BenchmarkEnvBuild(b *testing.B) {
 			}
 		}
 	})
+	// The campaign contender-serve runs before it binds a port (full
+	// sampling at MPLs 2–5, seed 42, GOMAXPROCS workers): the training
+	// behind the serving benchmark's setup_s.
+	b.Run("serve", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := experiments.NewEnv(experiments.Options{MPLs: []int{2, 3, 4, 5}, Seed: 42}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 var (

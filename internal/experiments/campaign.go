@@ -35,11 +35,12 @@ import (
 //     strings — scan/<table>, template/<id>, mix/<mpl>/<designIdx> — and
 //     name the task in errors, the fault injector and the checkpoint.
 //   - The backend hands each task attempt its System. Env gives every
-//     attempt a fresh simulator engine seeded with sim.DeriveSeed(seed,
-//     key), so a task's values depend only on its key and a retry
-//     reproduces exactly what an untroubled attempt would have measured,
-//     at any pool width. CollectFrom gives every attempt the caller's
-//     System at pool width 1, so a stateful backend sees the plan order.
+//     attempt a simulator engine reseeded with sim.DeriveSeed(seed, key),
+//     which cannot be told apart from a new engine, so a task's values
+//     depend only on its key and a retry reproduces exactly what an
+//     untroubled attempt would have measured, at any pool width.
+//     CollectFrom gives every attempt the caller's System at pool width
+//     1, so a stateful backend sees the plan order.
 //   - Mix tasks start only after every scan and template task resolved; a
 //     mix containing a quarantined template is dropped, never measured.
 //     Designs are drawn over the full template list, so quarantine drops
@@ -92,8 +93,9 @@ const (
 type campaign struct {
 	opts Options
 	plan []task
-	// backend returns the System a task attempt measures through.
-	backend func(key string) System
+	// backend returns the System a task attempt measures through and
+	// the done func the attempt calls once it has finished with it.
+	backend func(key string) (sys System, done func())
 	// host identifies the measured host in the fingerprint ("" when the
 	// System owns its host).
 	host string
@@ -148,7 +150,7 @@ func CollectFrom(ctx context.Context, sys System, opts Options) (*Campaign, erro
 	c := &campaign{
 		opts:    opts,
 		plan:    planTasks(opts, templates, sys.FactTables()),
-		backend: func(string) System { return sys },
+		backend: func(string) (System, func()) { return sys, func() {} },
 	}
 	return c.run(ctx)
 }
@@ -389,10 +391,12 @@ func (c *campaign) attempts(ctx context.Context, i int) (int, error) {
 				return err
 			}
 		}
-		e, err := c.measure(ctx, t, c.backend(t.key))
+		sys, done := c.backend(t.key)
+		e, err := c.measure(ctx, t, sys)
 		if t.kind == mixTask && err == nil {
 			e.Lats = append(c.lats[i][:0], e.Lats...)
 		}
+		done()
 		c.entries[i] = e
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"contender/internal/core"
 	"contender/internal/lhs"
@@ -47,7 +48,7 @@ type Options struct {
 	// that fails permanently) is dropped, collection continues on the rest,
 	// and the loss is reported in Campaign.Resilience. A retried task is
 	// re-measured from its first measurement; on the simulator it reruns
-	// on a fresh engine with the same derived seed, so retries never
+	// on an engine reseeded with the same derived seed, so retries never
 	// change the collected data.
 	Retry *resilience.RetryPolicy
 	// Faults, when set, injects a seed-deterministic fault schedule into
@@ -154,8 +155,8 @@ type Env struct {
 	Opts     Options
 	Workload *tpcds.Workload
 	// Engine is the host used for post-build simulation (ground truth,
-	// scheduling experiments). Training-data collection runs on per-task
-	// engines instead; see campaign.go.
+	// scheduling experiments). Training-data collection runs on engines
+	// reseeded per task instead; see campaign.go.
 	Engine *sim.Engine
 	// Campaign holds what the collection produced: Know, Samples,
 	// SimulatedSeconds and the Resilience report.
@@ -202,17 +203,52 @@ func NewEnvWithContext(ctx context.Context, w *tpcds.Workload, opts Options) (*E
 }
 
 // campaign prepares the simulator campaign over the environment's
-// workload: every task attempt measures through a fresh adapter on an
-// engine seeded with sim.DeriveSeed(opts.Seed, key).
+// workload: every task attempt measures on an engine reseeded with
+// sim.DeriveSeed(opts.Seed, key).
 func (e *Env) campaign(opts Options) *campaign {
 	sys := SimSystem(e.Workload, e.Engine)
+	engines := &simEngines{workload: e.Workload, cfg: e.baseCfg, seed: opts.Seed}
 	return &campaign{
-		opts: opts,
-		plan: planTasks(opts, sys.Templates(), sys.FactTables()),
-		host: fmt.Sprintf("%+v", e.baseCfg),
-		backend: func(key string) System {
-			return SimSystem(e.Workload, sim.NewEngine(e.baseCfg.WithSeed(sim.DeriveSeed(opts.Seed, key))))
-		},
+		opts:    opts,
+		plan:    planTasks(opts, sys.Templates(), sys.FactTables()),
+		host:    fmt.Sprintf("%+v", e.baseCfg),
+		backend: engines.acquire,
+	}
+}
+
+// simEngines is one campaign's free list of simulator adapters. An
+// attempt takes one and reseeds its engine with its task's derived seed;
+// a reseeded engine cannot be told apart from a new one, so reuse never
+// changes a measurement, also after a failed or faulted attempt, while
+// the campaign builds at most one engine per pool worker.
+type simEngines struct {
+	workload *tpcds.Workload
+	cfg      sim.Config
+	seed     int64
+
+	mu   sync.Mutex
+	free []*simSystem
+}
+
+// acquire is the campaign backend: an adapter whose engine is seeded for
+// key, and the func that hands it back.
+func (p *simEngines) acquire(key string) (System, func()) {
+	seed := sim.DeriveSeed(p.seed, key)
+	var s *simSystem
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		s, p.free = p.free[n-1], p.free[:n-1]
+	}
+	p.mu.Unlock()
+	if s == nil {
+		s = &simSystem{workload: p.workload, engine: sim.NewEngine(p.cfg.WithSeed(seed))}
+	} else {
+		s.engine.Reseed(seed)
+	}
+	return s, func() {
+		p.mu.Lock()
+		p.free = append(p.free, s)
+		p.mu.Unlock()
 	}
 }
 

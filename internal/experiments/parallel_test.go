@@ -76,11 +76,12 @@ func TestRunTasksErrorPropagates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		c := chaosCampaign(chaosOptions(workers))
 		measure := c.backend
-		c.backend = func(key string) System {
+		c.backend = func(key string) (System, func()) {
+			sys, done := measure(key)
 			if key == "mix/3/1" {
-				return failingMix{measure(key)}
+				return failingMix{sys}, done
 			}
-			return measure(key)
+			return sys, done
 		}
 		_, err := c.run(context.Background())
 		if !errors.Is(err, errBoom) {

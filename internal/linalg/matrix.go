@@ -79,6 +79,12 @@ func (m *Matrix) Row(i int) []float64 {
 	return out
 }
 
+// RowView returns row i as a slice of m's storage: no copy, and a write
+// to it writes m.
+func (m *Matrix) RowView(i int) []float64 {
+	return m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
+}
+
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.rows, m.cols)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"contender/internal/linalg"
 )
 
 // SVM predicts query latency the way Section 3 describes: latencies are
@@ -145,17 +147,20 @@ const (
 	smoMaxIters = 2000
 )
 
-func (s *binarySVM) train(gram interface{ At(i, j int) float64 }, y []float64) {
+func (s *binarySVM) train(gram *linalg.Matrix, y []float64) {
 	n := len(y)
 	s.y = y
 	s.alpha = make([]float64, n)
 	s.bias = 0
 
+	// f(i) = Σ_j α_j y_j K(x_j, x_i) + b. It reads row i for column i:
+	// GramMatrix writes both halves with the same value.
 	f := func(i int) float64 {
+		row := gram.RowView(i)
 		var sum float64
-		for j := 0; j < n; j++ {
-			if s.alpha[j] != 0 {
-				sum += s.alpha[j] * y[j] * gram.At(j, i)
+		for j, a := range s.alpha {
+			if a != 0 {
+				sum += a * y[j] * row[j]
 			}
 		}
 		return sum + s.bias

@@ -8,9 +8,13 @@ import (
 // Engine executes query specs on the simulated host. It is single-threaded
 // and deterministic for a fixed Config.Seed. An Engine may be reused across
 // runs; each driver call resets the active-run state but keeps advancing the
-// same noise stream, so repeated measurements see fresh jitter.
+// same noise stream, so repeated measurements see fresh jitter. Reseed
+// starts it over as a new engine would.
 type Engine struct {
-	cfg   Config
+	cfg Config
+	// src is the noise source and rng reads it; both live as long as
+	// the engine, and Reseed restarts src in place.
+	src   source
 	rng   *rand.Rand
 	clock float64
 	runs  []*run
@@ -56,7 +60,23 @@ func NewEngine(cfg Config) *Engine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Engine{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	e := &Engine{cfg: cfg}
+	e.rng = rand.New(&e.src)
+	e.src.Seed(cfg.Seed)
+	return e
+}
+
+// Reseed puts the engine back in the state NewEngine(cfg.WithSeed(seed))
+// returns, for the engine's own config: the clock, runs, spoiler and
+// tracer are cleared and the noise stream restarts from seed. Only the
+// run free list and the step scratch survive, so a reseeded engine runs
+// warm where a new one would allocate. It is valid after any run, also
+// one a panicking tracer cut short.
+func (e *Engine) Reseed(seed int64) {
+	e.reset()
+	e.cfg.Seed = seed
+	e.tracer = nil
+	e.rng.Seed(seed)
 }
 
 // Config returns the engine's host configuration.
@@ -67,10 +87,16 @@ func (e *Engine) Clock() float64 { return e.clock }
 
 // reset clears all run state (but not the RNG, so instance noise differs
 // between consecutive measurements, as it would on real hardware). Runs
-// still active or just finished go to the free list.
+// still active or just finished go to the free list, each once: a step
+// that a panicking tracer cut short can leave a finished run in runs too.
 func (e *Engine) reset() {
 	e.clock = 0
-	e.free = append(append(e.free, e.runs...), e.finished...)
+	e.free = append(e.free, e.finished...)
+	for _, r := range e.runs {
+		if !r.done {
+			e.free = append(e.free, r)
+		}
+	}
 	e.runs, e.finished = e.runs[:0], e.finished[:0]
 	e.spoilerPinBytes = 0
 	e.spoilerStreams = 0
