@@ -70,14 +70,16 @@ wire-lock: bin/contender-vet
 staticcheck:
 	staticcheck ./...
 
-# Every serving benchmark row must report 0 allocs/op, and so must
-# reseeding a used simulator engine (a campaign does it once per task
-# attempt). Rows are matched exactly (modulo the -GOMAXPROCS suffix) so
+# Every serving benchmark row must report 0 allocs/op, observed by the
+# Metrics observer or not, and so must reseeding a used simulator engine
+# (a campaign does it once per task attempt). Rows are matched exactly (modulo the -GOMAXPROCS suffix) so
 # one row's budget never silently applies to another; the in-process
 # complement is TestServingPathDoesNotAllocate, the static one the
 # hotpathalloc analyzer.
 BENCH_GUARD_ROWS = \
 	BenchmarkPredictKnown \
+	BenchmarkPredictKnownObserved \
+	BenchmarkPredictKnownObservedParallel \
 	BenchmarkPredictExplain \
 	BenchmarkPredictBatch/mixes=4 \
 	BenchmarkPredictBatch/mixes=16 \
@@ -91,7 +93,7 @@ BENCH_GUARD_ROWS = \
 
 bench-guard:
 	$(GO) test -run TestServingPathDoesNotAllocate -v ./internal/core/
-	@out=$$($(GO) test -run XXX -bench 'BenchmarkPredictKnown$$|BenchmarkPredictExplain$$|BenchmarkPredictBatch$$|BenchmarkPredictKnownFeedback$$|BenchmarkShardedPredict$$|BenchmarkShardedObserve$$' -benchtime 100x . && \
+	@out=$$($(GO) test -run XXX -bench 'BenchmarkPredictKnown$$|BenchmarkPredictKnownObserved$$|BenchmarkPredictKnownObservedParallel$$|BenchmarkPredictExplain$$|BenchmarkPredictBatch$$|BenchmarkPredictKnownFeedback$$|BenchmarkShardedPredict$$|BenchmarkShardedObserve$$' -benchtime 100x . && \
 		$(GO) test -run XXX -bench 'BenchmarkDecodeBatchFrame$$' -benchtime 100x ./internal/serve/ && \
 		$(GO) test -run XXX -bench 'BenchmarkEngineReseed$$' -benchtime 100x ./internal/sim/); \
 	echo "$$out"; \

@@ -26,7 +26,7 @@ var ScopedPackages = []string{
 // Analyzer is the nodeterminism check.
 var Analyzer = &analysis.Analyzer{
 	Name: "nodeterminism",
-	Doc: "forbid nondeterminism (time.Now, global math/rand, goroutine-count branches, " +
+	Doc: "forbid nondeterminism (time.Now, obs.Mono, global math/rand, goroutine-count branches, " +
 		"map-range into output sinks) in the deterministic collection packages",
 	Run: run,
 }
@@ -46,6 +46,16 @@ var bannedFuncs = map[string]map[string]string{
 		"Getpid": "process identity is nondeterministic across runs",
 	},
 }
+
+// bannedObsFuncs are the clock reads of this module's observability
+// package (matched by path suffix, like ScopedPackages): obs.Mono is a
+// monotonic clock, as nondeterministic as time.Since.
+var bannedObsFuncs = map[string]string{
+	"Mono": "durations must come from the simulator's virtual clock",
+}
+
+// obsPackage is the repo-relative path of the observability package.
+const obsPackage = "internal/obs"
 
 // randAllowed lists the math/rand top-level functions that do NOT draw
 // from the shared global stream (seeded constructors are the required
@@ -103,7 +113,11 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 		return
 	}
 	pkgPath, name := fn.Pkg().Path(), fn.Name()
-	if advice, ok := bannedFuncs[pkgPath][name]; ok {
+	advice, ok := bannedFuncs[pkgPath][name]
+	if !ok && analysis.PathMatches(pkgPath, obsPackage) {
+		advice, ok = bannedObsFuncs[name]
+	}
+	if ok {
 		pass.Reportf(call.Pos(), "call to %s.%s breaks the deterministic-collection invariant (%s)", pkgPath, name, advice)
 		return
 	}

@@ -11,12 +11,19 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"a/internal/obs"
 )
 
 func Clocks() time.Duration {
 	t0 := time.Now()      // want `call to time.Now breaks the deterministic-collection invariant`
 	_ = time.Since(t0)    // want `call to time.Since breaks the deterministic-collection invariant`
 	return time.Until(t0) // want `call to time.Until breaks the deterministic-collection invariant`
+}
+
+func MonoClock() time.Duration {
+	t0 := obs.Mono()       // want `call to a/internal/obs.Mono breaks the deterministic-collection invariant`
+	return obs.Mono() - t0 // want `call to a/internal/obs.Mono breaks the deterministic-collection invariant`
 }
 
 func GlobalRand() float64 {
@@ -78,6 +85,11 @@ func AllowedLineAbove() time.Time {
 func AllowedFuncDoc() (time.Time, time.Duration) {
 	t0 := time.Now()
 	return t0, time.Since(t0)
+}
+
+func AllowedMono() time.Duration {
+	start := obs.Mono()       //contender:allow nodeterminism -- golden test: span duration feeds observability only
+	return obs.Mono() - start //contender:allow nodeterminism -- golden test: span duration feeds observability only
 }
 
 func MissingReason() time.Time {

@@ -5,8 +5,12 @@ package b
 import (
 	"math/rand"
 	"time"
+
+	"a/internal/obs"
 )
 
 func Clock() time.Time { return time.Now() }
+
+func Mono() time.Duration { return obs.Mono() }
 
 func Draw() float64 { return rand.Float64() }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"contender/internal/obs"
 )
@@ -95,7 +94,7 @@ func (p *Predictor) PredictExplain(buf *ExplainBuffer, primary int, concurrent [
 	if p.observer == nil {
 		return p.predictExplain(buf, primary, concurrent)
 	}
-	start := time.Now() //contender:allow nodeterminism -- span duration feeds observability only, never a canonical artifact
+	start := obs.Mono() //contender:allow nodeterminism -- span duration feeds observability only, never a canonical artifact
 	v, err := p.predictExplain(buf, primary, concurrent)
 	obs.Emit(p.observer, obs.Event{
 		Kind:     obs.SpanEnd,
@@ -103,7 +102,7 @@ func (p *Predictor) PredictExplain(buf *ExplainBuffer, primary int, concurrent [
 		Template: primary,
 		MPL:      len(concurrent) + 1,
 		Value:    v,
-		Dur:      time.Since(start), //contender:allow nodeterminism -- span duration feeds observability only, never a canonical artifact
+		Dur:      obs.Mono() - start, //contender:allow nodeterminism -- span duration feeds observability only, never a canonical artifact
 		Err:      obs.ErrLabel(err),
 	})
 	return v, err

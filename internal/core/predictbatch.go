@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"contender/internal/obs"
 )
@@ -40,14 +39,14 @@ func (p *Predictor) PredictBatch(buf *PredictBuffer, primary int, mixes [][]int)
 	if p.observer == nil {
 		return p.predictBatch(buf, primary, mixes)
 	}
-	start := time.Now() //contender:allow nodeterminism -- span duration feeds observability only, never a canonical artifact
+	start := obs.Mono() //contender:allow nodeterminism -- span duration feeds observability only, never a canonical artifact
 	out, err := p.predictBatch(buf, primary, mixes)
 	obs.Emit(p.observer, obs.Event{
 		Kind:     obs.SpanEnd,
 		Span:     obs.SpanServePredictBatch,
 		Template: primary,
 		Value:    float64(len(mixes)),
-		Dur:      time.Since(start), //contender:allow nodeterminism -- span duration feeds observability only, never a canonical artifact
+		Dur:      obs.Mono() - start, //contender:allow nodeterminism -- span duration feeds observability only, never a canonical artifact
 		Err:      obs.ErrLabel(err),
 	})
 	return out, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 
 	"contender/internal/obs"
 )
@@ -140,7 +139,7 @@ func (p *Predictor) PredictKnown(primary int, concurrent []int) (float64, error)
 	if p.observer == nil {
 		return p.predictKnown(primary, concurrent)
 	}
-	start := time.Now() //contender:allow nodeterminism -- span duration feeds observability only, never a canonical artifact
+	start := obs.Mono() //contender:allow nodeterminism -- span duration feeds observability only, never a canonical artifact
 	v, err := p.predictKnown(primary, concurrent)
 	obs.Emit(p.observer, obs.Event{
 		Kind:     obs.SpanEnd,
@@ -148,7 +147,7 @@ func (p *Predictor) PredictKnown(primary int, concurrent []int) (float64, error)
 		Template: primary,
 		MPL:      len(concurrent) + 1,
 		Value:    v,
-		Dur:      time.Since(start), //contender:allow nodeterminism -- span duration feeds observability only, never a canonical artifact
+		Dur:      obs.Mono() - start, //contender:allow nodeterminism -- span duration feeds observability only, never a canonical artifact
 		Err:      obs.ErrLabel(err),
 	})
 	return v, err
@@ -240,7 +239,7 @@ func (p *Predictor) PredictNew(t TemplateStats, concurrent []int, opts NewTempla
 	if p.observer == nil {
 		return p.predictNew(t, concurrent, opts)
 	}
-	start := time.Now() //contender:allow nodeterminism -- span duration feeds observability only, never a canonical artifact
+	start := obs.Mono() //contender:allow nodeterminism -- span duration feeds observability only, never a canonical artifact
 	v, err := p.predictNew(t, concurrent, opts)
 	obs.Emit(p.observer, obs.Event{
 		Kind:     obs.SpanEnd,
@@ -248,7 +247,7 @@ func (p *Predictor) PredictNew(t TemplateStats, concurrent []int, opts NewTempla
 		Template: t.ID,
 		MPL:      len(concurrent) + 1,
 		Value:    v,
-		Dur:      time.Since(start), //contender:allow nodeterminism -- span duration feeds observability only, never a canonical artifact
+		Dur:      obs.Mono() - start, //contender:allow nodeterminism -- span duration feeds observability only, never a canonical artifact
 		Err:      obs.ErrLabel(err),
 	})
 	return v, err

@@ -679,13 +679,13 @@ func (c *campaign) merge() *Campaign {
 			out.SimulatedSeconds.Isolated += isolated
 			out.SimulatedSeconds.Spoiler += spoiler
 		case mixTask:
-			sample := MixSample{Mix: e.Mix}
+			sample := MixSample{Mix: e.Mix, Obs: make([]core.Observation, len(e.Mix))}
 			for slot, id := range sample.Mix {
-				sample.Obs = append(sample.Obs, core.Observation{
+				sample.Obs[slot] = core.Observation{
 					Primary:    id,
 					Concurrent: sample.Mix.WithoutOne(id),
 					Latency:    e.Lats[slot],
-				})
+				}
 			}
 			out.Samples[t.mpl] = append(out.Samples[t.mpl], sample)
 			out.SimulatedSeconds.Mixes += e.Seconds
@@ -735,18 +735,37 @@ func (c *Campaign) FaultStats() resilience.FaultStats {
 }
 
 // buildObservationIndex flattens the samples into the per-MPL and
-// per-primary views served by Observations and ObservationsFor.
+// per-primary views served by Observations and ObservationsFor. A
+// counting pass sizes every list first; the per-primary lists are
+// capacity-capped windows of one backing array per MPL.
 func (c *Campaign) buildObservationIndex() {
 	c.obsByMPL = make(map[int][]core.Observation, len(c.Samples))
 	c.obsByPrimary = make(map[int]map[int][]core.Observation, len(c.Samples))
 	for _, mpl := range c.mpls {
-		var flat []core.Observation
-		byPrimary := make(map[int][]core.Observation)
+		total := 0
+		counts := make(map[int]int)
+		for _, s := range c.Samples[mpl] {
+			total += len(s.Obs)
+			for _, o := range s.Obs {
+				counts[o.Primary]++
+			}
+		}
+		flat := make([]core.Observation, 0, total)
+		backing := make([]core.Observation, total)
+		byPrimary := make(map[int][]core.Observation, len(counts))
 		for _, s := range c.Samples[mpl] {
 			flat = append(flat, s.Obs...)
 			for _, o := range s.Obs {
-				byPrimary[o.Primary] = append(byPrimary[o.Primary], o)
+				list, ok := byPrimary[o.Primary]
+				if !ok {
+					n := counts[o.Primary]
+					list, backing = backing[:0:n], backing[n:]
+				}
+				byPrimary[o.Primary] = append(list, o)
 			}
+		}
+		if total == 0 {
+			flat = nil
 		}
 		c.obsByMPL[mpl] = flat
 		c.obsByPrimary[mpl] = byPrimary

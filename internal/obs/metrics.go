@@ -558,6 +558,66 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	_ = r.WritePrometheus(w)
 }
 
+// decPositive subtracts one unless the value is already ≤ 0, in one
+// CAS: a check-then-store pair would let a concurrent Add land between.
+func (f *atomicFloat64) decPositive() {
+	for {
+		old := f.bits.Load()
+		v := math.Float64frombits(old)
+		if v <= 0 || f.bits.CompareAndSwap(old, math.Float64bits(v-1)) {
+			return
+		}
+	}
+}
+
+// handles is a copy-on-write map from a taxonomy name to its resolved
+// series. Readers load the current map without a lock; the first event
+// of a new name publishes a copy with one more entry. Resolution goes
+// through the registry, which returns the same series to every racer,
+// so a lost publish race costs a copy and nothing else.
+type handles[V any] struct{ p atomic.Pointer[map[string]V] }
+
+func (h *handles[V]) get(name string) (V, bool) {
+	if m := h.p.Load(); m != nil {
+		v, ok := (*m)[name]
+		return v, ok
+	}
+	var zero V
+	return zero, false
+}
+
+// add publishes v under name unless a racer already did, and returns
+// the published value.
+func (h *handles[V]) add(name string, v V) V {
+	for {
+		old := h.p.Load()
+		next := map[string]V{name: v}
+		if old != nil {
+			if cur, ok := (*old)[name]; ok {
+				return cur
+			}
+			for k, x := range *old {
+				next[k] = x
+			}
+		}
+		if h.p.CompareAndSwap(old, &next) {
+			return v
+		}
+	}
+}
+
+// endSeries are one span name's SpanEnd series.
+type endSeries struct {
+	count *Counter
+	dur   *Histogram
+}
+
+// pointSeries are one point name's series: its events_total counter
+// and, for the resilience and drift points, the convenience total.
+type pointSeries struct {
+	count, total *Counter
+}
+
 // Metrics is the canonical Observer that folds the event stream into a
 // Registry:
 //
@@ -573,6 +633,11 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 //	contender_drift_transitions_total          quality.drift points (the
 //	                                           per-template breakdown
 //	                                           lives in *Quality)
+//
+// Each name's series are resolved once, at the event that creates them,
+// into lock-free handle maps; after that an event costs one map load
+// and the atomic bumps. The inflight gauge is the open-span count
+// itself, so it never disagrees with it.
 type Metrics struct {
 	reg *Registry
 
@@ -588,8 +653,10 @@ type Metrics struct {
 	resumes     *Counter
 	drifts      *Counter
 
-	mu   sync.RWMutex
-	open map[string]*atomic.Int64 // span -> begun-minus-ended, floored at 0
+	ends   handles[endSeries]   // by span, from its first SpanEnd
+	errs   handles[*Counter]    // by span, from its first errored SpanEnd
+	open   handles[*Gauge]      // by span, from its first SpanBegin
+	points handles[pointSeries] // by point name, from its first Point
 }
 
 // NewMetrics returns a Metrics observer over a fresh Registry.
@@ -607,74 +674,78 @@ func NewMetrics() *Metrics {
 		checkpoints: reg.Counter("contender_checkpoint_writes_total", "Measurements flushed to the write-through checkpoint."),
 		resumes:     reg.Counter("contender_resumed_total", "Measurements replayed from a checkpoint instead of re-run."),
 		drifts:      reg.Counter("contender_drift_transitions_total", "Prediction-quality drift state transitions across all templates."),
-		open:        map[string]*atomic.Int64{},
 	}
-}
-
-func (m *Metrics) openCount(span string) *atomic.Int64 {
-	m.mu.RLock()
-	c, ok := m.open[span]
-	m.mu.RUnlock()
-	if ok {
-		return c
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c, ok := m.open[span]; ok {
-		return c
-	}
-	c = &atomic.Int64{}
-	m.open[span] = c
-	return c
 }
 
 // Event folds one event into the registry.
 func (m *Metrics) Event(ev Event) {
 	switch ev.Kind {
 	case SpanBegin:
-		c := m.openCount(ev.Span)
-		m.inflight.With(ev.Span).Set(float64(c.Add(1)))
+		g, ok := m.open.get(ev.Span)
+		if !ok {
+			g = m.open.add(ev.Span, m.inflight.With(ev.Span))
+		}
+		g.Add(1)
 	case SpanEnd:
-		// Serving spans emit End without Begin; only decrement what was
-		// actually begun so the inflight gauge never goes negative.
-		c := m.openCount(ev.Span)
-		for {
-			cur := c.Load()
-			if cur <= 0 {
-				break
-			}
-			if c.CompareAndSwap(cur, cur-1) {
-				m.inflight.With(ev.Span).Set(float64(cur - 1))
-				break
-			}
+		// Serving spans emit End without Begin; only a gauge a Begin
+		// created is decremented, and never below 0.
+		if g, ok := m.open.get(ev.Span); ok {
+			g.v.decPositive()
 		}
-		m.spans.With(ev.Span).Inc()
+		s, ok := m.ends.get(ev.Span)
+		if !ok {
+			s = m.ends.add(ev.Span, m.resolveEnd(ev.Span))
+		}
+		s.count.Inc()
 		if ev.Err != "" {
-			m.spanErrs.With(ev.Span).Inc()
+			c, ok := m.errs.get(ev.Span)
+			if !ok {
+				c = m.errs.add(ev.Span, m.spanErrs.With(ev.Span))
+			}
+			c.Inc()
 		}
-		// serve.* spans finish in nanoseconds; give their duration
-		// series sub-microsecond resolution (other spans keep the
-		// family's default bounds).
-		if strings.HasPrefix(ev.Span, "serve.") {
-			m.spanDur.WithBuckets(ev.Span, ServeLatencyBuckets).Observe(ev.Dur.Seconds())
-		} else {
-			m.spanDur.With(ev.Span).Observe(ev.Dur.Seconds())
-		}
+		s.dur.Observe(ev.Dur.Seconds())
 	case Point:
-		m.events.With(ev.Span).Inc()
-		switch ev.Span {
-		case PointTrainRetry:
-			m.retries.Inc()
-		case PointTrainQuarantine:
-			m.quarantines.Inc()
-		case PointTrainCheckpoint:
-			m.checkpoints.Inc()
-		case PointTrainResume:
-			m.resumes.Inc()
-		case PointQualityDrift:
-			m.drifts.Inc()
+		p, ok := m.points.get(ev.Span)
+		if !ok {
+			p = m.points.add(ev.Span, m.resolvePoint(ev.Span))
+		}
+		p.count.Inc()
+		if p.total != nil {
+			p.total.Inc()
 		}
 	}
+}
+
+// resolveEnd creates (or finds) a span's counter and duration series.
+// serve.* spans finish in nanoseconds, so their duration series get
+// sub-microsecond resolution; other spans keep the family's bounds.
+func (m *Metrics) resolveEnd(span string) endSeries {
+	s := endSeries{count: m.spans.With(span)}
+	if strings.HasPrefix(span, "serve.") {
+		s.dur = m.spanDur.WithBuckets(span, ServeLatencyBuckets)
+	} else {
+		s.dur = m.spanDur.With(span)
+	}
+	return s
+}
+
+// resolvePoint creates (or finds) a point's series.
+func (m *Metrics) resolvePoint(name string) pointSeries {
+	p := pointSeries{count: m.events.With(name)}
+	switch name {
+	case PointTrainRetry:
+		p.total = m.retries
+	case PointTrainQuarantine:
+		p.total = m.quarantines
+	case PointTrainCheckpoint:
+		p.total = m.checkpoints
+	case PointTrainResume:
+		p.total = m.resumes
+	case PointQualityDrift:
+		p.total = m.drifts
+	}
+	return p
 }
 
 // Registry exposes the underlying registry (for mounting extra series

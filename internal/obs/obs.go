@@ -154,6 +154,16 @@ type Observer interface {
 	Event(Event)
 }
 
+// epoch is the zero of Mono: its monotonic reading, taken at package
+// initialisation.
+var epoch = time.Now()
+
+// Mono returns the monotonic time since process start. A span brackets
+// its work with two Mono calls and reports their difference as Dur:
+// each call is one monotonic clock read, where time.Now reads the wall
+// clock as well. Mono values are meaningful only as differences.
+func Mono() time.Duration { return time.Since(epoch) }
+
 // Emit delivers ev to o, tolerating both a nil observer and a panicking
 // one. All instrumented code funnels through Emit (or performs the same
 // nil check first), which is what makes a user-supplied Observer unable

@@ -102,7 +102,7 @@ func FuzzDecodeFrame(f *testing.F) {
 func referenceHandler(s *Server) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/predict", func(w http.ResponseWriter, r *http.Request) {
-		refHandleJSON(s, w, r, "predict", func(body []byte) (any, int, error) {
+		refHandleJSON(s, w, r, OpPredict, func(body []byte) (any, int, error) {
 			var req PredictRequest
 			if err := json.Unmarshal(body, &req); err != nil {
 				return nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -131,7 +131,7 @@ func referenceHandler(s *Server) http.Handler {
 		})
 	})
 	mux.HandleFunc("/v1/predict_batch", func(w http.ResponseWriter, r *http.Request) {
-		refHandleJSON(s, w, r, "predict_batch", func(body []byte) (any, int, error) {
+		refHandleJSON(s, w, r, OpBatch, func(body []byte) (any, int, error) {
 			var req BatchRequest
 			if err := json.Unmarshal(body, &req); err != nil {
 				return nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -148,7 +148,7 @@ func referenceHandler(s *Server) http.Handler {
 		})
 	})
 	mux.HandleFunc("/v1/feedback", func(w http.ResponseWriter, r *http.Request) {
-		refHandleJSON(s, w, r, "feedback", func(body []byte) (any, int, error) {
+		refHandleJSON(s, w, r, OpFeedback, func(body []byte) (any, int, error) {
 			var req FeedbackRequest
 			if err := json.Unmarshal(body, &req); err != nil {
 				return nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -165,14 +165,14 @@ func referenceHandler(s *Server) http.Handler {
 
 // refHandleJSON is referenceHandler's shared plumbing: method check,
 // admission, body read, dispatch, envelope rendering, observation.
-func refHandleJSON(s *Server, w http.ResponseWriter, r *http.Request, op string, fn func(body []byte) (any, int, error)) {
+func refHandleJSON(s *Server, w http.ResponseWriter, r *http.Request, op uint8, fn func(body []byte) (any, int, error)) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeJSONError(w, fmt.Errorf("%w: method %s", ErrBadRequest, r.Method))
 		return
 	}
 	if s.httpA != nil && !s.httpA.admit() {
-		s.overloaded(op)
+		s.overloaded(opName(op))
 		writeJSONError(w, ErrOverloaded)
 		return
 	}

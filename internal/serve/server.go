@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"contender/internal/core"
@@ -106,20 +107,37 @@ type serveMetrics struct {
 	predictions *obs.Counter
 	overloads   *obs.Counter
 	connections *obs.Counter
+
+	// byOp holds requests.With(opName(op)) for each opcode, resolved
+	// at the op's first request (slot 0 is "unknown").
+	byOp [OpFeedback + 1]atomic.Pointer[obs.Counter]
 }
 
-func newServeMetrics(m *obs.Metrics) serveMetrics {
+// register attaches the family set to m's registry (a no-op for nil m).
+func (sm *serveMetrics) register(m *obs.Metrics) {
 	if m == nil {
-		return serveMetrics{}
+		return
 	}
 	reg := m.Registry()
-	return serveMetrics{
-		requests:    reg.CounterVec("contender_serve_requests_total", "Wire requests by operation.", "op"),
-		errors:      reg.CounterVec("contender_serve_errors_total", "Wire errors by stable v1 code.", "code"),
-		predictions: reg.Counter("contender_serve_predictions_total", "Predictions served across both protocols."),
-		overloads:   reg.Counter("contender_serve_overload_total", "Requests rejected by admission control."),
-		connections: reg.Counter("contender_serve_connections_total", "Binary protocol connections accepted."),
+	sm.requests = reg.CounterVec("contender_serve_requests_total", "Wire requests by operation.", "op")
+	sm.errors = reg.CounterVec("contender_serve_errors_total", "Wire errors by stable v1 code.", "code")
+	sm.predictions = reg.Counter("contender_serve_predictions_total", "Predictions served across both protocols.")
+	sm.overloads = reg.Counter("contender_serve_overload_total", "Requests rejected by admission control.")
+	sm.connections = reg.Counter("contender_serve_connections_total", "Binary protocol connections accepted.")
+}
+
+// request returns op's request counter, resolving it on first use.
+func (sm *serveMetrics) request(op uint8) *obs.Counter {
+	slot := &sm.byOp[0]
+	if int(op) < len(sm.byOp) {
+		slot = &sm.byOp[op]
 	}
+	if c := slot.Load(); c != nil {
+		return c
+	}
+	c := sm.requests.With(opName(op))
+	slot.Store(c)
+	return c
 }
 
 // New builds a server over a serving snapshot.
@@ -134,8 +152,8 @@ func New(sh *core.Sharded, cfg Config) (*Server, error) {
 		cfg:   cfg,
 		sh:    sh,
 		conns: map[net.Conn]struct{}{},
-		met:   newServeMetrics(cfg.Metrics),
 	}
+	s.met.register(cfg.Metrics)
 	if cfg.Admission.enabled() {
 		s.httpA = newAdmitter(cfg.Admission, cfg.Now)
 	}
@@ -151,10 +169,11 @@ func (s *Server) Sharded() *core.Sharded { return s.sh }
 // the request's latency.
 func (s *Server) timed() bool { return s.cfg.Observer != nil || s.cfg.SlowLog != nil }
 
-// observeRequest emits the serve.request span and folds counters.
-func (s *Server) observeRequest(op string, n int, dur time.Duration, err error) {
+// observeRequest emits the serve.request span for one request of
+// opcode op and folds counters.
+func (s *Server) observeRequest(op uint8, n int, dur time.Duration, err error) {
 	if s.met.requests != nil {
-		s.met.requests.With(op).Inc()
+		s.met.request(op).Inc()
 		if err == nil {
 			s.met.predictions.Add(int64(n))
 		} else {
@@ -165,7 +184,7 @@ func (s *Server) observeRequest(op string, n int, dur time.Duration, err error) 
 		obs.Emit(s.cfg.Observer, obs.Event{
 			Kind:  obs.SpanEnd,
 			Span:  obs.SpanServeRequest,
-			Key:   op,
+			Key:   opName(op),
 			Value: float64(n),
 			Dur:   dur,
 			Err:   obs.ErrLabel(err),
@@ -175,7 +194,7 @@ func (s *Server) observeRequest(op string, n int, dur time.Duration, err error) 
 		s.cfg.SlowLog.Event(obs.Event{
 			Kind:  obs.SpanEnd,
 			Span:  obs.SpanServeRequest,
-			Key:   op,
+			Key:   opName(op),
 			Value: float64(n),
 			Dur:   dur,
 			Err:   obs.ErrLabel(err),
@@ -203,15 +222,14 @@ func (s *Server) Handler() http.Handler { return http.HandlerFunc(s.serveHTTP) }
 // serveHTTP routes one request and runs the shared plumbing: method
 // check, admission, answer, observation, one write of the body.
 func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request) {
-	var op string
-	var fields uint8
+	var op, fields uint8
 	switch r.URL.Path {
 	case "/v1/predict":
-		op, fields = "predict", predictFields
+		op, fields = OpPredict, predictFields
 	case "/v1/predict_batch":
-		op, fields = "predict_batch", batchFields
+		op, fields = OpBatch, batchFields
 	case "/v1/feedback":
-		op, fields = "feedback", feedbackFields
+		op, fields = OpFeedback, feedbackFields
 	default:
 		http.NotFound(w, r)
 		return
@@ -227,7 +245,7 @@ func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		s.overloaded(op)
+		s.overloaded(opName(op))
 		writeJSONError(w, fmt.Errorf("%w: server shutting down", ErrOverloaded))
 		return
 	}
@@ -235,23 +253,23 @@ func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	defer s.connWg.Done()
 	if s.httpA != nil && !s.httpA.admit() {
-		s.overloaded(op)
+		s.overloaded(opName(op))
 		writeJSONError(w, ErrOverloaded)
 		return
 	}
 	if s.httpA != nil {
 		defer s.httpA.release()
 	}
-	var start time.Time
+	var start time.Duration
 	if s.timed() {
-		start = time.Now()
+		start = obs.Mono()
 	}
 	sc := scratchPool.Get().(*httpScratch)
 	defer sc.release()
 	n, err := s.answer(sc, r.Body, fields)
 	var dur time.Duration
 	if s.timed() {
-		dur = time.Since(start)
+		dur = obs.Mono() - start
 	}
 	s.observeRequest(op, n, dur, err)
 	if err != nil {
@@ -582,16 +600,16 @@ func (st *connState) handleFrame(op uint8, reqID uint32, payload []byte) {
 	if st.adm != nil {
 		defer st.adm.release()
 	}
-	var start time.Time
+	var start time.Duration
 	if s.timed() {
-		start = time.Now()
+		start = obs.Mono()
 	}
 	var n int
 	var err error
 	r := frameReader{b: payload}
 	if explain && op != OpPredict {
 		err = fmt.Errorf("%w: explain flag on opcode %d", ErrBadRequest, op)
-		s.observeRequest(opName(op), 0, 0, err)
+		s.observeRequest(op, 0, 0, err)
 		st.reply(reqID, err)
 		return
 	}
@@ -668,9 +686,9 @@ func (st *connState) handleFrame(op uint8, reqID uint32, payload []byte) {
 	}
 	var dur time.Duration
 	if s.timed() {
-		dur = time.Since(start)
+		dur = obs.Mono() - start
 	}
-	s.observeRequest(opName(op), n, dur, err)
+	s.observeRequest(op, n, dur, err)
 	if err != nil {
 		st.reply(reqID, err)
 	}

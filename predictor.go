@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"contender/internal/core"
 	"contender/internal/experiments"
@@ -78,7 +77,7 @@ func (p *Predictor) CQI(primary int, concurrent []int) (float64, error) {
 	if o == nil {
 		return p.inner.Knowledge().CQI(primary, concurrent)
 	}
-	start := time.Now()
+	start := obs.Mono()
 	r, err := p.inner.Knowledge().CQI(primary, concurrent)
 	obs.Emit(o, Event{
 		Kind:     obs.SpanEnd,
@@ -86,7 +85,7 @@ func (p *Predictor) CQI(primary int, concurrent []int) (float64, error) {
 		Template: primary,
 		MPL:      len(concurrent) + 1,
 		Value:    r,
-		Dur:      time.Since(start),
+		Dur:      obs.Mono() - start,
 		Err:      obs.ErrLabel(err),
 	})
 	return r, err
