@@ -468,12 +468,14 @@ func TestScheduleBatchMPLFallback(t *testing.T) {
 	}
 }
 
-// The System training path returns one result shape on both the plain
-// and the context-first entry points; this pin makes an accidental
-// signature change a compile error in this file.
+// The System training path takes one configuration and returns one
+// result shape on both the plain and the context-first entry points, and
+// that result reports on the workbench's CollectionReport; this pin makes
+// an accidental signature change a compile error in this file.
 var (
-	_ func(System, TrainConfig, ...Option) (*TrainResult, error)                  = TrainFromSystem
-	_ func(context.Context, System, TrainConfig, ...Option) (*TrainResult, error) = TrainFromSystemContext
+	_ func(System, TrainConfig) (*TrainResult, error)                  = TrainFromSystem
+	_ func(context.Context, System, TrainConfig) (*TrainResult, error) = TrainFromSystemContext
+	_ CollectionReport                                                 = TrainResult{}.Report
 )
 
 // The serving facade: NewSharded takes no options (it only holds the

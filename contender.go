@@ -238,12 +238,9 @@ func NewWorkbenchContext(ctx context.Context, options ...Option) (*Workbench, er
 
 // Resilience reports how the workbench's sampling campaign went: retries
 // spent, tasks resumed from a checkpoint, quarantined work, and the
-// resulting template coverage. A fault-free campaign reports zeros.
+// resulting template coverage. A fault-free campaign reports zeros; with
+// WithFaults, FaultStats tallies what the injector injected.
 func (w *Workbench) Resilience() CollectionReport { return w.env.Resilience }
-
-// FaultStats returns the injected-fault tally when the workbench was built
-// with WithFaults; zero otherwise.
-func (w *Workbench) FaultStats() FaultStats { return w.env.FaultStats() }
 
 // TemplateIDs returns the workload's template IDs.
 func (w *Workbench) TemplateIDs() []int { return w.env.TemplateIDs() }

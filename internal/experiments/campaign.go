@@ -115,7 +115,13 @@ type campaign struct {
 // planTasks lays out the keyed plan in canonical order: scans, templates,
 // then each MPL's mixes in design order.
 func planTasks(opts Options, templates []TemplateMeta, tables []string) []task {
-	var plan []task
+	designs := make([][]lhs.Mix, len(opts.MPLs))
+	n := len(tables) + len(templates)
+	for j, mpl := range opts.MPLs {
+		designs[j] = lhs.MixesFor(len(templates), mpl, opts.LHSRuns, opts.Seed+int64(mpl))
+		n += len(designs[j])
+	}
+	plan := make([]task, 0, n)
 	for _, table := range tables {
 		plan = append(plan, task{key: "scan/" + table, kind: scanTask, table: table})
 	}
@@ -124,11 +130,11 @@ func planTasks(opts Options, templates []TemplateMeta, tables []string) []task {
 		ids[i] = meta.ID
 		plan = append(plan, task{key: fmt.Sprintf("template/%d", meta.ID), kind: templateTask, meta: meta})
 	}
-	for _, mpl := range opts.MPLs {
-		for i, mix := range lhs.MixesFor(len(ids), mpl, opts.LHSRuns, opts.Seed+int64(mpl)) {
+	for j, mpl := range opts.MPLs {
+		for i, mix := range designs[j] {
 			idMix := make(lhs.Mix, len(mix))
-			for j, idx := range mix {
-				idMix[j] = ids[idx]
+			for k, idx := range mix {
+				idMix[k] = ids[idx]
 			}
 			plan = append(plan, task{key: fmt.Sprintf("mix/%d/%d", mpl, i), kind: mixTask, mpl: mpl, mix: idMix})
 		}
@@ -636,8 +642,7 @@ type Campaign struct {
 	// CheckpointPath: retries spent, tasks resumed, coverage lost.
 	Resilience CollectionReport
 
-	mpls     []int
-	injector *resilience.Injector
+	mpls []int
 	// Flattened observation indexes: obsByMPL[mpl] is Samples[mpl]
 	// flattened; obsByPrimary[mpl][id] holds the observations whose
 	// primary is id. Both share backing storage with the samples and are
@@ -653,7 +658,10 @@ func (c *campaign) merge() *Campaign {
 		Samples:    make(map[int][]MixSample),
 		Resilience: c.report,
 		mpls:       c.opts.MPLs,
-		injector:   c.injector,
+	}
+	if c.injector != nil {
+		stats := c.injector.Stats()
+		out.Resilience.FaultStats = &stats
 	}
 	bad := c.badTemplates()
 	scans := make(map[string]float64)
@@ -661,6 +669,9 @@ func (c *campaign) merge() *Campaign {
 	for i, t := range c.plan {
 		if t.kind == templateTask {
 			out.Resilience.TotalTemplates++
+		}
+		if t.kind == mixTask {
+			out.Resilience.PlannedMixes++
 		}
 		if c.status[i] != measured || (t.kind == mixTask && touches(t.mix, bad)) {
 			if t.kind == mixTask {
@@ -723,15 +734,6 @@ func (c *campaign) templateStats(meta TemplateMeta, e entry) (ts core.TemplateSt
 		spoiler += e.Spoilers[j].LatencySeconds
 	}
 	return ts, isolated, spoiler
-}
-
-// FaultStats returns what the configured fault injector actually injected
-// (zero value without Options.Faults).
-func (c *Campaign) FaultStats() resilience.FaultStats {
-	if c.injector == nil {
-		return resilience.FaultStats{}
-	}
-	return c.injector.Stats()
 }
 
 // buildObservationIndex flattens the samples into the per-MPL and

@@ -74,7 +74,7 @@ func ExtChaos(env *Env) (*Result, error) {
 		}
 		label := fmt.Sprintf("%.0f%% transient", 100*rate)
 		res.AddRow(label,
-			fmt.Sprintf("%d", chaotic.FaultStats().Injected()),
+			fmt.Sprintf("%d", r.FaultStats.Injected()),
 			fmt.Sprintf("%d", r.Retries),
 			fmtPct(r.Coverage()),
 			fmt.Sprintf("%d", r.DroppedMixes),
@@ -99,7 +99,7 @@ func ExtChaos(env *Env) (*Result, error) {
 	}
 	r := degraded.Resilience
 	res.AddRow(fmt.Sprintf("permanent @ T%d", victim),
-		fmt.Sprintf("%d", degraded.FaultStats().Injected()),
+		fmt.Sprintf("%d", r.FaultStats.Injected()),
 		fmt.Sprintf("%d", r.Retries),
 		fmtPct(r.Coverage()),
 		fmt.Sprintf("%d", r.DroppedMixes),

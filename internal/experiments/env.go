@@ -124,12 +124,17 @@ type CollectionReport struct {
 	Resumed int `json:"resumed"`
 	// Quarantined lists terminal task failures, in task order.
 	Quarantined []TaskFailure `json:"quarantined,omitempty"`
-	// DroppedMixes counts mixes lost to quarantine — failed outright or
-	// containing a quarantined template.
+	// PlannedMixes counts the steady-state design; every planned mix is
+	// either sampled or dropped. DroppedMixes counts mixes lost to
+	// quarantine — failed outright or containing a quarantined template.
+	PlannedMixes int `json:"planned_mixes"`
 	DroppedMixes int `json:"dropped_mixes"`
 	// TotalTemplates and TrainedTemplates measure workload coverage.
 	TotalTemplates   int `json:"total_templates"`
 	TrainedTemplates int `json:"trained_templates"`
+	// FaultStats tallies what Options.Faults injected; nil without fault
+	// injection.
+	FaultStats *resilience.FaultStats `json:"fault_stats,omitempty"`
 }
 
 // Degraded reports whether the campaign lost any coverage.

@@ -81,7 +81,7 @@ func TestEnvChaosTransientByteIdentical(t *testing.T) {
 		if !reflect.DeepEqual(env.Samples, clean.Samples) {
 			t.Errorf("workers=%d: samples under transient faults differ from clean run", workers)
 		}
-		if env.FaultStats().Transient == 0 {
+		if env.Resilience.FaultStats.Transient == 0 {
 			t.Errorf("workers=%d: fault injector never fired at 10%% rate", workers)
 		}
 		if env.Resilience.Retries == 0 {

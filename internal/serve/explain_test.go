@@ -176,12 +176,12 @@ func TestBinaryPredictExplain(t *testing.T) {
 	}
 }
 
-// TestServeSlowLog pins the SlowLog wiring: requests slower than the
-// threshold produce a serve.request line; a generous threshold keeps
-// the log silent.
+// TestServeSlowLog pins the SlowLog as the server's observer: requests
+// slower than the threshold produce a serve.request line; a generous
+// threshold keeps the log silent.
 func TestServeSlowLog(t *testing.T) {
 	var logged bytes.Buffer
-	s, _, _ := testServer(t, Config{SlowLog: obs.NewSlowLog(&logged, 0)}) // threshold 0: log everything
+	s, _, _ := testServer(t, Config{Observer: obs.NewSlowLog(&logged, 0)}) // threshold 0: log everything
 	h := s.Handler()
 
 	w, data := postJSON(t, h, "/v1/predict", PredictRequest{Primary: 1, Concurrent: []int{2}})
@@ -201,7 +201,7 @@ func TestServeSlowLog(t *testing.T) {
 	}
 
 	var quiet bytes.Buffer
-	s2, _, addr := testServer(t, Config{SlowLog: obs.NewSlowLog(&quiet, time.Hour)})
+	s2, _, addr := testServer(t, Config{Observer: obs.NewSlowLog(&quiet, time.Hour)})
 	w, data = postJSON(t, s2.Handler(), "/v1/predict", PredictRequest{Primary: 1, Concurrent: []int{2}})
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, data)

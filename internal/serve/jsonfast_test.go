@@ -316,7 +316,7 @@ func benchmarkHTTPHandler(b *testing.B, path string, body any) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := New(sh, Config{Observer: m, Metrics: m})
+	s, err := New(sh, Config{Observer: m})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -928,7 +928,7 @@ func TestShutdownIdempotentAndRejectsListen(t *testing.T) {
 
 func TestServeMetricsFamilies(t *testing.T) {
 	m := obs.NewMetrics()
-	s, _, _ := testServer(t, Config{Metrics: m, Observer: m})
+	s, _, _ := testServer(t, Config{Observer: m})
 	h := s.Handler()
 	w, data := postJSON(t, h, "/v1/predict", PredictRequest{Primary: 1, Concurrent: []int{2}})
 	if w.Code != http.StatusOK {

@@ -75,19 +75,14 @@ type Server struct {
 // Config configures New. Zero values select the documented defaults.
 type Config struct {
 	// Observer receives serve.request spans and serve.* points (nil:
-	// no observation; the wire layer stays clock-free).
+	// no observation; the wire layer stays clock-free). When it holds a
+	// *obs.Metrics (directly or in an obs.Multi), the contender_serve_*
+	// families register on that registry and fold per-request counters.
 	Observer obs.Observer
-	// Metrics, when non-nil, registers the contender_serve_* families
-	// on its registry and folds per-request counters into them.
-	Metrics *obs.Metrics
 	// Blame, when non-nil, receives the per-neighbor decomposition of
 	// every explain-enabled prediction — the server's feed into the
 	// pairwise blame matrix. Non-explain requests never touch it.
 	Blame *obs.Blame
-	// SlowLog, when non-nil, logs every request whose end-to-end
-	// (admission → reply framing) latency meets the log's threshold. It
-	// sees only the serve.request span, independent of Observer.
-	SlowLog *obs.SlowLog
 	// MaxBatch caps the mixes of one predict_batch request (default
 	// 4096; CodeBatchTooLarge beyond it).
 	MaxBatch int
@@ -153,7 +148,7 @@ func New(sh *core.Sharded, cfg Config) (*Server, error) {
 		sh:    sh,
 		conns: map[net.Conn]struct{}{},
 	}
-	s.met.register(cfg.Metrics)
+	s.met.register(obs.FindMetrics(cfg.Observer))
 	if cfg.Admission.enabled() {
 		s.httpA = newAdmitter(cfg.Admission, cfg.Now)
 	}
@@ -163,11 +158,6 @@ func New(sh *core.Sharded, cfg Config) (*Server, error) {
 // Sharded returns the serving snapshot behind the server (for
 // hot-swaps).
 func (s *Server) Sharded() *core.Sharded { return s.sh }
-
-// timed reports whether request handlers need wall-clock timing: either
-// an observer wants the serve.request span or a slow log wants to judge
-// the request's latency.
-func (s *Server) timed() bool { return s.cfg.Observer != nil || s.cfg.SlowLog != nil }
 
 // observeRequest emits the serve.request span for one request of
 // opcode op and folds counters.
@@ -182,16 +172,6 @@ func (s *Server) observeRequest(op uint8, n int, dur time.Duration, err error) {
 	}
 	if s.cfg.Observer != nil {
 		obs.Emit(s.cfg.Observer, obs.Event{
-			Kind:  obs.SpanEnd,
-			Span:  obs.SpanServeRequest,
-			Key:   opName(op),
-			Value: float64(n),
-			Dur:   dur,
-			Err:   obs.ErrLabel(err),
-		})
-	}
-	if s.cfg.SlowLog != nil {
-		s.cfg.SlowLog.Event(obs.Event{
 			Kind:  obs.SpanEnd,
 			Span:  obs.SpanServeRequest,
 			Key:   opName(op),
@@ -261,14 +241,14 @@ func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request) {
 		defer s.httpA.release()
 	}
 	var start time.Duration
-	if s.timed() {
+	if s.cfg.Observer != nil {
 		start = obs.Mono()
 	}
 	sc := scratchPool.Get().(*httpScratch)
 	defer sc.release()
 	n, err := s.answer(sc, r.Body, fields)
 	var dur time.Duration
-	if s.timed() {
+	if s.cfg.Observer != nil {
 		dur = obs.Mono() - start
 	}
 	s.observeRequest(op, n, dur, err)
@@ -601,7 +581,7 @@ func (st *connState) handleFrame(op uint8, reqID uint32, payload []byte) {
 		defer st.adm.release()
 	}
 	var start time.Duration
-	if s.timed() {
+	if s.cfg.Observer != nil {
 		start = obs.Mono()
 	}
 	var n int
@@ -685,7 +665,7 @@ func (st *connState) handleFrame(op uint8, reqID uint32, payload []byte) {
 		err = fmt.Errorf("%w: opcode %d", ErrBadRequest, op)
 	}
 	var dur time.Duration
-	if s.timed() {
+	if s.cfg.Observer != nil {
 		dur = obs.Mono() - start
 	}
 	s.observeRequest(op, n, dur, err)

@@ -334,28 +334,27 @@ func TestSchedulerSpans(t *testing.T) {
 	}
 }
 
-// TestSystemPathObserverAndOptions exercises satellite concerns
-// together: Workbench-style options (WithRetry, WithFaults,
-// WithObserver) apply uniformly on the System path, retries surface as
-// train.retry points, and the metrics observer aggregates them into the
-// dedicated counters.
+// TestSystemPathObserverAndOptions exercises the System path's
+// resilience and instrumentation fields together: TrainConfig.Retry,
+// Faults and Observer reach the campaign, retries surface as train.retry
+// points, and the metrics observer aggregates them into the dedicated
+// counters.
 func TestSystemPathObserverAndOptions(t *testing.T) {
 	rec := NewRecordingObserver()
 	m := NewMetrics()
-	p := *noSleepRetry()
-	res, err := TrainFromSystem(freshChaosSystem(5), chaosTrainConfig(),
-		WithRetry(p),
-		WithFaults(FaultConfig{Seed: 11, TransientRate: 0.10, Sleep: func(time.Duration) {}}),
-		WithObserver(MultiObserver(rec, m)),
-	)
+	cfg := chaosTrainConfig()
+	cfg.Retry = noSleepRetry()
+	cfg.Faults = &FaultConfig{Seed: 11, TransientRate: 0.10, Sleep: func(time.Duration) {}}
+	cfg.Observer = MultiObserver(rec, m)
+	res, err := TrainFromSystem(freshChaosSystem(5), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Report.Retries == 0 {
-		t.Fatal("options did not reach the trainer: no retries under 10% transient faults")
+		t.Fatal("TrainConfig.Retry did not reach the trainer: no retries under 10% transient faults")
 	}
 	if res.Report.FaultStats == nil || res.Report.FaultStats.Injected() == 0 {
-		t.Fatal("WithFaults not applied on the System path")
+		t.Fatal("TrainConfig.Faults not applied on the System path")
 	}
 	if rec.CountSpan(PointTrainRetry) != res.Report.Retries {
 		t.Errorf("%d retry points, report says %d retries", rec.CountSpan(PointTrainRetry), res.Report.Retries)

@@ -14,18 +14,20 @@ import (
 // accordingly. Unclassified errors are treated as retryable.
 
 // RetryPolicy is the exponential-backoff schedule applied around every
-// sampling task when set on TrainConfig.Retry (or via WithRetry). Jitter
-// is derived deterministically from the seed and the task key, so reruns
-// of a campaign wait the same schedule.
+// sampling task when set with WithRetry (Workbench path) or on
+// TrainConfig.Retry (System path). Jitter is derived deterministically
+// from the seed and the task key, so reruns of a campaign wait the same
+// schedule.
 type RetryPolicy = resilience.RetryPolicy
 
-// FaultConfig parameterizes the deterministic chaos of TrainConfig.Faults
-// and WithFaults: per-attempt rates for transient errors, corrupt values,
-// hangs and latency spikes, plus task-key prefixes that fail permanently
-// ("template/26" kills one template's profiling, "mix/" every
-// steady-state mix). The campaign consults the injector before each task
-// attempt, so a faulted attempt never reaches the backend. See
-// resilience.FaultConfig for field documentation.
+// FaultConfig parameterizes the deterministic chaos of WithFaults
+// (Workbench path) and TrainConfig.Faults (System path): per-attempt
+// rates for transient errors, corrupt values, hangs and latency spikes,
+// plus task-key prefixes that fail permanently ("template/26" kills one
+// template's profiling, "mix/" every steady-state mix). The campaign
+// consults the injector before each task attempt, so a faulted attempt
+// never reaches the backend. See resilience.FaultConfig for field
+// documentation.
 type FaultConfig = resilience.FaultConfig
 
 // FaultStats counts what the fault injector actually injected.
@@ -61,8 +63,10 @@ var (
 	ErrUntrainedMPL = core.ErrUntrainedMPL
 )
 
-// CollectionReport summarizes a workbench sampling campaign's resilience
-// outcome; see Workbench.Resilience.
+// CollectionReport summarizes a sampling campaign's resilience outcome —
+// retries, resumed and quarantined tasks, planned and dropped mixes,
+// coverage and the injected-fault tally — in the same shape on both entry
+// points: Workbench.Resilience and TrainResult.Report.
 type CollectionReport = experiments.CollectionReport
 
 // TaskFailure records one quarantined sampling task.

@@ -33,7 +33,7 @@ type serveConfig struct {
 	admission serve.AdmissionConfig
 	observer  Observer
 	blame     *obs.Blame
-	slowLog   *obs.SlowLog
+	slowLog   Observer
 }
 
 func buildServeConfig(opts []ServeOption) serveConfig {
@@ -83,8 +83,10 @@ func WithServeBlame(b *Blame) ServeOption {
 // WithSlowLog logs every request slower than threshold to w, one line
 // per request (protocol op, payload size, latency, error label),
 // measured from admission to reply. A threshold ≤ 0 logs every
-// request. The logger serializes writes internally, so w needs no
-// extra locking.
+// request. The log joins the server's observer (MultiObserver), after
+// WithServeObserver or Workbench.Serve has chosen it, so metrics and
+// the log see the same serve.request spans. The logger serializes
+// writes internally, so w needs no extra locking.
 func WithSlowLog(w io.Writer, threshold time.Duration) ServeOption {
 	return func(c *serveConfig) { c.slowLog = obs.NewSlowLog(w, threshold) }
 }
@@ -100,10 +102,8 @@ type Server struct {
 func NewServer(s *Sharded, opts ...ServeOption) (*Server, error) {
 	cfg := buildServeConfig(opts)
 	inner, err := serve.New(s.inner, serve.Config{
-		Observer:  cfg.observer,
-		Metrics:   obs.FindMetrics(cfg.observer),
+		Observer:  obs.Multi(cfg.observer, cfg.slowLog),
 		Blame:     cfg.blame,
-		SlowLog:   cfg.slowLog,
 		MaxBatch:  cfg.maxBatch,
 		Admission: cfg.admission,
 	})

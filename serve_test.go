@@ -282,3 +282,74 @@ func TestBatchInvariantAcrossProcsAndShards(t *testing.T) {
 		}
 	}
 }
+
+// TestServeObserverWithSlowLog: WithSlowLog joins the log to the
+// server's observer instead of replacing it, on NewServer with an
+// explicit observer and on Workbench.Serve with the workbench's. The
+// metrics observer still counts contender_serve_requests_total and the
+// log still writes the slow line.
+func TestServeObserverWithSlowLog(t *testing.T) {
+	predict := func(t *testing.T, h http.Handler) {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader([]byte(`{"primary":2,"concurrent":[22]}`)))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("predict status %d: %s", w.Code, w.Body.String())
+		}
+	}
+	check := func(t *testing.T, m *Metrics, log *bytes.Buffer) {
+		t.Helper()
+		if got := m.Snapshot().Counter(`contender_serve_requests_total{op="predict"}`); got != 1 {
+			t.Errorf("contender_serve_requests_total{op=\"predict\"} = %d, want 1", got)
+		}
+		if !bytes.Contains(log.Bytes(), []byte("SLOW serve.request key=predict")) {
+			t.Errorf("slow log missing the serve.request line:\n%s", log.String())
+		}
+	}
+
+	t.Run("NewServer", func(t *testing.T) {
+		res, err := TrainFromSystem(freshChaosSystem(5), chaosTrainConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharded, err := NewSharded(res.Predictor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewMetrics()
+		var log bytes.Buffer
+		srv, err := NewServer(sharded, WithServeObserver(m), WithSlowLog(&log, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		predict(t, srv.Handler())
+		check(t, m, &log)
+	})
+
+	t.Run("Workbench.Serve", func(t *testing.T) {
+		m := NewMetrics()
+		wb, err := NewWorkbench(quickObsOptions(WithObserver(m))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred, err := wb.Train()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var log bytes.Buffer
+		srv, err := wb.Serve(ctx, pred, "127.0.0.1:0", WithSlowLog(&log, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			sctx, scancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer scancel()
+			_ = srv.Shutdown(sctx)
+		}()
+		predict(t, srv.Handler())
+		check(t, m, &log)
+	})
+}

@@ -3,8 +3,6 @@ package contender
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"contender/internal/experiments"
 )
@@ -30,28 +28,9 @@ type (
 	System = experiments.System
 )
 
-// TrainConfig controls TrainFromSystem's sampling design. The zero value
-// uses the paper's protocol at MPLs 2–3 with fail-fast error handling.
-//
-// TrainConfig and the Workbench's functional options configure the same
-// underlying surface (internal/experiments.Options); both TrainFromSystem
-// and TrainFromSystemContext additionally accept Option values, applied on
-// top of the struct. The mapping is one-to-one:
-//
-//	WithMPLs          ↔ TrainConfig.MPLs
-//	WithSeed          ↔ TrainConfig.Seed
-//	WithLHSRuns       ↔ TrainConfig.LHSRuns
-//	WithSteadySamples ↔ TrainConfig.SteadySamples
-//	WithRetry         ↔ TrainConfig.Retry
-//	WithCheckpoint    ↔ TrainConfig.CheckpointPath
-//	WithFaults        ↔ TrainConfig.Faults
-//	WithObserver      ↔ TrainConfig.Observer
-//	WithQuality       ↔ TrainConfig.Quality
-//
-// WithHost and WithWorkers configure the bundled simulator host and its
-// sampling pool; they have no meaning against an external System (which
-// owns its host, and which the campaign engine drives one task at a
-// time) and are ignored on this path.
+// TrainConfig is the System path's whole configuration: TrainFromSystem's
+// sampling design, resilience and instrumentation. The zero value uses
+// the paper's protocol at MPLs 2–3 with fail-fast error handling.
 type TrainConfig struct {
 	// MPLs to sample and train for (default 2, 3).
 	MPLs []int
@@ -87,7 +66,7 @@ type TrainConfig struct {
 	// integration. Faults are decided per task attempt, keyed by task
 	// ("template/26" selects one template's profiling), before the System
 	// is consulted, so a faulted attempt never reaches the backend. The
-	// injected-fault tally is reported in TrainReport.FaultStats.
+	// injected-fault tally is reported in CollectionReport.FaultStats.
 	Faults *FaultConfig
 	// Observer, when set, receives the campaign's structured event stream:
 	// a train.campaign span around the sampling campaign, train.scan/
@@ -105,8 +84,8 @@ type TrainConfig struct {
 	Quality *Quality
 }
 
-// envOptions maps the System-path config onto the shared collection
-// options surface, so Workbench Option funcs can edit it.
+// envOptions maps the System-path config onto the campaign engine's
+// options.
 func (c TrainConfig) envOptions() experiments.Options {
 	return experiments.Options{
 		MPLs:           c.MPLs,
@@ -119,31 +98,6 @@ func (c TrainConfig) envOptions() experiments.Options {
 		CheckpointPath: c.CheckpointPath,
 		Observer:       c.Observer,
 	}
-}
-
-// apply folds Workbench-style options into the config by round-tripping
-// through the shared options surface. Host- and pool-related options
-// (WithHost, WithWorkers) do not apply to external systems and are
-// dropped.
-func (c TrainConfig) apply(options []Option) TrainConfig {
-	if len(options) == 0 {
-		return c
-	}
-	cf := config{opts: c.envOptions(), quality: c.Quality}
-	for _, o := range options {
-		o(&cf)
-	}
-	c.MPLs = cf.opts.MPLs
-	c.LHSRuns = cf.opts.LHSRuns
-	c.SteadySamples = cf.opts.SteadySamples
-	c.IsolatedRuns = cf.opts.IsolatedRuns
-	c.Seed = cf.opts.Seed
-	c.Retry = cf.opts.Retry
-	c.Faults = cf.opts.Faults
-	c.CheckpointPath = cf.opts.CheckpointPath
-	c.Observer = cf.opts.Observer
-	c.Quality = cf.quality
-	return c
 }
 
 func (c TrainConfig) withDefaults() TrainConfig {
@@ -165,64 +119,10 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	return c
 }
 
-// QuarantineRecord documents one unit of work the trainer gave up on:
-// either a template (isolated or spoiler sampling failed) or a fact table
-// (scan-time measurement failed). Site is the failed task's key
-// ("template/<id>" or "scan/<table>") and Reason carries the terminal
-// error.
-type QuarantineRecord struct {
-	Template int    `json:"template,omitempty"`
-	Table    string `json:"table,omitempty"`
-	Site     string `json:"site"`
-	Reason   string `json:"reason"`
-}
-
-// TrainReport summarizes how a resilient training campaign went: what was
-// retried, what was quarantined, what coverage the resulting predictor
-// actually has.
-type TrainReport struct {
-	// TotalTemplates is the size of the workload offered for training.
-	TotalTemplates int `json:"total_templates"`
-	// TrainedTemplates is how many survived sampling.
-	TrainedTemplates int `json:"trained_templates"`
-	// QuarantinedTemplates lists templates dropped after their retry
-	// budget was exhausted (or a permanent failure).
-	QuarantinedTemplates []QuarantineRecord `json:"quarantined_templates,omitempty"`
-	// QuarantinedTables lists fact tables whose scan time could not be
-	// measured; CQI degrades gracefully without them.
-	QuarantinedTables []QuarantineRecord `json:"quarantined_tables,omitempty"`
-	// PlannedMixes and DroppedMixes count the steady-state design: a mix is
-	// dropped when it contains a quarantined template or its own
-	// measurement failed terminally.
-	PlannedMixes int `json:"planned_mixes"`
-	DroppedMixes int `json:"dropped_mixes"`
-	// Retries is the total number of extra attempts the retry policy spent.
-	Retries int `json:"retries"`
-	// Resumed is the number of tasks replayed from the checkpoint instead
-	// of re-measured.
-	Resumed int `json:"resumed_measurements"`
-	// FaultStats tallies what TrainConfig.Faults/WithFaults injected; nil
-	// when no fault injection was configured.
-	FaultStats *FaultStats `json:"fault_stats,omitempty"`
-}
-
-// Degraded reports whether the campaign lost any coverage.
-func (r TrainReport) Degraded() bool {
-	return len(r.QuarantinedTemplates) > 0 || len(r.QuarantinedTables) > 0 || r.DroppedMixes > 0
-}
-
-// Coverage is the fraction of the offered workload the predictor covers.
-func (r TrainReport) Coverage() float64 {
-	if r.TotalTemplates == 0 {
-		return 1
-	}
-	return float64(r.TrainedTemplates) / float64(r.TotalTemplates)
-}
-
 // TrainResult is a trained predictor plus the campaign's resilience report.
 type TrainResult struct {
 	Predictor *Predictor
-	Report    TrainReport
+	Report    CollectionReport
 }
 
 // TrainFromSystem runs Contender's full training pipeline against an
@@ -230,14 +130,10 @@ type TrainResult struct {
 // every template in isolation and under the spoiler, sample concurrent
 // mixes (exhaustive pairs at MPL 2, LHS designs above), and fit the
 // reference QS models. The campaign runs on the same engine as the
-// Workbench's, one task at a time. It is a thin wrapper over
-// TrainFromSystemContext and returns the same result shape: the trained
-// predictor plus the campaign report.
-// Workbench-style options (WithRetry, WithCheckpoint, WithFaults,
-// WithObserver, …) are applied on top of cfg; see TrainConfig for the
-// mapping.
-func TrainFromSystem(sys System, cfg TrainConfig, options ...Option) (*TrainResult, error) {
-	return TrainFromSystemContext(context.Background(), sys, cfg, options...)
+// Workbench's, one task at a time, and reports on the same
+// CollectionReport. It is TrainFromSystemContext without cancellation.
+func TrainFromSystem(sys System, cfg TrainConfig) (*TrainResult, error) {
+	return TrainFromSystemContext(context.Background(), sys, cfg)
 }
 
 // TrainFromSystemContext is TrainFromSystem with cancellation. The context
@@ -246,8 +142,8 @@ func TrainFromSystem(sys System, cfg TrainConfig, options ...Option) (*TrainResu
 // task already persisted when cfg.CheckpointPath is set, so the campaign
 // can be resumed. With cfg.Retry set, failures are retried and then
 // quarantined rather than aborting; the report describes the degradation.
-func TrainFromSystemContext(ctx context.Context, sys System, cfg TrainConfig, options ...Option) (*TrainResult, error) {
-	cfg = cfg.apply(options).withDefaults()
+func TrainFromSystemContext(ctx context.Context, sys System, cfg TrainConfig) (*TrainResult, error) {
+	cfg = cfg.withDefaults()
 	c, err := experiments.CollectFrom(ctx, sys, cfg.envOptions())
 	if err != nil {
 		return nil, fmt.Errorf("contender: training from system: %w", err)
@@ -256,33 +152,7 @@ func TrainFromSystemContext(ctx context.Context, sys System, cfg TrainConfig, op
 	if err != nil {
 		return nil, err
 	}
-	// Every planned mix was either sampled or dropped.
-	report := TrainReport{
-		TotalTemplates:   c.Resilience.TotalTemplates,
-		TrainedTemplates: c.Resilience.TrainedTemplates,
-		PlannedMixes:     c.Resilience.DroppedMixes,
-		DroppedMixes:     c.Resilience.DroppedMixes,
-		Retries:          c.Resilience.Retries,
-		Resumed:          c.Resilience.Resumed,
-	}
-	for _, mpl := range cfg.MPLs {
-		report.PlannedMixes += len(c.Samples[mpl])
-	}
-	for _, q := range c.Resilience.Quarantined {
-		rec := QuarantineRecord{Site: q.Key, Reason: q.Reason}
-		if table, ok := strings.CutPrefix(q.Key, "scan/"); ok {
-			rec.Table = table
-			report.QuarantinedTables = append(report.QuarantinedTables, rec)
-		} else if id, ok := strings.CutPrefix(q.Key, "template/"); ok {
-			rec.Template, _ = strconv.Atoi(id) // the engine's keys are template/<int>
-			report.QuarantinedTemplates = append(report.QuarantinedTemplates, rec)
-		}
-	}
-	if cfg.Faults != nil {
-		stats := c.FaultStats()
-		report.FaultStats = &stats
-	}
-	return &TrainResult{Predictor: &Predictor{inner: inner}, Report: report}, nil
+	return &TrainResult{Predictor: &Predictor{inner: inner}, Report: c.Resilience}, nil
 }
 
 // System returns the simulator-backed reference implementation of the

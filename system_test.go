@@ -9,6 +9,7 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -190,11 +191,11 @@ func TestTrainFromSystemPermanentQuarantines(t *testing.T) {
 	if r.TrainedTemplates != 5 || r.TotalTemplates != 6 {
 		t.Fatalf("coverage %d/%d, want 5/6", r.TrainedTemplates, r.TotalTemplates)
 	}
-	if len(r.QuarantinedTemplates) != 1 || r.QuarantinedTemplates[0].Template != 26 || r.QuarantinedTemplates[0].Site != "template/26" {
-		t.Fatalf("quarantine records: %+v", r.QuarantinedTemplates)
+	if len(r.Quarantined) != 1 || r.Quarantined[0].Key != "template/26" {
+		t.Fatalf("quarantine records: %+v", r.Quarantined)
 	}
-	if !strings.Contains(r.QuarantinedTemplates[0].Reason, "permanent") {
-		t.Errorf("quarantine reason %q does not mention the permanent failure", r.QuarantinedTemplates[0].Reason)
+	if !strings.Contains(r.Quarantined[0].Reason, "permanent") {
+		t.Errorf("quarantine reason %q does not mention the permanent failure", r.Quarantined[0].Reason)
 	}
 	if r.DroppedMixes == 0 || r.PlannedMixes != len(sys.mixes)+r.DroppedMixes {
 		t.Fatalf("planned %d, measured %d, dropped %d: every planned mix is measured or dropped", r.PlannedMixes, len(sys.mixes), r.DroppedMixes)
@@ -205,6 +206,32 @@ func TestTrainFromSystemPermanentQuarantines(t *testing.T) {
 	}
 	if _, err := res.Predictor.PredictKnown(2, []int{22}); err != nil {
 		t.Errorf("surviving template must predict: %v", err)
+	}
+}
+
+// TestEntryPointsReportOneCampaign: a workbench and TrainFromSystem over
+// its System run the same design under the same retry policy and faults,
+// and report the campaign identically — quarantine keys and reasons,
+// retries, planned and dropped mixes, and the injected-fault tally.
+func TestEntryPointsReportOneCampaign(t *testing.T) {
+	faults := FaultConfig{Seed: 7, TransientRate: 0.10, PermanentSites: []string{"template/26"}, Sleep: func(time.Duration) {}}
+	retry := noSleepRetry()
+	wb, err := NewWorkbench(QuickSampling(), WithWorkers(1), WithRetry(*retry), WithFaults(faults))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := TrainFromSystem(wb.System(), TrainConfig{Retry: retry, Faults: &faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := wb.Resilience()
+	if len(want.Quarantined) != 1 || want.Quarantined[0].Key != "template/26" ||
+		want.Retries == 0 || want.DroppedMixes == 0 || want.PlannedMixes <= want.DroppedMixes ||
+		want.FaultStats == nil || want.FaultStats.Permanent == 0 || want.FaultStats.Transient == 0 {
+		t.Fatalf("workbench report %+v does not show the configured faults", want)
+	}
+	if got := res.Report; !reflect.DeepEqual(got, want) {
+		t.Errorf("System path report\n%+v\nwant the workbench's\n%+v", got, want)
 	}
 }
 
@@ -349,18 +376,18 @@ func TestTrainFromSystemValidatesMeasurements(t *testing.T) {
 
 	for _, tc := range []struct {
 		call  string
-		check func(TrainReport) bool
+		check func(CollectionReport) bool
 	}{
-		{"scan/store_sales", func(r TrainReport) bool {
-			return len(r.QuarantinedTables) == 1 && r.QuarantinedTables[0].Table == "store_sales"
+		{"scan/store_sales", func(r CollectionReport) bool {
+			return len(r.Quarantined) == 1 && r.Quarantined[0].Key == "scan/store_sales" && r.TrainedTemplates == 6
 		}},
-		{"isolated/26", func(r TrainReport) bool {
-			return len(r.QuarantinedTemplates) == 1 && r.QuarantinedTemplates[0].Template == 26
+		{"isolated/26", func(r CollectionReport) bool {
+			return len(r.Quarantined) == 1 && r.Quarantined[0].Key == "template/26"
 		}},
-		{"spoiler/26", func(r TrainReport) bool {
-			return len(r.QuarantinedTemplates) == 1 && r.QuarantinedTemplates[0].Template == 26
+		{"spoiler/26", func(r CollectionReport) bool {
+			return len(r.Quarantined) == 1 && r.Quarantined[0].Key == "template/26"
 		}},
-		{"mix/[2 22]", func(r TrainReport) bool { return r.DroppedMixes == 1 && r.TrainedTemplates == 6 }},
+		{"mix/[2 22]", func(r CollectionReport) bool { return r.DroppedMixes == 1 && r.TrainedTemplates == 6 }},
 	} {
 		always := corruptSystem{inner, func(call string) bool { return call == tc.call }}
 		cfg := chaosTrainConfig()
