@@ -72,7 +72,8 @@ staticcheck:
 
 # Every serving benchmark row must report 0 allocs/op, observed by the
 # Metrics observer or not, and so must reseeding a used simulator engine
-# (a campaign does it once per task attempt). Rows are matched exactly (modulo the -GOMAXPROCS suffix) so
+# (a campaign does it once per task attempt) and a whole steady-state run
+# on it (once per mix task). Rows are matched exactly (modulo the -GOMAXPROCS suffix) so
 # one row's budget never silently applies to another; the in-process
 # complement is TestServingPathDoesNotAllocate, the static one the
 # hotpathalloc analyzer.
@@ -89,13 +90,14 @@ BENCH_GUARD_ROWS = \
 	BenchmarkShardedPredict \
 	BenchmarkShardedObserve \
 	BenchmarkDecodeBatchFrame \
-	BenchmarkEngineReseed
+	BenchmarkEngineReseed \
+	BenchmarkRunSteadyState
 
 bench-guard:
 	$(GO) test -run TestServingPathDoesNotAllocate -v ./internal/core/
 	@out=$$($(GO) test -run XXX -bench 'BenchmarkPredictKnown$$|BenchmarkPredictKnownObserved$$|BenchmarkPredictKnownObservedParallel$$|BenchmarkPredictExplain$$|BenchmarkPredictBatch$$|BenchmarkPredictKnownFeedback$$|BenchmarkShardedPredict$$|BenchmarkShardedObserve$$' -benchtime 100x . && \
 		$(GO) test -run XXX -bench 'BenchmarkDecodeBatchFrame$$' -benchtime 100x ./internal/serve/ && \
-		$(GO) test -run XXX -bench 'BenchmarkEngineReseed$$' -benchtime 100x ./internal/sim/); \
+		$(GO) test -run XXX -bench 'BenchmarkEngineReseed$$|BenchmarkRunSteadyState$$' -benchtime 100x ./internal/sim/); \
 	echo "$$out"; \
 	for b in $(BENCH_GUARD_ROWS); do \
 		allocs=$$(echo "$$out" | awk -v b="$$b" '$$1 ~ ("^" b "(-[0-9]+)?$$") && $$NF == "allocs/op" {print $$(NF-1)}'); \

@@ -278,15 +278,21 @@ func BenchmarkEnvBuild(b *testing.B) {
 	})
 	// The campaign contender-serve runs before it binds a port (full
 	// sampling at MPLs 2–5, seed 42, GOMAXPROCS workers): the training
-	// behind the serving benchmark's setup_s.
-	b.Run("serve", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.NewEnv(experiments.Options{MPLs: []int{2, 3, 4, 5}, Seed: 42}); err != nil {
-				b.Fatal(err)
+	// behind the serving benchmark's setup_s. Its workers=1 sibling runs
+	// the same campaign one task at a time, so the pair's ratio is the
+	// pool's parallel efficiency.
+	serve := func(workers int) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := experiments.NewEnv(experiments.Options{MPLs: []int{2, 3, 4, 5}, Seed: 42, Workers: workers}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("serve", serve(0))
+	b.Run("serve/workers=1", serve(1))
 }
 
 var (

@@ -14,6 +14,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"contender/internal/core"
@@ -265,9 +266,13 @@ func (c *campaign) emit(ev obs.Event) { obs.Emit(c.opts.Observer, ev) }
 const poolLabel = "contender_pool"
 
 // runPool measures every pending task the filter selects,
-// min(Workers, tasks) wide; width 1 runs the same worker. Fatal errors
-// win and stop the pool from starting further work; quarantined tasks
-// are reported in plan order whatever the scheduling.
+// min(Workers, tasks) wide; width 1 runs the same worker, so it measures
+// the tasks in plan order. Workers claim the next task themselves, from
+// one atomic cursor over the list, and never wait on each other between
+// tasks. Fatal errors win and stop the pool from starting further work:
+// a worker starts a task only if no fatal error was recorded when it
+// claimed it. Quarantined tasks are reported in plan order whatever the
+// scheduling.
 func (c *campaign) runPool(ctx context.Context, in func(task) bool) error {
 	var todo []int
 	for i, t := range c.plan {
@@ -275,30 +280,28 @@ func (c *campaign) runPool(ctx context.Context, in func(task) bool) error {
 			todo = append(todo, i)
 		}
 	}
-	// The caller feeds the workers over an unbuffered channel. Besides
-	// ordering, each hand-off is a scheduling point: workers that ran
-	// back to back without one starved the collector's background mark
-	// worker, and the heap overshot its goal.
 	var (
-		mu       sync.Mutex
+		next     atomic.Int64 // cursor: the next index of todo to claim
+		stopped  atomic.Bool  // set once, by the worker that records fatalErr
 		fatalErr error
-		feed     = make(chan int)
 	)
 	worker := func(ctx context.Context) {
-		for i := range feed {
-			mu.Lock()
-			stopped := fatalErr != nil
-			mu.Unlock()
-			if stopped {
-				continue // drain: start no new work after a fatal error
+		for {
+			n := next.Add(1) - 1
+			if n >= int64(len(todo)) || stopped.Load() {
+				return
 			}
+			i := todo[n]
 			if err := c.runTask(ctx, i); err != nil {
-				mu.Lock()
-				if fatalErr == nil {
+				if stopped.CompareAndSwap(false, true) {
 					fatalErr = fmt.Errorf("experiments: task %s: %w", c.plan[i].key, err)
 				}
-				mu.Unlock()
+				return
 			}
+			// One scheduling point per task: workers that ran back to
+			// back without one starved the collector's background mark
+			// worker, and the heap overshot its goal.
+			runtime.Gosched()
 		}
 	}
 	workers := c.opts.Workers
@@ -313,10 +316,6 @@ func (c *campaign) runPool(ctx context.Context, in func(task) bool) error {
 			pprof.Do(ctx, pprof.Labels(poolLabel, "env-collect"), worker)
 		}()
 	}
-	for _, i := range todo {
-		feed <- i
-	}
-	close(feed)
 	wg.Wait()
 	if fatalErr != nil {
 		return fatalErr

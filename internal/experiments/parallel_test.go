@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"contender/internal/tpcds"
 )
@@ -89,6 +92,72 @@ func TestRunTasksErrorPropagates(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "mix/3/1") {
 			t.Errorf("workers=%d: error %q does not name the failing task", workers, err)
+		}
+	}
+}
+
+// TestPoolStopsAfterFatalError counts the tasks that reach the backend
+// in fail-fast mode when mix/3/1 fails. Workers claim tasks in plan order
+// and start none once the failure is recorded, so after the failing task
+// at most the workers−1 tasks the other workers had already claimed may
+// start; one worker sees exactly the plan up to the failing task. The
+// tasks that reach the backend after the failing one are held for a
+// while, so a worker cannot finish one and claim another in the instant
+// between the failure and its record.
+func TestPoolStopsAfterFatalError(t *testing.T) {
+	const failing = "mix/3/1"
+	for _, workers := range []int{1, 2, 4} {
+		c := chaosCampaign(chaosOptions(workers))
+		var (
+			mu     sync.Mutex
+			keys   []string
+			failed bool
+		)
+		measure := c.backend
+		c.backend = func(key string) (System, func()) {
+			mu.Lock()
+			keys = append(keys, key)
+			late := failed
+			failed = failed || key == failing
+			mu.Unlock()
+			if late {
+				time.Sleep(20 * time.Millisecond)
+			}
+			sys, done := measure(key)
+			if key == failing {
+				return failingMix{sys}, done
+			}
+			return sys, done
+		}
+		if _, err := c.run(context.Background()); !errors.Is(err, errBoom) {
+			t.Fatalf("workers=%d: err = %v, want wrapped boom", workers, err)
+		}
+		f := slices.Index(keys, failing)
+		if f < 0 {
+			t.Fatalf("workers=%d: %s never reached the backend", workers, failing)
+		}
+		if after := keys[f+1:]; len(after) > workers-1 {
+			t.Errorf("workers=%d: %d tasks started after %s failed (%v), want at most %d",
+				workers, len(after), failing, after, workers-1)
+		}
+		seen := map[string]bool{}
+		for _, k := range keys {
+			if seen[k] {
+				t.Fatalf("workers=%d: task %s reached the backend twice", workers, k)
+			}
+			seen[k] = true
+		}
+		if workers == 1 {
+			var want []string
+			for _, task := range c.plan {
+				want = append(want, task.key)
+				if task.key == failing {
+					break
+				}
+			}
+			if !slices.Equal(keys, want) {
+				t.Errorf("workers=1: backend saw %v, want the plan up to %s: %v", keys, failing, want)
+			}
 		}
 	}
 }

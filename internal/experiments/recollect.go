@@ -93,7 +93,6 @@ func (e *Env) Recollect(ctx context.Context, cfg RecollectConfig) (*core.Predict
 		return nil, resilience.Permanent(fmt.Errorf("experiments: re-collection quarantined %d of %d tasks (first: %s: %s)",
 			len(q), len(c.plan), q[0].Key, q[0].Reason))
 	}
-	e.Resilience.Retries += sub.Resilience.Retries
 
 	// Rebuild knowledge: untargeted templates keep their original stats;
 	// targets get the fresh profile pushed through the drifted World.

@@ -3,10 +3,14 @@ package experiments
 import (
 	"context"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"contender/internal/core"
+	"contender/internal/resilience"
 )
 
 // runSelfheal builds a small environment at the given worker count and
@@ -151,5 +155,43 @@ func TestRecollectRejectsUnknownTemplate(t *testing.T) {
 	}
 	if _, err := env.Recollect(context.Background(), RecollectConfig{}); err == nil {
 		t.Fatal("Recollect accepted an empty template set")
+	}
+}
+
+// TestRecollectLeavesEnvUnchanged holds Recollect to its promise that the
+// environment is never mutated: the campaign's report (retries spent,
+// injected faults) reads the same after a re-collection under its own
+// retry policy. The report is read from another goroutine while the
+// re-collection runs, as Workbench.Resilience can be during a lifecycle
+// step, so under -race a write to it fails the test too.
+func TestRecollectLeavesEnvUnchanged(t *testing.T) {
+	opts := chaosOptions(2)
+	opts.Retry = noSleepPolicy()
+	opts.Faults = &resilience.FaultConfig{Seed: 11, TransientRate: 0.10, Sleep: func(time.Duration) {}}
+	env, err := NewEnvWith(chaosWorkload(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.Resilience.Retries == 0 || env.Resilience.FaultStats == nil {
+		t.Fatalf("campaign report %+v: want retries and fault stats to compare", env.Resilience)
+	}
+	before := env.Resilience
+	before.Quarantined = slices.Clone(before.Quarantined)
+	stats := *before.FaultStats
+	before.FaultStats = &stats
+
+	read := make(chan CollectionReport)
+	go func() { read <- env.Resilience }()
+	if _, err := env.Recollect(context.Background(), RecollectConfig{
+		Templates: env.TemplateIDs()[:2],
+		Retry:     noSleepPolicy(),
+	}); err != nil {
+		t.Fatalf("Recollect: %v", err)
+	}
+	if got := <-read; !reflect.DeepEqual(got, before) {
+		t.Errorf("report read during Recollect = %+v, want %+v", got, before)
+	}
+	if !reflect.DeepEqual(env.Resilience, before) {
+		t.Errorf("Recollect changed the environment's report: %+v, want %+v", env.Resilience, before)
 	}
 }

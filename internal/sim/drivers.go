@@ -80,13 +80,13 @@ type SteadyStateOptions struct {
 }
 
 // SteadyStateResult holds per-stream measurements of a steady-state run.
+// Samples aliases scratch the engine keeps across runs: it is valid until
+// the engine's next run, so a caller that keeps it must copy it.
 type SteadyStateResult struct {
 	// Mix is the executed template specs, one per stream.
 	Mix []QuerySpec
 	// Samples[i] are the measured latencies of stream i (post-warmup).
 	Samples [][]float64
-	// Results[i] are the full per-instance results of stream i.
-	Results [][]Result
 	// Duration is the virtual time the experiment spanned.
 	Duration float64
 }
@@ -108,6 +108,9 @@ func (r SteadyStateResult) MeanLatency(i int) float64 {
 // every stream has collected the requested number of post-warmup samples.
 // Streams keep restarting even after they finish collecting, so conditions
 // stay consistent for the laggards (the paper's "steady state" technique).
+// A warm engine runs it without allocating: the restart specs, completion
+// counts and samples live in engine scratch, which the result's Samples
+// alias until the next run.
 func (e *Engine) RunSteadyState(mix []QuerySpec, opts SteadyStateOptions) (SteadyStateResult, error) {
 	if len(mix) == 0 {
 		return SteadyStateResult{}, fmt.Errorf("sim: empty mix")
@@ -128,25 +131,13 @@ func (e *Engine) RunSteadyState(mix []QuerySpec, opts SteadyStateOptions) (Stead
 	}
 
 	e.reset()
-	res := SteadyStateResult{
-		Mix:     mix,
-		Samples: make([][]float64, len(mix)),
-		Results: make([][]Result, len(mix)),
-	}
-	for i := range mix {
-		res.Samples[i] = make([]float64, 0, opts.Samples)
-		res.Results[i] = make([]Result, 0, opts.Samples)
-	}
-	completions := make([]int, len(mix))
+	res := SteadyStateResult{Mix: mix, Samples: e.sampleRows(len(mix), opts.Samples)}
+	e.completions = resize(e.completions, len(mix))
+	completions := e.completions
 	// restart[i] is stream i's spec for every instance after its first.
 	restart := mix
 	if len(opts.RestartCost) > 0 {
-		restart = make([]QuerySpec, len(mix))
-		for i, q := range mix {
-			stages := make([]Stage, 0, len(opts.RestartCost)+len(q.Stages))
-			restart[i] = q
-			restart[i].Stages = append(append(stages, opts.RestartCost...), q.Stages...)
-		}
+		restart = e.restartSpecs(mix, opts.RestartCost)
 	}
 	for i, q := range mix {
 		e.addRun(q, i)
@@ -171,7 +162,6 @@ func (e *Engine) RunSteadyState(mix []QuerySpec, opts SteadyStateOptions) (Stead
 			completions[s]++
 			if completions[s] > opts.WarmupSkip && len(res.Samples[s]) < opts.Samples {
 				res.Samples[s] = append(res.Samples[s], r.result.Latency)
-				res.Results[s] = append(res.Results[s], r.result)
 			}
 			// Keep the mix constant: immediately start the next instance.
 			e.addRun(restart[s], s)
@@ -182,4 +172,46 @@ func (e *Engine) RunSteadyState(mix []QuerySpec, opts SteadyStateOptions) (Stead
 		}
 	}
 	return res, fmt.Errorf("sim: steady state did not converge within %d events", opts.MaxEvents)
+}
+
+// sampleRows returns one empty row of capacity samples per stream, all
+// windows of the engine's sample slab.
+func (e *Engine) sampleRows(streams, samples int) [][]float64 {
+	e.sampleSlab = resize(e.sampleSlab, streams*samples)
+	e.sampleRowBuf = resize(e.sampleRowBuf, streams)
+	for i := range e.sampleRowBuf {
+		e.sampleRowBuf[i] = e.sampleSlab[i*samples : i*samples : (i+1)*samples]
+	}
+	return e.sampleRowBuf
+}
+
+// restartSpecs returns mix with cost prepended to every spec's stages,
+// written into the engine's restart scratch.
+func (e *Engine) restartSpecs(mix []QuerySpec, cost []Stage) []QuerySpec {
+	n := 0
+	for _, q := range mix {
+		n += len(cost) + len(q.Stages)
+	}
+	stages := resize(e.restartStages, n)
+	e.restartStages = stages
+	e.restart = resize(e.restart, len(mix))
+	for i, q := range mix {
+		k := len(cost) + len(q.Stages)
+		copy(stages, cost)
+		copy(stages[len(cost):k], q.Stages)
+		e.restart[i] = q
+		e.restart[i].Stages, stages = stages[:k:k], stages[k:]
+	}
+	return e.restart
+}
+
+// resize returns s with length n and every element zero, reusing its
+// backing array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

@@ -35,6 +35,16 @@ type Engine struct {
 	progress, swap, inflation []float64
 	finished                  []*run
 	free                      []*run
+
+	// RunSteadyState scratch, so a warm steady-state run allocates
+	// nothing: the restart specs and their stages, the per-stream
+	// completion counts, and the slab the result's sample rows are
+	// windows of. A result aliases it until the next run.
+	restart       []QuerySpec
+	restartStages []Stage
+	completions   []int
+	sampleSlab    []float64
+	sampleRowBuf  [][]float64
 }
 
 // run is one in-flight query instance.
@@ -69,8 +79,8 @@ func NewEngine(cfg Config) *Engine {
 // Reseed puts the engine back in the state NewEngine(cfg.WithSeed(seed))
 // returns, for the engine's own config: the clock, runs, spoiler and
 // tracer are cleared and the noise stream restarts from seed. Only the
-// run free list and the step scratch survive, so a reseeded engine runs
-// warm where a new one would allocate. It is valid after any run, also
+// run free list and the step and steady-state scratch survive, so a
+// reseeded engine runs warm where a new one would allocate. It is valid after any run, also
 // one a panicking tracer cut short.
 func (e *Engine) Reseed(seed int64) {
 	e.reset()

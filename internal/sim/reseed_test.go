@@ -43,9 +43,12 @@ func workout(t *testing.T, e *Engine) []uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rs := range ss.Results {
-		put(rs...)
+	for _, samples := range ss.Samples {
+		for _, l := range samples {
+			bits = append(bits, math.Float64bits(l))
+		}
 	}
+	bits = append(bits, math.Float64bits(ss.Duration))
 	batch, makespan, err := e.RunBatch(mix, 2)
 	if err != nil {
 		t.Fatal(err)
