@@ -93,6 +93,14 @@ BENCH_GUARD_ROWS = \
 	BenchmarkEngineReseed \
 	BenchmarkRunSteadyState
 
+# contender-serve's start-up path (BenchmarkEnvBuild/startup: the campaign
+# one task at a time, then the fit) must stay under a bytes ceiling about
+# 10% over what it allocates (725 kB). No GC runs before the server's
+# first listen, so those bytes are peak RSS; and B/op does not depend on
+# the host, so a copy of the observations that creeps back fails on any
+# machine. The row is matched exactly, like the allocs rows.
+STARTUP_MAX_BYTES = 800000
+
 bench-guard:
 	$(GO) test -run TestServingPathDoesNotAllocate -v ./internal/core/
 	@out=$$($(GO) test -run XXX -bench 'BenchmarkPredictKnown$$|BenchmarkPredictKnownObserved$$|BenchmarkPredictKnownObservedParallel$$|BenchmarkPredictExplain$$|BenchmarkPredictBatch$$|BenchmarkPredictKnownFeedback$$|BenchmarkShardedPredict$$|BenchmarkShardedObserve$$' -benchtime 100x . && \
@@ -106,6 +114,13 @@ bench-guard:
 			exit 1; \
 		fi; \
 	done
+	@out=$$($(GO) test -run XXX -bench 'BenchmarkEnvBuild/startup$$' -benchtime 20x .); \
+	echo "$$out"; \
+	bytes=$$(echo "$$out" | awk '$$1 ~ /^BenchmarkEnvBuild\/startup(-[0-9]+)?$$/ {for (i = 2; i < NF; i++) if ($$(i+1) == "B/op") print $$i}'); \
+	if [ -z "$$bytes" ] || [ "$$bytes" -gt $(STARTUP_MAX_BYTES) ]; then \
+		echo "BenchmarkEnvBuild/startup reports $${bytes:-?} B/op; ceiling $(STARTUP_MAX_BYTES)" >&2; \
+		exit 1; \
+	fi
 
 # The chaos experiment (transient faults rescued by retries, a permanent
 # fault quarantined) must render byte-identically at any collection

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -53,6 +54,46 @@ func TestWorkbenchTemplates(t *testing.T) {
 	}
 	if len(wb.Observations(2)) == 0 {
 		t.Fatal("no MPL-2 observations")
+	}
+}
+
+// TestObservationsAreACopy changes every latency and concurrency entry of
+// Observations' result and retrains: the fit reads the campaign's own
+// storage, so every sampled mix must price to the same bits as before.
+func TestObservationsAreACopy(t *testing.T) {
+	wb, err := NewWorkbench(QuickSampling(), WithSeed(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := wb.Train()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := wb.TemplateIDs()
+	for _, mpl := range []int{2, 3} {
+		for _, o := range wb.Observations(mpl) {
+			o.Latency *= 10
+			for j := range o.Concurrent {
+				o.Concurrent[j] = ids[0]
+			}
+		}
+	}
+	after, err := wb.Train()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mpl := range []int{2, 3} {
+		obs := wb.Observations(mpl)
+		if len(obs) == 0 {
+			t.Fatalf("no observations at MPL %d", mpl)
+		}
+		for _, o := range obs {
+			want, err1 := before.PredictKnown(o.Primary, o.Concurrent)
+			got, err2 := after.PredictKnown(o.Primary, o.Concurrent)
+			if err1 != nil || err2 != nil || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("T%d in %v: %v (%v) after changing the copy, %v (%v) before", o.Primary, o.Concurrent, got, err2, want, err1)
+			}
+		}
 	}
 }
 

@@ -293,6 +293,22 @@ func BenchmarkEnvBuild(b *testing.B) {
 	}
 	b.Run("serve", serve(0))
 	b.Run("serve/workers=1", serve(1))
+	// contender-serve's whole start-up path before it binds: the same
+	// campaign one task at a time, then the fit. No GC runs before the
+	// first listen, so its B/op is what start-up adds to peak RSS; make
+	// bench-guard holds it to a ceiling.
+	b.Run("startup", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			wb, err := NewWorkbench(WithMPLs(2, 3, 4, 5), WithSeed(42), WithWorkers(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := wb.Train(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 var (

@@ -259,9 +259,27 @@ func (w *Workbench) TemplateDescription(id int) string {
 	return ""
 }
 
-// Observations returns the steady-state measurements collected at an MPL.
+// Observations returns a copy of the steady-state measurements collected
+// at an MPL, in sample order. Train fits from the campaign's own
+// storage, so a caller may change the copy without moving the next fit.
 func (w *Workbench) Observations(mpl int) []Observation {
-	return w.env.Observations(mpl)
+	src := w.env.Observations(mpl)
+	if len(src) == 0 {
+		return nil
+	}
+	n := 0
+	for _, o := range src {
+		n += len(o.Concurrent)
+	}
+	out := make([]Observation, len(src))
+	conc := make([]int, 0, n)
+	for i, o := range src {
+		k := len(conc)
+		conc = append(conc, o.Concurrent...)
+		o.Concurrent = conc[k:len(conc):len(conc)]
+		out[i] = o
+	}
+	return out
 }
 
 // Train fits Contender's reference QS models from the collected samples and

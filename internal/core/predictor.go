@@ -70,28 +70,53 @@ type TrainOptions struct {
 // Train builds reference QS models from steady-state observations of known
 // templates. Observations are grouped by (primary, MPL); each group needs
 // at least two samples to fit a line. Templates must already be in the
-// knowledge base with isolated and spoiler latencies. The predictor comes
-// back with its serving index built.
+// knowledge base with isolated and spoiler latencies. Groups are fitted
+// in the order of their first observation, so a failure names the first
+// failing group in input order. Train reads observations without keeping
+// or changing them. The predictor comes back with its serving index
+// built.
 func Train(know *Knowledge, observations []Observation, opts TrainOptions) (*Predictor, error) {
-	type key struct{ id, mpl int }
-	groups := make(map[key][]Observation)
-	for _, o := range observations {
-		groups[key{o.Primary, o.MPL()}] = append(groups[key{o.Primary, o.MPL()}], o)
+	// One index groups the observations without copying them: each
+	// group's first and last observation, and next[i] the observation
+	// after i in i's group (-1 at its end).
+	type group struct {
+		id, mpl     int
+		first, last int32
 	}
-	models := make(map[int]map[int]QSModel)
-	for k, obs := range groups {
-		cont, ok := know.ContinuumFor(k.id, k.mpl)
+	var groups []group
+	at := make(map[[2]int]int32)
+	next := make([]int32, len(observations))
+	for i := range observations {
+		o := &observations[i]
+		k := [2]int{o.Primary, o.MPL()}
+		g, ok := at[k]
 		if !ok {
-			return nil, fmt.Errorf("core: no spoiler latency for template %d at MPL %d", k.id, k.mpl)
+			g = int32(len(groups))
+			at[k] = g
+			groups = append(groups, group{id: k[0], mpl: k[1], first: int32(i)})
+		} else {
+			next[groups[g].last] = int32(i)
 		}
-		var rs, cs []float64
-		for _, o := range obs {
+		next[i] = -1
+		groups[g].last = int32(i)
+	}
+	// One (CQI, continuum point) scratch pair, reused by every group.
+	var rs, cs []float64
+	models := make(map[int]map[int]QSModel)
+	for _, g := range groups {
+		cont, ok := know.ContinuumFor(g.id, g.mpl)
+		if !ok {
+			return nil, fmt.Errorf("core: no spoiler latency for template %d at MPL %d", g.id, g.mpl)
+		}
+		rs, cs = rs[:0], cs[:0]
+		for i := g.first; i >= 0; i = next[i] {
+			o := &observations[i]
 			if opts.DropOutliers && cont.IsOutlier(o.Latency) {
 				continue
 			}
 			r, err := know.CQI(o.Primary, o.Concurrent)
 			if err != nil {
-				return nil, fmt.Errorf("core: template %d MPL %d: %w", k.id, k.mpl, err)
+				return nil, fmt.Errorf("core: template %d MPL %d: %w", g.id, g.mpl, err)
 			}
 			rs = append(rs, r)
 			cs = append(cs, cont.Point(o.Latency))
@@ -101,12 +126,12 @@ func Train(know *Knowledge, observations []Observation, opts TrainOptions) (*Pre
 		}
 		m, err := FitQS(rs, cs)
 		if err != nil {
-			return nil, fmt.Errorf("core: template %d MPL %d: %w", k.id, k.mpl, err)
+			return nil, fmt.Errorf("core: template %d MPL %d: %w", g.id, g.mpl, err)
 		}
-		if models[k.mpl] == nil {
-			models[k.mpl] = make(map[int]QSModel)
+		if models[g.mpl] == nil {
+			models[g.mpl] = make(map[int]QSModel)
 		}
-		models[k.mpl][k.id] = m
+		models[g.mpl][g.id] = m
 	}
 	if len(models) == 0 {
 		return nil, fmt.Errorf("core: no reference models could be trained from %d observations", len(observations))

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -109,6 +110,29 @@ func TestTrainErrors(t *testing.T) {
 		t.Fatal("expected error for missing spoiler latency")
 	}
 	_ = obs
+}
+
+// TestTrainErrorIsFirstFailingGroup checks that Train names the first
+// failing (primary, MPL) group in input order, on every call: three
+// templates lack an MPL-2 spoiler latency, and the observations come in
+// descending primary order, so that group is template 5's.
+func TestTrainErrorIsFirstFailingGroup(t *testing.T) {
+	k, obs := predictorFixture(t)
+	templates := k.Templates()
+	for i := range templates {
+		if templates[i].ID >= 3 {
+			delete(templates[i].SpoilerLatency, 2)
+		}
+	}
+	k = NewKnowledge(k.ScanTimes(), templates)
+	slices.Reverse(obs)
+	const want = "core: no spoiler latency for template 5 at MPL 2"
+	for call := 0; call < 20; call++ {
+		_, err := Train(k, obs, TrainOptions{})
+		if err == nil || err.Error() != want {
+			t.Fatalf("call %d: error %v, want %q", call, err, want)
+		}
+	}
 }
 
 func TestTrainDropsOutliers(t *testing.T) {

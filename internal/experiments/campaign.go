@@ -641,28 +641,51 @@ type Campaign struct {
 	// CheckpointPath: retries spent, tasks resumed, coverage lost.
 	Resilience CollectionReport
 
-	mpls []int
-	// Flattened observation indexes: obsByMPL[mpl] is Samples[mpl]
-	// flattened; obsByPrimary[mpl][id] holds the observations whose
-	// primary is id. Both share backing storage with the samples and are
-	// read-only.
-	obsByMPL     map[int][]core.Observation
-	obsByPrimary map[int]map[int][]core.Observation
+	// obs holds every mix observation once, in plan order (MPL-major,
+	// then design order); each MixSample.Obs, each obsByMPL window and
+	// AllObservations are read-only windows of it, and the Concurrent
+	// lists are windows of one []int.
+	obs      []core.Observation
+	obsByMPL map[int][]core.Observation
+	// byPrimary is built on the first ObservationsFor call. It is a
+	// pointer so that copying a Campaign (Env embeds one) shares it.
+	byPrimary *primaryViews
 }
 
 // merge assembles the campaign's outcome from the result slots, in plan
 // order.
 func (c *campaign) merge() *Campaign {
 	out := &Campaign{
-		Samples:    make(map[int][]MixSample),
+		Samples:    make(map[int][]MixSample, len(c.opts.MPLs)),
 		Resilience: c.report,
-		mpls:       c.opts.MPLs,
+		obsByMPL:   make(map[int][]core.Observation, len(c.opts.MPLs)),
+		byPrimary:  &primaryViews{},
 	}
 	if c.injector != nil {
 		stats := c.injector.Stats()
 		out.Resilience.FaultStats = &stats
 	}
 	bad := c.badTemplates()
+	kept := func(i int) bool {
+		t := c.plan[i]
+		return c.status[i] == measured && !(t.kind == mixTask && touches(t.mix, bad))
+	}
+	// Size the observation slab, the Concurrent lists and every
+	// Samples[mpl] from the plan before filling them.
+	var nobs, nconc int
+	mixes := make(map[int]int, len(c.opts.MPLs))
+	for i, t := range c.plan {
+		if t.kind == mixTask && kept(i) {
+			nobs += len(t.mix)
+			nconc += len(t.mix) * (len(t.mix) - 1)
+			mixes[t.mpl]++
+		}
+	}
+	for mpl, n := range mixes {
+		out.Samples[mpl] = make([]MixSample, 0, n)
+	}
+	out.obs = make([]core.Observation, nobs)
+	free, conc := out.obs, make([]int, nconc)
 	scans := make(map[string]float64)
 	var templates []core.TemplateStats
 	for i, t := range c.plan {
@@ -672,7 +695,7 @@ func (c *campaign) merge() *Campaign {
 		if t.kind == mixTask {
 			out.Resilience.PlannedMixes++
 		}
-		if c.status[i] != measured || (t.kind == mixTask && touches(t.mix, bad)) {
+		if !kept(i) {
 			if t.kind == mixTask {
 				out.Resilience.DroppedMixes++
 			}
@@ -689,20 +712,27 @@ func (c *campaign) merge() *Campaign {
 			out.SimulatedSeconds.Isolated += isolated
 			out.SimulatedSeconds.Spoiler += spoiler
 		case mixTask:
-			sample := MixSample{Mix: e.Mix, Obs: make([]core.Observation, len(e.Mix))}
-			for slot, id := range sample.Mix {
+			n := len(e.Mix)
+			sample := MixSample{Mix: e.Mix, Obs: free[:n:n]}
+			for slot, id := range e.Mix {
 				sample.Obs[slot] = core.Observation{
 					Primary:    id,
-					Concurrent: sample.Mix.WithoutOne(id),
+					Concurrent: e.Mix.AppendWithoutOne(conc[:0:n-1], id),
 					Latency:    e.Lats[slot],
 				}
+				conc = conc[n-1:]
 			}
+			free = free[n:]
+			// planTasks lays each MPL's mixes out together, so the MPL's
+			// observations so far are one window ending here.
+			end := len(out.obs) - len(free)
+			start := end - n - len(out.obsByMPL[t.mpl])
+			out.obsByMPL[t.mpl] = out.obs[start:end:end]
 			out.Samples[t.mpl] = append(out.Samples[t.mpl], sample)
 			out.SimulatedSeconds.Mixes += e.Seconds
 		}
 	}
 	out.Know = core.NewKnowledge(scans, templates)
-	out.buildObservationIndex()
 	return out
 }
 
@@ -735,28 +765,29 @@ func (c *campaign) templateStats(meta TemplateMeta, e entry) (ts core.TemplateSt
 	return ts, isolated, spoiler
 }
 
-// buildObservationIndex flattens the samples into the per-MPL and
-// per-primary views served by Observations and ObservationsFor. A
-// counting pass sizes every list first; the per-primary lists are
-// capacity-capped windows of one backing array per MPL.
-func (c *Campaign) buildObservationIndex() {
-	c.obsByMPL = make(map[int][]core.Observation, len(c.Samples))
-	c.obsByPrimary = make(map[int]map[int][]core.Observation, len(c.Samples))
-	for _, mpl := range c.mpls {
-		total := 0
-		counts := make(map[int]int)
-		for _, s := range c.Samples[mpl] {
-			total += len(s.Obs)
-			for _, o := range s.Obs {
+// primaryViews is the per-primary view behind ObservationsFor:
+// byMPL[mpl][id] holds the observations at mpl whose primary is id.
+type primaryViews struct {
+	once  sync.Once
+	byMPL map[int]map[int][]core.Observation
+}
+
+// primaryViews builds the per-primary view on first use. A counting pass
+// sizes every list first; the lists are capacity-capped windows of one
+// backing array per MPL. The serving path never reads this view; the
+// experiment drivers and the lifecycle's holdouts do.
+func (c *Campaign) primaryViews() map[int]map[int][]core.Observation {
+	v := c.byPrimary
+	v.once.Do(func() {
+		v.byMPL = make(map[int]map[int][]core.Observation, len(c.obsByMPL))
+		for mpl, all := range c.obsByMPL {
+			counts := make(map[int]int)
+			for _, o := range all {
 				counts[o.Primary]++
 			}
-		}
-		flat := make([]core.Observation, 0, total)
-		backing := make([]core.Observation, total)
-		byPrimary := make(map[int][]core.Observation, len(counts))
-		for _, s := range c.Samples[mpl] {
-			flat = append(flat, s.Obs...)
-			for _, o := range s.Obs {
+			backing := make([]core.Observation, len(all))
+			byPrimary := make(map[int][]core.Observation, len(counts))
+			for _, o := range all {
 				list, ok := byPrimary[o.Primary]
 				if !ok {
 					n := counts[o.Primary]
@@ -764,36 +795,30 @@ func (c *Campaign) buildObservationIndex() {
 				}
 				byPrimary[o.Primary] = append(list, o)
 			}
+			v.byMPL[mpl] = byPrimary
 		}
-		if total == 0 {
-			flat = nil
-		}
-		c.obsByMPL[mpl] = flat
-		c.obsByPrimary[mpl] = byPrimary
-	}
+	})
+	return v.byMPL
 }
 
 // Observations returns all observations at an MPL, in sample order. The
-// returned slice is shared with the index and must not be mutated.
+// slice and its Concurrent lists are shared with the campaign (Train
+// reads the same storage) and are read-only.
 func (c *Campaign) Observations(mpl int) []core.Observation { return c.obsByMPL[mpl] }
 
 // ObservationsFor returns the observations at mpl whose primary is the
-// given template, served from the primary-keyed index (the experiment
-// drivers call this once per template — re-flattening every sample per
-// call made those loops quadratic). The returned slice is shared with the
-// index and must not be mutated.
+// given template, in sample order, from a primary-keyed view built on the
+// first call (the experiment drivers call this once per template —
+// re-flattening every sample per call made those loops quadratic). The
+// slice and its Concurrent lists are shared and read-only.
 func (c *Campaign) ObservationsFor(mpl, primary int) []core.Observation {
-	return c.obsByPrimary[mpl][primary]
+	return c.primaryViews()[mpl][primary]
 }
 
-// AllObservations returns observations across all sampled MPLs.
-func (c *Campaign) AllObservations() []core.Observation {
-	var out []core.Observation
-	for _, mpl := range c.mpls {
-		out = append(out, c.Observations(mpl)...)
-	}
-	return out
-}
+// AllObservations returns the observations across all sampled MPLs, in
+// the campaign's MPL order and sample order. The slice and its Concurrent
+// lists are the campaign's own storage and are read-only.
+func (c *Campaign) AllObservations() []core.Observation { return c.obs }
 
 // observedRetry chains a train.retry emission onto the policy's OnRetry
 // hook, copying the policy so the caller's value is never mutated. The

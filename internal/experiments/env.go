@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -85,6 +86,15 @@ func (o Options) withDefaults() Options {
 	if len(o.MPLs) == 0 {
 		o.MPLs = []int{2, 3, 4, 5}
 	}
+	// Each MPL is sampled once: a repeat would plan its task keys twice,
+	// and the campaign lays each MPL's observations out in one run.
+	mpls := make([]int, 0, len(o.MPLs))
+	for _, mpl := range o.MPLs {
+		if !slices.Contains(mpls, mpl) {
+			mpls = append(mpls, mpl)
+		}
+	}
+	o.MPLs = mpls
 	if o.LHSRuns <= 0 {
 		o.LHSRuns = 4
 	}
@@ -104,6 +114,8 @@ func (o Options) withDefaults() Options {
 // it produced.
 type MixSample struct {
 	Mix lhs.Mix // template IDs (not indices)
+	// Obs is a window of the campaign's one copy of the observations,
+	// which training reads: it is read-only.
 	Obs []core.Observation
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"contender/internal/core"
 	"contender/internal/tpcds"
 )
 
@@ -162,28 +163,88 @@ func TestPoolStopsAfterFatalError(t *testing.T) {
 	}
 }
 
-// TestObservationsForIndexed cross-checks the primary-keyed observation
-// index against a straight filter of the flat list.
+// TestObservationsForIndexed holds the primary-keyed view to a straight
+// filter of the MPL's observations, in sample order.
 func TestObservationsForIndexed(t *testing.T) {
 	env := buildEnv(t, 2)
 	for _, mpl := range []int{2, 3} {
 		all := env.Observations(mpl)
 		for _, id := range env.TemplateIDs() {
-			var want int
+			var want []core.Observation
 			for _, o := range all {
 				if o.Primary == id {
-					want++
+					want = append(want, o)
 				}
 			}
-			got := env.ObservationsFor(mpl, id)
-			if len(got) != want {
-				t.Errorf("MPL %d T%d: indexed %d observations, filter finds %d", mpl, id, len(got), want)
+			if got := env.ObservationsFor(mpl, id); !reflect.DeepEqual(got, want) {
+				t.Errorf("MPL %d T%d: view holds %d observations, the filter %d, or their order differs", mpl, id, len(got), len(want))
 			}
-			for _, o := range got {
-				if o.Primary != id {
-					t.Fatalf("MPL %d T%d: index returned observation with primary %d", mpl, id, o.Primary)
+		}
+	}
+}
+
+// TestObservationsAreOneSlab checks that every view of a campaign's
+// observations is a window of the one slab, laid out in MPL order (here
+// not ascending, and with a repeat the campaign samples once) and then
+// sample order.
+func TestObservationsAreOneSlab(t *testing.T) {
+	w := tpcds.NewWorkload().Subset([]int{2, 22, 25, 26, 61, 71})
+	env, err := NewEnvWith(w, Options{MPLs: []int{3, 2, 3}, LHSRuns: 2, SteadySamples: 3, IsolatedRuns: 2, Seed: 7, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(env.Opts.MPLs, []int{3, 2}) {
+		t.Fatalf("MPLs %v, want [3 2]", env.Opts.MPLs)
+	}
+	all := env.AllObservations()
+	var concat []core.Observation
+	off := 0
+	for _, mpl := range env.Opts.MPLs {
+		view := env.Observations(mpl)
+		if len(view) == 0 || &view[0] != &all[off] || cap(view) != len(view) {
+			t.Fatalf("Observations(%d) is not the capped slab window at %d", mpl, off)
+		}
+		concat = append(concat, view...)
+		for i, s := range env.Samples[mpl] {
+			if len(s.Mix) != mpl || len(s.Obs) != mpl || &s.Obs[0] != &all[off] || cap(s.Obs) != len(s.Obs) {
+				t.Fatalf("MPL %d sample %d: Obs is not the capped slab window at %d", mpl, i, off)
+			}
+			for slot, o := range s.Obs {
+				if o.Primary != s.Mix[slot] || !slices.Equal(o.Concurrent, s.Mix.WithoutOne(o.Primary)) {
+					t.Fatalf("MPL %d sample %d slot %d: %+v does not match mix %v", mpl, i, slot, o, s.Mix)
 				}
 			}
+			off += len(s.Obs)
+		}
+	}
+	if off != len(all) || !reflect.DeepEqual(all, concat) {
+		t.Fatalf("AllObservations holds %d observations; the samples %d and the per-MPL views %d", len(all), off, len(concat))
+	}
+}
+
+// TestObservationsForFirstUseConcurrent races the first ObservationsFor
+// calls, which build the per-primary view, from several goroutines (run
+// it under -race).
+func TestObservationsForFirstUseConcurrent(t *testing.T) {
+	env := buildEnv(t, 2)
+	ids := env.TemplateIDs()
+	counts := make([][]int, 8)
+	var wg sync.WaitGroup
+	for g := range counts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, mpl := range []int{2, 3} {
+				for _, id := range ids {
+					counts[g] = append(counts[g], len(env.ObservationsFor(mpl, id)))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range counts {
+		if !slices.Equal(counts[g], counts[0]) || len(counts[g]) != 2*len(ids) {
+			t.Fatalf("goroutine %d saw %v, goroutine 0 %v", g, counts[g], counts[0])
 		}
 	}
 }

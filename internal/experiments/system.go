@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"contender/internal/core"
 	"contender/internal/resilience"
@@ -77,10 +78,16 @@ func SimSystem(w *tpcds.Workload, eng *sim.Engine) System {
 	return &simSystem{workload: w, engine: eng}
 }
 
-// simSystem is the simulator adapter.
+// simSystem is the simulator adapter. The campaign gives each task
+// attempt exclusive use of one, so a mix task's specs, latencies and
+// restart cost live in scratch it keeps across tasks.
 type simSystem struct {
 	workload *tpcds.Workload
 	engine   *sim.Engine
+
+	specs   []sim.QuerySpec
+	lats    []float64
+	restart []sim.Stage
 }
 
 func (s *simSystem) Templates() []TemplateMeta {
@@ -155,27 +162,33 @@ func (s *simSystem) RunSpoiler(id, mpl int) (Measurement, error) {
 
 func (s *simSystem) RunMix(mix []int, samples int) ([]float64, error) {
 	lats, _, err := s.runMixTimed(mix, samples)
-	return lats, err
+	return slices.Clone(lats), err
 }
 
+// runMixTimed returns the mix's mean latencies in scratch that the
+// adapter's next mix run overwrites; the campaign copies them into its
+// latency slab before it hands the adapter back.
 func (s *simSystem) runMixTimed(mix []int, samples int) ([]float64, float64, error) {
-	specs := make([]sim.QuerySpec, len(mix))
-	for i, id := range mix {
+	s.specs = s.specs[:0]
+	for _, id := range mix {
 		spec, err := s.spec(id)
 		if err != nil {
 			return nil, 0, err
 		}
-		specs[i] = spec
+		s.specs = append(s.specs, spec)
 	}
-	res, err := s.engine.RunSteadyState(specs, sim.SteadyStateOptions{
-		Samples: samples, WarmupSkip: 1, RestartCost: tpcds.RestartCost(),
+	if s.restart == nil {
+		s.restart = tpcds.RestartCost()
+	}
+	res, err := s.engine.RunSteadyState(s.specs, sim.SteadyStateOptions{
+		Samples: samples, WarmupSkip: 1, RestartCost: s.restart,
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	out := make([]float64, len(mix))
+	s.lats = s.lats[:0]
 	for i := range mix {
-		out[i] = res.MeanLatency(i)
+		s.lats = append(s.lats, res.MeanLatency(i))
 	}
-	return out, res.Duration, nil
+	return s.lats, res.Duration, nil
 }

@@ -50,19 +50,26 @@ func (m Mix) Contains(t int) bool {
 // removed. It panics if t is not present. This is how a "primary at MPL k"
 // observation extracts its k-1 concurrent queries.
 func (m Mix) WithoutOne(t int) Mix {
-	out := make(Mix, 0, len(m)-1)
+	out := m.AppendWithoutOne(make(Mix, 0, len(m)-1), t)
+	if len(out) == len(m) {
+		panic("lhs: template not in mix")
+	}
+	return out
+}
+
+// AppendWithoutOne appends the mix with its first occurrence of t removed
+// to dst and returns the extended slice: WithoutOne into storage the
+// caller owns. Without an occurrence of t it appends the whole mix.
+func (m Mix) AppendWithoutOne(dst []int, t int) []int {
 	removed := false
 	for _, v := range m {
 		if v == t && !removed {
 			removed = true
 			continue
 		}
-		out = append(out, v)
+		dst = append(dst, v)
 	}
-	if !removed {
-		panic("lhs: template not in mix")
-	}
-	return out
+	return dst
 }
 
 // NumMixes returns the number of distinct mixes of k queries drawn with
