@@ -74,9 +74,11 @@ staticcheck:
 # Metrics observer or not, and so must reseeding a used simulator engine
 # (a campaign does it once per task attempt) and a whole steady-state run
 # on it (once per mix task). Rows are matched exactly (modulo the -GOMAXPROCS suffix) so
-# one row's budget never silently applies to another; the in-process
-# complement is TestServingPathDoesNotAllocate, the static one the
-# hotpathalloc analyzer.
+# one row's budget never silently applies to another. The in-process
+# complement is TestServingPathDoesNotAllocate, run first: it counts
+# every allocation over 100 warm calls of each serving entry point, bare
+# and observed, on four mix shapes (one longer than the CQI kernel's
+# sharer counters hold). CI's bench guard step runs this target.
 BENCH_GUARD_ROWS = \
 	BenchmarkPredictKnown \
 	BenchmarkPredictKnownObserved \

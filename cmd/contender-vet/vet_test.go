@@ -40,16 +40,20 @@ func writeModule(t *testing.T, files map[string]string) string {
 
 var injectedModule = map[string]string{
 	"go.mod": "module fake\n\ngo 1.22\n",
-	"internal/sim/sim.go": `package sim
+	"internal/serve/serve.go": `package serve
 
-import (
-	"math/rand"
-	"time"
-)
+import "sync"
 
-func Stamp() int64 { return time.Now().UnixNano() }
+type Server struct {
+	mu sync.Mutex
+	ch chan int
+}
 
-func Jitter() float64 { return rand.Float64() }
+func (s *Server) Hand(n int) {
+	s.mu.Lock()
+	s.ch <- n
+	s.mu.Unlock()
+}
 `,
 	"internal/experiments/exp.go": `package experiments
 
@@ -74,8 +78,7 @@ func TestInjectedViolationsFail(t *testing.T) {
 	}
 	out := stdout.String()
 	for _, want := range []string{
-		"nodeterminism: call to time.Now",
-		"math/rand.Float64 draws from a shared nondeterministic stream",
+		"lockblock: s.mu.Lock is held across this channel send",
 		"errtaxonomy: fmt.Errorf without %w",
 	} {
 		if !strings.Contains(out, want) {
@@ -85,7 +88,7 @@ func TestInjectedViolationsFail(t *testing.T) {
 	// Diagnostics must name the analyzer (the invariant) so CI failures
 	// are self-explanatory.
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		if !strings.Contains(line, "nodeterminism:") && !strings.Contains(line, "errtaxonomy:") {
+		if !strings.Contains(line, "lockblock:") && !strings.Contains(line, "errtaxonomy:") {
 			t.Errorf("diagnostic line does not name its analyzer: %q", line)
 		}
 	}
@@ -95,12 +98,12 @@ func TestAllowDirectiveSuppresses(t *testing.T) {
 	bin := buildVet(t)
 	dir := writeModule(t, map[string]string{
 		"go.mod": "module fake\n\ngo 1.22\n",
-		"internal/sim/sim.go": `package sim
+		"internal/experiments/exp.go": `package experiments
 
-import "time"
+import "fmt"
 
-func Stamp() int64 {
-	return time.Now().UnixNano() //contender:allow nodeterminism -- injected: stamp feeds a log line only
+func Leaf(n int) error {
+	return fmt.Errorf("no samples at MPL %d", n) //contender:allow errtaxonomy -- injected: the caller classifies it
 }
 `,
 	})
@@ -114,12 +117,12 @@ func TestMissingReasonIsNotSuppressible(t *testing.T) {
 	bin := buildVet(t)
 	dir := writeModule(t, map[string]string{
 		"go.mod": "module fake\n\ngo 1.22\n",
-		"internal/sim/sim.go": `package sim
+		"internal/experiments/exp.go": `package experiments
 
-import "time"
+import "fmt"
 
-func Stamp() int64 {
-	return time.Now().UnixNano() //contender:allow nodeterminism
+func Leaf(n int) error {
+	return fmt.Errorf("no samples at MPL %d", n) //contender:allow errtaxonomy
 }
 `,
 	})
@@ -135,7 +138,7 @@ func Stamp() int64 {
 	if !strings.Contains(out, "directive: //contender:allow directive requires a reason") {
 		t.Errorf("missing malformed-directive diagnostic; got:\n%s", out)
 	}
-	if !strings.Contains(out, "nodeterminism: call to time.Now") {
+	if !strings.Contains(out, "errtaxonomy: fmt.Errorf without %w") {
 		t.Errorf("reasonless directive must not suppress the underlying diagnostic; got:\n%s", out)
 	}
 }
@@ -150,7 +153,7 @@ func TestGoVetVettool(t *testing.T) {
 	if err == nil {
 		t.Fatalf("want go vet failure on injected violations, got success:\n%s", out)
 	}
-	for _, want := range []string{"time.Now", "fmt.Errorf without %w"} {
+	for _, want := range []string{"held across this channel send", "fmt.Errorf without %w"} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("go vet output missing %q; got:\n%s", want, out)
 		}
@@ -206,7 +209,7 @@ func TestOnlyRejectsUnknownNames(t *testing.T) {
 	bin := buildVet(t)
 	dir := writeModule(t, injectedModule)
 
-	for _, only := range []string{"wirecompat,nosuchcheck", "nodeterminsm", "errtaxonomy,"} {
+	for _, only := range []string{"wirecompat,nosuchcheck", "lockblok", "errtaxonomy,"} {
 		var stderr bytes.Buffer
 		cmd := exec.Command(bin, "-C", dir, "-only", only, "./...")
 		cmd.Stderr = &stderr
@@ -231,7 +234,7 @@ func TestOnlyRejectsUnknownNames(t *testing.T) {
 		t.Fatalf("-only errtaxonomy,wirecompat: want exit 2, got err=%v\n%s", err, &stdout)
 	}
 	out := stdout.String()
-	if !strings.Contains(out, "errtaxonomy:") || strings.Contains(out, "nodeterminism:") {
+	if !strings.Contains(out, "errtaxonomy:") || strings.Contains(out, "lockblock:") {
 		t.Errorf("-only errtaxonomy,wirecompat ran the wrong analyzers; got:\n%s", out)
 	}
 }

@@ -86,9 +86,6 @@ func PathMatches(pkgPath, name string) bool {
 // comma-separated; everything after " -- " is the mandatory reason.
 var directiveRe = regexp.MustCompile(`^//contender:allow\s+([A-Za-z0-9_,]+)\s*(?:--\s*(.*))?$`)
 
-// HotpathMarker is the comment marker hotpathalloc keys on.
-const HotpathMarker = "//contender:hotpath"
-
 // directive is one parsed //contender:allow comment.
 type directive struct {
 	pos       token.Pos

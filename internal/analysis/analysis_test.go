@@ -13,31 +13,31 @@ const directiveSrc = `package p
 import "time"
 
 func SameLine() {
-	_ = time.Now() //contender:allow nodeterminism -- wall clock feeds a log line only
+	_ = time.Now() //contender:allow lockblock -- golden test: the hold is by design
 }
 
 func LineAbove() {
-	//contender:allow nodeterminism -- wall clock feeds a log line only
+	//contender:allow lockblock -- golden test: the hold is by design
 	_ = time.Now()
 }
 
-//contender:allow nodeterminism -- whole function is diagnostics-only
+//contender:allow lockblock -- golden test: the whole function holds by design
 func FuncScoped() {
 	_ = time.Now()
 	_ = time.Now()
 }
 
-//contender:allow nodeterminism,hotpathalloc -- both invariants waived here
+//contender:allow lockblock,goroleak -- both invariants waived here
 func MultiAnalyzer() {
 	_ = time.Now()
 }
 
 func MissingReason() {
-	_ = time.Now() //contender:allow nodeterminism
+	_ = time.Now() //contender:allow lockblock
 }
 
 func EmptyReason() {
-	_ = time.Now() //contender:allow nodeterminism --
+	_ = time.Now() //contender:allow lockblock --
 }
 
 func Unrelated() {
@@ -80,16 +80,16 @@ func TestDirectiveScopes(t *testing.T) {
 		line     int
 		want     bool
 	}{
-		{"SameLine", "nodeterminism", lines["SameLine"], true},
-		{"LineAbove", "nodeterminism", lines["LineAbove"], true},
-		{"FuncScoped first stmt", "nodeterminism", lines["FuncScoped"], true},
-		{"FuncScoped last stmt", "nodeterminism", lines["FuncScoped/last"], true},
-		{"MultiAnalyzer nodeterminism", "nodeterminism", lines["MultiAnalyzer"], true},
-		{"MultiAnalyzer hotpathalloc", "hotpathalloc", lines["MultiAnalyzer"], true},
+		{"SameLine", "lockblock", lines["SameLine"], true},
+		{"LineAbove", "lockblock", lines["LineAbove"], true},
+		{"FuncScoped first stmt", "lockblock", lines["FuncScoped"], true},
+		{"FuncScoped last stmt", "lockblock", lines["FuncScoped/last"], true},
+		{"MultiAnalyzer lockblock", "lockblock", lines["MultiAnalyzer"], true},
+		{"MultiAnalyzer goroleak", "goroleak", lines["MultiAnalyzer"], true},
 		{"MultiAnalyzer other analyzer", "obsemit", lines["MultiAnalyzer"], false},
-		{"Unrelated", "nodeterminism", lines["Unrelated"], false},
-		{"SameLine wrong analyzer", "hotpathalloc", lines["SameLine"], false},
-		{"Malformed does not suppress", "nodeterminism", lines["MissingReason"], false},
+		{"Unrelated", "lockblock", lines["Unrelated"], false},
+		{"SameLine wrong analyzer", "goroleak", lines["SameLine"], false},
+		{"Malformed does not suppress", "lockblock", lines["MissingReason"], false},
 	}
 	for _, c := range cases {
 		if got := ds.allows(c.analyzer, "p.go", c.line); got != c.want {

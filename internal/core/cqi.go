@@ -13,8 +13,6 @@ import "fmt"
 // intensitySlot is r_c (Eq. 4) on the flat index: ioSecs is the
 // precomputed IsolatedLatency·IOFraction product. Negative estimates
 // (I/O entirely covered by shared scans) are truncated to zero.
-//
-//contender:hotpath
 func (idx *cqiIndex) intensitySlot(ci int, omega, tau float64) float64 {
 	h := &idx.hot[ci]
 	if h.iso <= 0 {
@@ -37,8 +35,6 @@ func (idx *cqiIndex) intensitySlot(ci int, omega, tau float64) float64 {
 // empty mix has CQI 0. A non-nil terms (len(concurrent) entries) records
 // each neighbor's r_c (Eq. 4) in summation order, for PredictExplain's
 // decomposition and the operator model's per-neighbor loads.
-//
-//contender:hotpath
 func (idx *cqiIndex) cqiSlot(row *primaryRow, concurrent []int, terms []float64) (float64, error) {
 	if len(concurrent) == 0 {
 		return 0, nil
@@ -73,8 +69,6 @@ func (idx *cqiIndex) cqiSlot(row *primaryRow, concurrent []int, terms []float64)
 // non-primary sharing term τ_c (Eq. 3) is mix-dependent and computed per
 // call, still without allocating. An empty mix has CQI 0; an unknown ID
 // returns an error wrapping ErrUnknownTemplate.
-//
-//contender:hotpath
 func (k *Knowledge) CQI(primary int, concurrent []int) (float64, error) {
 	idx := k.idx
 	pi := idx.posOf(primary)
@@ -96,8 +90,6 @@ func (k *Knowledge) CQIForStats(primary TemplateStats, concurrent []int) (float6
 
 // BaselineIO is the first Table 2 ablation: the mean isolated I/O fraction
 // of the concurrent queries, ignoring all interactions.
-//
-//contender:hotpath
 func (k *Knowledge) BaselineIO(concurrent []int) (float64, error) {
 	if len(concurrent) == 0 {
 		return 0, nil
@@ -116,8 +108,6 @@ func (k *Knowledge) BaselineIO(concurrent []int) (float64, error) {
 
 // PositiveIO is the second Table 2 ablation: baseline I/O minus the shared
 // scans with the primary (ω) but ignoring sharing among non-primaries (τ).
-//
-//contender:hotpath
 func (k *Knowledge) PositiveIO(primary int, concurrent []int) (float64, error) {
 	idx := k.idx
 	pi := idx.posOf(primary)

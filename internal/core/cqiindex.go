@@ -180,8 +180,6 @@ type primaryRow struct {
 }
 
 // row returns the known primary in slot pi's row as views into the slabs.
-//
-//contender:hotpath
 func (idx *cqiIndex) row(pi int) primaryRow {
 	n, w := idx.n, idx.maskW
 	return primaryRow{idx.omega[pi*n : pi*n+n], idx.term0[pi*n : pi*n+n], idx.masks[pi*w : pi*w+w]}
@@ -220,23 +218,17 @@ func (idx *cqiIndex) fillRow(row *primaryRow, scans map[string]bool) {
 }
 
 // reads reports whether the primary truly scans the interned table tid.
-//
-//contender:hotpath
 func (row *primaryRow) reads(tid int) bool {
 	return row.mask[tid>>6]&(1<<(uint(tid)&63)) != 0
 }
 
 // scanBit reports whether the template in the given slot truly scans the
 // interned table tid.
-//
-//contender:hotpath
 func (idx *cqiIndex) scanBit(slot, tid int) bool {
 	return idx.masks[slot*idx.maskW+tid>>6]&(1<<(uint(tid)&63)) != 0
 }
 
 // posOf resolves a template ID to its slot, or -1 when unknown.
-//
-//contender:hotpath
 func (idx *cqiIndex) posOf(id int) int {
 	if idx.posByID != nil {
 		if uint(id) < uint(len(idx.posByID)) {
@@ -281,8 +273,6 @@ var shareGain = func() (g [maxSharers + 1]float64) {
 // shareOf resolves every concurrent ID and, in the same walk, fills sh
 // with the mix's slots and sharer counts against the primary's row. It
 // returns the position of the first unknown ID, or -1 when all resolve.
-//
-//contender:hotpath
 func (idx *cqiIndex) shareOf(sh *mixShare, row *primaryRow, concurrent []int) int {
 	exact := idx.maskW == 1 && len(concurrent) <= maxSharers
 	var c0, c1, c2 uint64
@@ -312,8 +302,6 @@ func (idx *cqiIndex) shareOf(sh *mixShare, row *primaryRow, concurrent []int) in
 // so in scan-list order, and reads h_f from the counters. The scans it
 // skips either are read by the primary or have h_f ≤ 1, and tauSlot
 // adds nothing for those, so the sum is bit-identical.
-//
-//contender:hotpath
 func (idx *cqiIndex) tauShared(ci int, sh *mixShare) float64 {
 	var tau float64
 	for m := idx.listFold[ci] & sh.cand; m != 0; m &= m - 1 {
@@ -328,8 +316,6 @@ func (idx *cqiIndex) tauShared(ci int, sh *mixShare) float64 {
 // the primary's row: scan savings on tables the primary does not
 // read, shared by h_f > 1 concurrent queries (each sharer saves
 // (1 − 1/h_f)·s_f).
-//
-//contender:hotpath
 func (idx *cqiIndex) tauSlot(row *primaryRow, ci int, concurrent []int) float64 {
 	h := &idx.hot[ci]
 	var tau float64

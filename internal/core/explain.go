@@ -85,8 +85,6 @@ func (b *ExplainBuffer) prepare(m int) {
 // the decomposition records the terms of the same summation rather than
 // recomputing anything. The error cases and messages are exactly
 // PredictKnown's; on error buf holds zero values and empty slices.
-//
-//contender:hotpath
 func (p *Predictor) PredictExplain(buf *ExplainBuffer, primary int, concurrent []int) (float64, error) {
 	if buf == nil {
 		return 0, fmt.Errorf("core: PredictExplain needs a non-nil buffer")
@@ -94,7 +92,7 @@ func (p *Predictor) PredictExplain(buf *ExplainBuffer, primary int, concurrent [
 	if p.observer == nil {
 		return p.predictExplain(buf, primary, concurrent)
 	}
-	start := obs.Mono() //contender:allow nodeterminism -- span duration feeds observability only, never a canonical artifact
+	start := obs.Mono()
 	v, err := p.predictExplain(buf, primary, concurrent)
 	obs.Emit(p.observer, obs.Event{
 		Kind:     obs.SpanEnd,
@@ -102,13 +100,12 @@ func (p *Predictor) PredictExplain(buf *ExplainBuffer, primary int, concurrent [
 		Template: primary,
 		MPL:      len(concurrent) + 1,
 		Value:    v,
-		Dur:      obs.Mono() - start, //contender:allow nodeterminism -- span duration feeds observability only, never a canonical artifact
+		Dur:      obs.Mono() - start,
 		Err:      obs.ErrLabel(err),
 	})
 	return v, err
 }
 
-//contender:hotpath
 func (p *Predictor) predictExplain(buf *ExplainBuffer, primary int, concurrent []int) (float64, error) {
 	buf.prepare(len(concurrent))
 	cell, r, err := p.price(primary, concurrent, buf.Intensity)

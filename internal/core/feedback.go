@@ -53,8 +53,6 @@ type FeedbackResult struct {
 // emits a quality.feedback point and every drift transition a
 // quality.drift point. With neither installed the call only computes
 // the error. The warm path performs no heap allocations.
-//
-//contender:hotpath
 func (p *Predictor) Feedback(primary int, concurrent []int, observed float64) (FeedbackResult, error) {
 	if observed <= 0 || math.IsNaN(observed) || math.IsInf(observed, 0) {
 		return FeedbackResult{}, fmt.Errorf("core: %w: observed latency %g", ErrBadObservation, observed)

@@ -33,26 +33,23 @@ func (b *PredictBuffer) Results() []float64 { return b.out }
 // A batch emits a single serve.predict_batch span (Value = number of
 // mixes) rather than one serve.predict_known span per mix, so observer
 // overhead stays O(1) per scheduling decision.
-//
-//contender:hotpath
 func (p *Predictor) PredictBatch(buf *PredictBuffer, primary int, mixes [][]int) ([]float64, error) {
 	if p.observer == nil {
 		return p.predictBatch(buf, primary, mixes)
 	}
-	start := obs.Mono() //contender:allow nodeterminism -- span duration feeds observability only, never a canonical artifact
+	start := obs.Mono()
 	out, err := p.predictBatch(buf, primary, mixes)
 	obs.Emit(p.observer, obs.Event{
 		Kind:     obs.SpanEnd,
 		Span:     obs.SpanServePredictBatch,
 		Template: primary,
 		Value:    float64(len(mixes)),
-		Dur:      obs.Mono() - start, //contender:allow nodeterminism -- span duration feeds observability only, never a canonical artifact
+		Dur:      obs.Mono() - start,
 		Err:      obs.ErrLabel(err),
 	})
 	return out, err
 }
 
-//contender:hotpath
 func (p *Predictor) predictBatch(buf *PredictBuffer, primary int, mixes [][]int) ([]float64, error) {
 	if buf == nil {
 		return nil, fmt.Errorf("core: PredictBatch needs a non-nil buffer")

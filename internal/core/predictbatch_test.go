@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -195,10 +196,12 @@ func TestPredictBatchErrors(t *testing.T) {
 
 // The serving hot path must not allocate: a scheduler probing thousands of
 // candidate mixes per decision would otherwise spend its time in GC.
-// Every entry point runs on three mixes, one per cqiSlot branch.
+// Every entry point runs on four mixes: one per cqiSlot branch, and one
+// with more neighbours than maxSharers, which prices τ per scan instead
+// of from the bit-sliced sharer counters.
 func TestServingPathDoesNotAllocate(t *testing.T) {
-	k, obs := predictorFixture(t)
-	p, err := Train(k, obs, TrainOptions{})
+	k, obs := wideFixture(t)
+	trained, err := Train(k, obs, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,104 +217,144 @@ func TestServingPathDoesNotAllocate(t *testing.T) {
 		{"single", 3, []int{1}, [][]int{{1}, {5}, {2}}},
 		// 2 and 3 share only G, which primary 2 reads: term0 again.
 		{"read-by-primary", 2, []int{2, 3}, [][]int{{1}, {2}, {1, 3}}},
+		// Eight neighbours (MPL 9): the inexact τ path, tauSlot.
+		{"wide", 1, []int{2, 3, 2, 3, 2, 3, 2, 3}, [][]int{{2, 3, 2, 3, 2, 3, 2, 3}, {5, 5, 2, 3, 2, 3, 2, 3}, {2}}},
 	}
-	var buf PredictBuffer
-	p = p.WithHooks(nil, obspkg.NewQuality(obspkg.DriftConfig{}))
-	sharded, err := NewSharded(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := sharded.Acquire()
-	var ebuf ExplainBuffer
-	for _, s := range shapes { // warm every buffer and template tracker
-		if _, err := p.PredictBatch(&buf, s.primary, s.mixes); err != nil {
+	// Every entry point runs bare and with the Metrics observer that
+	// contender-serve attaches: the emission branches are served code.
+	quality := obspkg.NewQuality(obspkg.DriftConfig{})
+	for _, o := range []struct {
+		name     string
+		observer obspkg.Observer
+	}{{"", nil}, {" (observed)", obspkg.NewMetrics()}} {
+		var buf PredictBuffer
+		p := trained.WithHooks(o.observer, quality)
+		sharded, err := NewSharded(p)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Feedback(s.primary, s.mix, 1.5); err != nil {
-			t.Fatal(err)
+		sh := sharded.Acquire()
+		var ebuf ExplainBuffer
+		for _, s := range shapes { // warm every buffer and template tracker
+			if _, err := p.PredictBatch(&buf, s.primary, s.mixes); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Feedback(s.primary, s.mix, 1.5); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sh.BatchPredict(s.primary, s.mixes); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sh.Observe(s.primary, s.mix, 1.5); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.PredictExplain(&ebuf, s.primary, s.mix); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sh.Explain(s.primary, s.mix); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if _, err := sh.BatchPredict(s.primary, s.mixes); err != nil {
-			t.Fatal(err)
+
+		cases := []struct {
+			name string
+			fn   func(primary int, mix []int, mixes [][]int)
+		}{
+			{"CQI", func(primary int, mix []int, _ [][]int) { k.CQI(primary, mix) }},
+			{"PositiveIO", func(primary int, mix []int, _ [][]int) { k.PositiveIO(primary, mix) }},
+			{"BaselineIO", func(_ int, mix []int, _ [][]int) { k.BaselineIO(mix) }},
+			{"PredictKnown", func(primary int, mix []int, _ [][]int) {
+				if _, err := p.PredictKnown(primary, mix); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"PredictBatch", func(primary int, _ []int, mixes [][]int) {
+				if _, err := p.PredictBatch(&buf, primary, mixes); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"PredictExplain", func(primary int, mix []int, _ [][]int) {
+				if _, err := p.PredictExplain(&ebuf, primary, mix); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"Feedback", func(primary int, mix []int, _ [][]int) {
+				if _, err := p.Feedback(primary, mix, 1.5); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"Predict", func(primary int, mix []int, _ [][]int) {
+				if _, err := sh.Predict(primary, mix); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"BatchPredict", func(primary int, _ []int, mixes [][]int) {
+				if _, err := sh.BatchPredict(primary, mixes); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"Observe", func(primary int, mix []int, _ [][]int) {
+				// The ring eventually fills without a drain; the drop path
+				// must be allocation-free too, so no drain here on purpose.
+				if _, err := sh.Observe(primary, mix, 1.5); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"Explain", func(primary int, mix []int, _ [][]int) {
+				if _, err := sh.Explain(primary, mix); err != nil {
+					t.Fatal(err)
+				}
+			}},
 		}
-		if _, err := sh.Observe(s.primary, s.mix, 1.5); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.PredictExplain(&ebuf, s.primary, s.mix); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sh.Explain(s.primary, s.mix); err != nil {
-			t.Fatal(err)
+		for _, s := range shapes {
+			for _, tc := range cases {
+				fn := func() { tc.fn(s.primary, s.mix, s.mixes) }
+				if n := mallocs(100, fn); n != 0 {
+					t.Errorf("%s on %s mix%s: %d allocations over 100 calls, want 0", tc.name, s.name, o.name, n)
+				}
+			}
 		}
 	}
 
-	cases := []struct {
-		name string
-		fn   func(primary int, mix []int, mixes [][]int)
-	}{
-		{"CQI", func(primary int, mix []int, _ [][]int) { k.CQI(primary, mix) }},
-		{"PositiveIO", func(primary int, mix []int, _ [][]int) { k.PositiveIO(primary, mix) }},
-		{"BaselineIO", func(_ int, mix []int, _ [][]int) { k.BaselineIO(mix) }},
-		{"PredictKnown", func(primary int, mix []int, _ [][]int) {
-			if _, err := p.PredictKnown(primary, mix); err != nil {
+	// Kernel branches the trained fixture does not reach. Each mix shares
+	// G, which primary 1 does not read, so its τ is priced per call: a
+	// neighbour whose savings exceed its I/O (intensitySlot truncates r
+	// to 0), one with no isolated latency (r is 0 outright), and an ID
+	// too far out for the dense slot table (posOf's map).
+	edge := testKnowledge(
+		TemplateStats{ID: 5, IsolatedLatency: 100, IOFraction: 0.6, Scans: map[string]bool{"F": true, "G": true}},
+		TemplateStats{ID: 6, IOFraction: 0.5, Scans: map[string]bool{"G": true}},
+		TemplateStats{ID: 1 << 20, IsolatedLatency: 50, IOFraction: 0.7, Scans: map[string]bool{"G": true}},
+	)
+	for _, mix := range [][]int{{5, 2}, {6, 2}, {1 << 20, 2, 3}} {
+		for _, fn := range []func() (float64, error){
+			func() (float64, error) { return edge.CQI(1, mix) },
+			func() (float64, error) { return edge.PositiveIO(1, mix) },
+			func() (float64, error) { return edge.BaselineIO(mix) },
+		} {
+			if _, err := fn(); err != nil {
 				t.Fatal(err)
 			}
-		}},
-		{"PredictBatch", func(primary int, _ []int, mixes [][]int) {
-			if _, err := p.PredictBatch(&buf, primary, mixes); err != nil {
-				t.Fatal(err)
+			if n := mallocs(100, func() { fn() }); n != 0 {
+				t.Errorf("kernel on edge mix %v: %d allocations over 100 calls, want 0", mix, n)
 			}
-		}},
-		{"PredictExplain", func(primary int, mix []int, _ [][]int) {
-			if _, err := p.PredictExplain(&ebuf, primary, mix); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"Feedback", func(primary int, mix []int, _ [][]int) {
-			if _, err := p.Feedback(primary, mix, 1.5); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"Predict", func(primary int, mix []int, _ [][]int) {
-			if _, err := sh.Predict(primary, mix); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"BatchPredict", func(primary int, _ []int, mixes [][]int) {
-			if _, err := sh.BatchPredict(primary, mixes); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"Observe", func(primary int, mix []int, _ [][]int) {
-			// The ring eventually fills without a drain; the drop path
-			// must be allocation-free too, so no drain here on purpose.
-			if _, err := sh.Observe(primary, mix, 1.5); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"Explain", func(primary int, mix []int, _ [][]int) {
-			if _, err := sh.Explain(primary, mix); err != nil {
-				t.Fatal(err)
-			}
-		}},
-	}
-	// Keep the case list in lockstep with servingGuardSet, which the
-	// hotpath marker test (hotpath_test.go) checks against the
-	// //contender:hotpath annotations.
-	if len(cases) != len(servingGuardSet) {
-		t.Fatalf("bench guard covers %d functions, servingGuardSet names %d; keep them in sync", len(cases), len(servingGuardSet))
-	}
-	for _, tc := range cases {
-		if !servingGuardSet[tc.name] {
-			t.Fatalf("bench guard case %q is missing from servingGuardSet; keep them in sync", tc.name)
 		}
 	}
+}
 
-	for _, s := range shapes {
-		for _, tc := range cases {
-			fn := func() { tc.fn(s.primary, s.mix, s.mixes) }
-			if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
-				t.Errorf("%s on %s mix: %g allocs/op, want 0", tc.name, s.name, allocs)
-			}
-		}
+// mallocs counts the heap allocations of runs calls of f after one
+// warm-up call, on one P as testing.AllocsPerRun does. AllocsPerRun
+// reports whole allocations per call, so an allocation made on fewer
+// than every call (a buffer that keeps growing) reads as 0; this count
+// misses none.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
 	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

@@ -158,13 +158,11 @@ func (p *Predictor) MPLs() []int {
 // PredictKnown estimates the latency of a known (sampled) template in a
 // given mix: evaluate the mix's CQI, apply the template's QS model, and
 // scale the continuum point by the measured [l_min, l_max] range.
-//
-//contender:hotpath
 func (p *Predictor) PredictKnown(primary int, concurrent []int) (float64, error) {
 	if p.observer == nil {
 		return p.predictKnown(primary, concurrent)
 	}
-	start := obs.Mono() //contender:allow nodeterminism -- span duration feeds observability only, never a canonical artifact
+	start := obs.Mono()
 	v, err := p.predictKnown(primary, concurrent)
 	obs.Emit(p.observer, obs.Event{
 		Kind:     obs.SpanEnd,
@@ -172,13 +170,12 @@ func (p *Predictor) PredictKnown(primary int, concurrent []int) (float64, error)
 		Template: primary,
 		MPL:      len(concurrent) + 1,
 		Value:    v,
-		Dur:      obs.Mono() - start, //contender:allow nodeterminism -- span duration feeds observability only, never a canonical artifact
+		Dur:      obs.Mono() - start,
 		Err:      obs.ErrLabel(err),
 	})
 	return v, err
 }
 
-//contender:hotpath
 func (p *Predictor) predictKnown(primary int, concurrent []int) (float64, error) {
 	cell, r, err := p.price(primary, concurrent, nil)
 	if err != nil {
@@ -208,8 +205,6 @@ type resolvedPrimary struct {
 }
 
 // resolve is the per-primary step of pricing.
-//
-//contender:hotpath
 func (p *Predictor) resolve(primary int) resolvedPrimary {
 	idx := p.know.idx
 	rp := resolvedPrimary{id: primary, slot: idx.posOf(primary)}
@@ -222,8 +217,6 @@ func (p *Predictor) resolve(primary int) resolvedPrimary {
 // priceMix is the per-mix step of pricing. It returns the cell and the
 // mix's CQI; terms is cqiSlot's optional per-neighbor sink (nil for
 // plain predictions).
-//
-//contender:hotpath
 func (p *Predictor) priceMix(rp *resolvedPrimary, concurrent []int, terms []float64) (*servCell, float64, error) {
 	cell, err := p.cellFor(rp, len(concurrent))
 	if err != nil {
@@ -237,8 +230,6 @@ func (p *Predictor) priceMix(rp *resolvedPrimary, concurrent []int, terms []floa
 }
 
 // price runs both pricing steps for one mix.
-//
-//contender:hotpath
 func (p *Predictor) price(primary int, concurrent []int, terms []float64) (*servCell, float64, error) {
 	rp := p.resolve(primary)
 	return p.priceMix(&rp, concurrent, terms)
@@ -264,7 +255,7 @@ func (p *Predictor) PredictNew(t TemplateStats, concurrent []int, opts NewTempla
 	if p.observer == nil {
 		return p.predictNew(t, concurrent, opts)
 	}
-	start := obs.Mono() //contender:allow nodeterminism -- span duration feeds observability only, never a canonical artifact
+	start := obs.Mono()
 	v, err := p.predictNew(t, concurrent, opts)
 	obs.Emit(p.observer, obs.Event{
 		Kind:     obs.SpanEnd,
@@ -272,7 +263,7 @@ func (p *Predictor) PredictNew(t TemplateStats, concurrent []int, opts NewTempla
 		Template: t.ID,
 		MPL:      len(concurrent) + 1,
 		Value:    v,
-		Dur:      obs.Mono() - start, //contender:allow nodeterminism -- span duration feeds observability only, never a canonical artifact
+		Dur:      obs.Mono() - start,
 		Err:      obs.ErrLabel(err),
 	})
 	return v, err

@@ -15,6 +15,20 @@ import (
 // produce perfect predictions.
 func predictorFixture(t *testing.T) (*Knowledge, []Observation) {
 	t.Helper()
+	return fixture(t, false)
+}
+
+// wideFixture is predictorFixture plus MPL 9: a spoiler latency for every
+// template and, per primary, one observation for each eight-neighbour mix
+// {c, c, 2, 3, 2, 3, 2, 3}. Eight neighbours exceed maxSharers, so these
+// mixes take the kernel's inexact τ path.
+func wideFixture(t *testing.T) (*Knowledge, []Observation) {
+	t.Helper()
+	return fixture(t, true)
+}
+
+func fixture(t *testing.T, wide bool) (*Knowledge, []Observation) {
+	t.Helper()
 	templates := []struct {
 		id    int
 		lmin  float64
@@ -41,6 +55,9 @@ func predictorFixture(t *testing.T) (*Knowledge, []Observation) {
 				3: tpl.lmin * 3.4,
 			},
 		})
+		if wide {
+			stats[len(stats)-1].SpoilerLatency[9] = tpl.lmin * 10.6
+		}
 	}
 	k := NewKnowledge(map[string]float64{"F": 100, "G": 50}, stats)
 
@@ -70,6 +87,15 @@ func predictorFixture(t *testing.T) (*Knowledge, []Observation) {
 				obs = append(obs, Observation{
 					Primary: primary, Concurrent: []int{c1, c2},
 					Latency: cont3.Latency(qsFor(primary).Point(r3)),
+				})
+			}
+			if wide { // MPL 9
+				cont9, _ := k.ContinuumFor(primary, 9)
+				mix := []int{c1, c1, 2, 3, 2, 3, 2, 3}
+				r9 := noErr(t)(k.CQI(primary, mix))
+				obs = append(obs, Observation{
+					Primary: primary, Concurrent: mix,
+					Latency: cont9.Latency(qsFor(primary).Point(r9)),
 				})
 			}
 		}

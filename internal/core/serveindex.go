@@ -36,8 +36,6 @@ type servIndex struct {
 
 // mplIdx maps an MPL to its column in the cell slab, or -1 when no
 // reference models were trained at that MPL.
-//
-//contender:hotpath
 func (s *servIndex) mplIdx(mpl int) int {
 	d := mpl - s.minMPL
 	if uint(d) < uint(len(s.mplSlot)) {
@@ -85,8 +83,6 @@ func (p *Predictor) buildServing() *servIndex {
 // messages mirror the historical predictKnown checks exactly, in the
 // same precedence order: empty mix, untrained MPL, unknown template,
 // missing QS model, missing continuum.
-//
-//contender:hotpath
 func (p *Predictor) cellFor(rp *resolvedPrimary, nconc int) (*servCell, error) {
 	primary := rp.id
 	if nconc == 0 {
@@ -114,8 +110,6 @@ func (p *Predictor) cellFor(rp *resolvedPrimary, nconc int) (*servCell, error) {
 // latency evaluates the full QS → continuum pipeline at CQI r:
 // l_min + (µ·r + b)·(l_max − l_min), associated exactly like
 // Continuum.Latency(QSModel.Point(r)).
-//
-//contender:hotpath
 func (c *servCell) latency(r float64) float64 {
 	return c.cmin + (c.mu*r+c.b)*(c.cmax-c.cmin)
 }

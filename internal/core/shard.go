@@ -69,8 +69,6 @@ type Shard struct {
 func (s *Sharded) Acquire() *Shard { return &Shard{parent: s} }
 
 // Predict serves PredictKnown from the current snapshot.
-//
-//contender:hotpath
 func (h *Shard) Predict(primary int, concurrent []int) (float64, error) {
 	return h.parent.snap.Load().PredictKnown(primary, concurrent)
 }
@@ -79,8 +77,6 @@ func (h *Shard) Predict(primary int, concurrent []int) (float64, error) {
 // handle's own explain buffer. The returned buffer is valid until the
 // handle's next Explain — exactly the lifetime rule of BatchPredict's
 // result slice.
-//
-//contender:hotpath
 func (h *Shard) Explain(primary int, concurrent []int) (*ExplainBuffer, error) {
 	if _, err := h.parent.snap.Load().PredictExplain(&h.ebuf, primary, concurrent); err != nil {
 		return nil, err
@@ -91,16 +87,12 @@ func (h *Shard) Explain(primary int, concurrent []int) (*ExplainBuffer, error) {
 // BatchPredict serves PredictBatch from the current snapshot using the
 // handle's own buffer. The returned slice is valid until the handle's
 // next batch.
-//
-//contender:hotpath
 func (h *Shard) BatchPredict(primary int, mixes [][]int) ([]float64, error) {
 	return h.parent.snap.Load().PredictBatch(&h.buf, primary, mixes)
 }
 
 // Observe is Feedback on the current snapshot, counted for the next
 // DrainFeedback.
-//
-//contender:hotpath
 func (h *Shard) Observe(primary int, concurrent []int, observed float64) (FeedbackResult, error) {
 	res, err := h.parent.snap.Load().Feedback(primary, concurrent, observed)
 	if err == nil {

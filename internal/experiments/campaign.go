@@ -171,10 +171,10 @@ func (c *campaign) run(ctx context.Context) (*Campaign, error) {
 		return c.collect(ctx)
 	}
 	obs.Emit(o, obs.Event{Kind: obs.SpanBegin, Span: obs.SpanTrainCampaign})
-	start := time.Now() //contender:allow nodeterminism -- campaign span duration feeds observability only, never a canonical artifact
+	start := time.Now()
 	out, err := c.collect(ctx)
 	end := obs.Event{Kind: obs.SpanEnd, Span: obs.SpanTrainCampaign, Err: obs.ErrLabel(err),
-		Dur: time.Since(start)} //contender:allow nodeterminism -- campaign span duration feeds observability only, never a canonical artifact
+		Dur: time.Since(start)}
 	if out != nil {
 		end.Value = float64(out.Resilience.TrainedTemplates)
 	}
@@ -429,7 +429,7 @@ func (c *campaign) observe(span string, t task, fn func() (int, error)) (int, er
 		return fn()
 	}
 	obs.Emit(o, obs.Event{Kind: obs.SpanBegin, Span: span, Key: t.key, Template: t.meta.ID})
-	start := time.Now() //contender:allow nodeterminism -- task span duration feeds observability only, never a canonical artifact
+	start := time.Now()
 	attempts, err := fn()
 	obs.Emit(o, obs.Event{
 		Kind:     obs.SpanEnd,
@@ -437,7 +437,7 @@ func (c *campaign) observe(span string, t task, fn func() (int, error)) (int, er
 		Key:      t.key,
 		Template: t.meta.ID,
 		Attempt:  attempts,
-		Dur:      time.Since(start), //contender:allow nodeterminism -- task span duration feeds observability only, never a canonical artifact
+		Dur:      time.Since(start),
 		Err:      obs.ErrLabel(err),
 	})
 	return attempts, err

@@ -92,6 +92,7 @@ type simSystem struct {
 
 func (s *simSystem) Templates() []TemplateMeta {
 	var out []TemplateMeta
+	facts := s.workload.Catalog.FactTables()
 	for _, t := range s.workload.Templates() {
 		meta := TemplateMeta{
 			ID:              t.ID,
@@ -102,7 +103,7 @@ func (s *simSystem) Templates() []TemplateMeta {
 		// Dimension scans are buffer-resident and create no I/O
 		// interactions, so only fact-table scans count.
 		scanned := t.Plan.ScannedTables()
-		for _, f := range s.workload.Catalog.FactTables() {
+		for _, f := range facts {
 			if scanned[f.Name] {
 				meta.FactScans = append(meta.FactScans, f.Name)
 			}

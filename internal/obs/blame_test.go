@@ -167,7 +167,7 @@ func TestBlameObserveDoesNotAllocate(t *testing.T) {
 
 // TestBlameDeterministicReport runs the same stream twice and requires
 // byte-identical reports — the map-backed rankings must sort before
-// emitting (nodeterminism discipline).
+// emitting.
 func TestBlameDeterministicReport(t *testing.T) {
 	stream := func() *Blame {
 		b := NewBlame(BlameConfig{})

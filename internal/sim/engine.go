@@ -191,8 +191,6 @@ func (e *Engine) addRun(spec QuerySpec, stream int) *run {
 // already scanning the same table alongside (with SharedScans off, every
 // scanner). Members of a shared-scan group each advance at the same
 // share as a lone scanner, so the group needs no state beyond that count.
-//
-//contender:hotpath
 func (e *Engine) rates() (progress, swap []float64) {
 	n := len(e.runs)
 	progress, swap = e.progress[:n], e.swap[:n]
