@@ -260,7 +260,7 @@ func BenchmarkEnvBuild(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			opts := quickOpts(1)
-			opts.Observer = obs.NewRecording()
+			opts.Observer = obs.Isolate(obs.NewRecording())
 			if _, err := experiments.NewEnv(opts); err != nil {
 				b.Fatal(err)
 			}
@@ -268,7 +268,7 @@ func BenchmarkEnvBuild(b *testing.B) {
 	})
 	b.Run("workers=1/metrics", func(b *testing.B) {
 		opts := quickOpts(1)
-		opts.Observer = obs.NewMetrics()
+		opts.Observer = obs.Isolate(obs.NewMetrics())
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := experiments.NewEnv(opts); err != nil {

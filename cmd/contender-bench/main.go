@@ -78,7 +78,7 @@ func main() {
 	}
 	if *metricsAddr != "" {
 		m := obs.NewMetrics()
-		opts.Observer = m
+		opts.Observer = obs.Isolate(m)
 		bound, stopMetrics, err := cliutil.ServeMetrics(*metricsAddr, m, nil, nil)
 		if err != nil {
 			fatal(err)
@@ -89,7 +89,7 @@ func main() {
 	var rec *obs.Recording
 	if *traceOut != "" {
 		rec = obs.NewRecording()
-		opts.Observer = obs.Multi(opts.Observer, rec)
+		opts.Observer = obs.Isolate(obs.Multi(opts.Observer, rec))
 	}
 
 	// Ctrl-C cancels the sampling campaign; with -checkpoint the progress

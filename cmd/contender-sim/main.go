@@ -37,10 +37,10 @@ func main() {
 	)
 	flag.Parse()
 
-	var metrics obs.Observer // stays a nil interface unless -metrics-addr is set
+	var metrics obs.Sink // stays empty unless -metrics-addr or -trace-out is set
 	if *maddr != "" {
 		m := obs.NewMetrics()
-		metrics = m
+		metrics = obs.Isolate(m)
 		bound, stopMetrics, err := cliutil.ServeMetrics(*maddr, m, nil, nil)
 		if err != nil {
 			fatal(err)
@@ -50,7 +50,7 @@ func main() {
 	}
 	if *traceOut != "" {
 		rec := obs.NewRecording()
-		metrics = obs.Multi(metrics, rec) // bridged sim spans land in both
+		metrics = obs.Isolate(obs.Multi(metrics, rec)) // bridged sim spans land in both
 		defer func() {
 			if err := cliutil.WriteTraceFile(*traceOut, rec); err != nil {
 				fmt.Fprintln(os.Stderr, "contender-sim:", err)
@@ -109,7 +109,7 @@ type templateRow struct {
 // profileAll measures every template on its own engine, seeded from
 // (seed, "template/<id>") exactly like the training-data collector, so the
 // printed numbers are identical at every worker count.
-func profileAll(w *tpcds.Workload, cfg sim.Config, seed int64, spoilerMPL, workers int, o obs.Observer) {
+func profileAll(w *tpcds.Workload, cfg sim.Config, seed int64, spoilerMPL, workers int, o obs.Sink) {
 	templates := w.Templates()
 	rows := make([]templateRow, len(templates))
 	if workers <= 0 {
@@ -133,7 +133,7 @@ func profileAll(w *tpcds.Workload, cfg sim.Config, seed int64, spoilerMPL, worke
 				row.tpl = templates[idx]
 				row.spec = w.MustSpec(row.tpl.ID)
 				eng := sim.NewEngine(cfg.WithSeed(sim.DeriveSeed(seed, fmt.Sprintf("template/%d", row.tpl.ID))))
-				if o != nil {
+				if o.On() {
 					// One bridge per engine: the bridge keys its open-span
 					// table by stream ID, so engines must not share one.
 					eng.SetTracer(obs.NewSimTracer(o))
@@ -176,14 +176,14 @@ func profileAll(w *tpcds.Workload, cfg sim.Config, seed int64, spoilerMPL, worke
 	}
 }
 
-func runMix(w *tpcds.Workload, engine *sim.Engine, ids []int, trace bool, o obs.Observer) {
+func runMix(w *tpcds.Workload, engine *sim.Engine, ids []int, trace bool, o obs.Sink) {
 	var rec *sim.RecordingTracer
 	var tracers fanoutTracer
 	if trace {
 		rec = &sim.RecordingTracer{}
 		tracers = append(tracers, rec)
 	}
-	if o != nil {
+	if o.On() {
 		tracers = append(tracers, obs.NewSimTracer(o))
 	}
 	if len(tracers) > 0 {

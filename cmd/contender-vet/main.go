@@ -6,7 +6,6 @@
 //
 // The suite enforces the invariants the reproduction rests on:
 //
-//	obsemit        Observer.Event goes through the panic-isolating obs.Emit
 //	errtaxonomy    transient/permanent/corrupt error classification
 //	ctxplumb       exported ctx-accepting functions plumb ctx through
 //	lockblock      no mutex held across a blocking call or observer emission
@@ -37,14 +36,12 @@ import (
 	"contender/internal/analysis/errtaxonomy"
 	"contender/internal/analysis/goroleak"
 	"contender/internal/analysis/lockblock"
-	"contender/internal/analysis/obsemit"
 	"contender/internal/analysis/wirecompat"
 )
 
 // Suite is the full analyzer set, in diagnostic-priority order.
 func suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		obsemit.Analyzer,
 		errtaxonomy.Analyzer,
 		ctxplumb.Analyzer,
 		lockblock.Analyzer,

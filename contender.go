@@ -298,14 +298,14 @@ func (w *Workbench) Train() (*Predictor, error) {
 // observations inside a train.fit span, and hands the predictor the
 // observer and quality aggregator it serves with. Workbench.Train and
 // TrainFromSystem share it.
-func fit(know *core.Knowledge, observations []core.Observation, o Observer, q *Quality) (*core.Predictor, error) {
+func fit(know *core.Knowledge, observations []core.Observation, o obs.Sink, q *Quality) (*core.Predictor, error) {
 	var start time.Time
-	if o != nil {
+	if o.On() {
 		start = time.Now()
 	}
 	p, err := core.Train(know, observations, core.TrainOptions{DropOutliers: true})
-	if o != nil {
-		obs.Emit(o, Event{
+	if o.On() {
+		o.Event(Event{
 			Kind:  obs.SpanEnd,
 			Span:  obs.SpanTrainFit,
 			Value: float64(len(observations)),

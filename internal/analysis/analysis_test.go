@@ -86,7 +86,7 @@ func TestDirectiveScopes(t *testing.T) {
 		{"FuncScoped last stmt", "lockblock", lines["FuncScoped/last"], true},
 		{"MultiAnalyzer lockblock", "lockblock", lines["MultiAnalyzer"], true},
 		{"MultiAnalyzer goroleak", "goroleak", lines["MultiAnalyzer"], true},
-		{"MultiAnalyzer other analyzer", "obsemit", lines["MultiAnalyzer"], false},
+		{"MultiAnalyzer other analyzer", "errtaxonomy", lines["MultiAnalyzer"], false},
 		{"Unrelated", "lockblock", lines["Unrelated"], false},
 		{"SameLine wrong analyzer", "goroleak", lines["SameLine"], false},
 		{"Malformed does not suppress", "lockblock", lines["MissingReason"], false},

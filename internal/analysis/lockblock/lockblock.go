@@ -7,7 +7,8 @@
 //
 // Blocking constructs: channel send/receive, select without a default
 // clause, range over a channel, sync.WaitGroup.Wait, sync.Cond.Wait,
-// time.Sleep, Observer.Event / obs.Emit emissions, and any call whose
+// time.Sleep, observer emissions (the Event method of any internal/obs
+// type: Observer, Sink, or a concrete observer), and any call whose
 // callee accepts a context.Context (blocking by convention — it was
 // given a cancellation handle for a reason).
 //
@@ -228,12 +229,9 @@ func blockingCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 			return "sync." + recvTypeName(fn) + ".Wait", true
 		case pkg.Path() == "time" && fn.Name() == "Sleep":
 			return "time.Sleep", true
-		case fn.Name() == "Emit" && analysis.PathMatches(pkg.Path(), "internal/obs"):
-			return "observer emission (obs.Emit)", true
+		case fn.Name() == "Event" && recvTypeName(fn) != "" && analysis.PathMatches(pkg.Path(), "internal/obs"):
+			return "observer emission (" + recvTypeName(fn) + ".Event)", true
 		}
-	}
-	if fn.Name() == "Event" && recvTypeName(fn) == "Observer" {
-		return "observer emission (Observer.Event)", true
 	}
 	if sig, ok := fn.Type().(*types.Signature); ok {
 		for i := 0; i < sig.Params().Len(); i++ {

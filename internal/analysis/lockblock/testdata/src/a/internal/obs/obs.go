@@ -1,6 +1,6 @@
 // Package obs is a minimal mock of the real observability surface for
 // the lockblock golden tests: an Observer interface plus the
-// panic-isolating Emit shim.
+// panic-isolating Sink that instrumented code holds.
 package obs
 
 type Event struct {
@@ -11,8 +11,10 @@ type Observer interface {
 	Event(e Event)
 }
 
-func Emit(o Observer, e Event) {
-	if o != nil {
-		o.Event(e)
+type Sink struct{ o Observer }
+
+func (s Sink) Event(e Event) {
+	if s.o != nil {
+		s.o.Event(e)
 	}
 }

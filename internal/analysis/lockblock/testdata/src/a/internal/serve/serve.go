@@ -14,6 +14,7 @@ type server struct {
 	wg      sync.WaitGroup
 	ch      chan int
 	o       obs.Observer
+	sink    obs.Sink
 	n       int
 }
 
@@ -77,9 +78,9 @@ func (s *server) badSleep() {
 	s.mu.Unlock()
 }
 
-func (s *server) badEmit() {
+func (s *server) badSink() {
 	s.mu.Lock()
-	obs.Emit(s.o, obs.Event{Name: "x"}) // want `s\.mu\.Lock is held across this observer emission \(obs\.Emit\)`
+	s.sink.Event(obs.Event{Name: "x"}) // want `s\.mu\.Lock is held across this observer emission \(Sink\.Event\)`
 	s.mu.Unlock()
 }
 
@@ -104,7 +105,7 @@ func (s *server) waived(ctx context.Context) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_ = collect(ctx)
-	obs.Emit(s.o, obs.Event{Name: "retrain"})
+	s.sink.Event(obs.Event{Name: "retrain"})
 }
 
 // Clean: the closure body is its own schedule, not this lock region.

@@ -89,12 +89,12 @@ func (p *Predictor) PredictExplain(buf *ExplainBuffer, primary int, concurrent [
 	if buf == nil {
 		return 0, fmt.Errorf("core: PredictExplain needs a non-nil buffer")
 	}
-	if p.observer == nil {
+	if !p.observer.On() {
 		return p.predictExplain(buf, primary, concurrent)
 	}
 	start := obs.Mono()
 	v, err := p.predictExplain(buf, primary, concurrent)
-	obs.Emit(p.observer, obs.Event{
+	p.observer.Event(obs.Event{
 		Kind:     obs.SpanEnd,
 		Span:     obs.SpanServePredictExplain,
 		Template: primary,

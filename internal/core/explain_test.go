@@ -116,7 +116,7 @@ func TestPredictExplainObserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obspkg.NewRecording()
-	p = p.WithHooks(rec, nil)
+	p = p.WithHooks(obspkg.Isolate(rec), nil)
 	var buf ExplainBuffer
 	v, err := p.PredictExplain(&buf, 2, []int{1, 3})
 	if err != nil {

@@ -69,8 +69,8 @@ func (p *Predictor) Feedback(primary int, concurrent []int, observed float64) (F
 	if p.quality != nil {
 		d := p.quality.Observe(primary, signed)
 		res.State, res.Previous, res.Transitioned = d.State, d.Previous, d.Transitioned
-		if p.observer != nil && d.Transitioned {
-			obs.Emit(p.observer, obs.Event{
+		if p.observer.On() && d.Transitioned {
+			p.observer.Event(obs.Event{
 				Kind:     obs.Point,
 				Span:     obs.PointQualityDrift,
 				Key:      obs.TransitionLabel(d.Previous, d.State),
@@ -80,8 +80,8 @@ func (p *Predictor) Feedback(primary int, concurrent []int, observed float64) (F
 			})
 		}
 	}
-	if p.observer != nil {
-		obs.Emit(p.observer, obs.Event{
+	if p.observer.On() {
+		p.observer.Event(obs.Event{
 			Kind:     obs.Point,
 			Span:     obs.PointQualityFeedback,
 			Template: primary,

@@ -34,12 +34,12 @@ func (b *PredictBuffer) Results() []float64 { return b.out }
 // mixes) rather than one serve.predict_known span per mix, so observer
 // overhead stays O(1) per scheduling decision.
 func (p *Predictor) PredictBatch(buf *PredictBuffer, primary int, mixes [][]int) ([]float64, error) {
-	if p.observer == nil {
+	if !p.observer.On() {
 		return p.predictBatch(buf, primary, mixes)
 	}
 	start := obs.Mono()
 	out, err := p.predictBatch(buf, primary, mixes)
-	obs.Emit(p.observer, obs.Event{
+	p.observer.Event(obs.Event{
 		Kind:     obs.SpanEnd,
 		Span:     obs.SpanServePredictBatch,
 		Template: primary,

@@ -3,10 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
+	"contender/internal/allocs"
 	obspkg "contender/internal/obs"
 )
 
@@ -223,10 +223,11 @@ func TestServingPathDoesNotAllocate(t *testing.T) {
 	// Every entry point runs bare and with the Metrics observer that
 	// contender-serve attaches: the emission branches are served code.
 	quality := obspkg.NewQuality(obspkg.DriftConfig{})
-	for _, o := range []struct {
+	observers := []struct {
 		name     string
-		observer obspkg.Observer
-	}{{"", nil}, {" (observed)", obspkg.NewMetrics()}} {
+		observer obspkg.Sink
+	}{{"", obspkg.Sink{}}, {" (observed)", obspkg.Isolate(obspkg.NewMetrics())}}
+	for _, o := range observers {
 		var buf PredictBuffer
 		p := trained.WithHooks(o.observer, quality)
 		sharded, err := NewSharded(p)
@@ -309,10 +310,57 @@ func TestServingPathDoesNotAllocate(t *testing.T) {
 		for _, s := range shapes {
 			for _, tc := range cases {
 				fn := func() { tc.fn(s.primary, s.mix, s.mixes) }
-				if n := mallocs(100, fn); n != 0 {
+				if n := allocs.Count(100, fn); n != 0 {
 					t.Errorf("%s on %s mix%s: %d allocations over 100 calls, want 0", tc.name, s.name, o.name, n)
 				}
 			}
+		}
+	}
+
+	// Feedback whose samples move a template through its drift states:
+	// healthy, then a shifted world (degraded, then stale), then healthy
+	// again. The quality.drift emission runs only on those transitions.
+	// The sequence runs twice, each time on a fresh aggregator, and the
+	// second run is counted: the first drift point a Metrics sees
+	// resolves its series once, as the warm-up above does for the others.
+	var factors []float64
+	for _, phase := range []struct {
+		n      int
+		factor float64
+	}{{10, 1}, {40, 1.8}, {60, 1}} {
+		for i := 0; i < phase.n; i++ {
+			factors = append(factors, phase.factor)
+		}
+	}
+	for _, o := range observers {
+		var n uint64
+		var transitions int
+		for pass := 0; pass < 2; pass++ {
+			q := obspkg.NewQuality(obspkg.DriftConfig{MinSamples: 4, Delta: 0.05, Lambda: 1, StaleMRE: 0.3, RecoverMRE: 0.1, Window: 4})
+			p := trained.WithHooks(o.observer, q)
+			mix := []int{2, 3}
+			predicted, err := p.PredictKnown(1, mix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			call := 0
+			transitions = 0
+			n = allocs.Count(len(factors)-1, func() {
+				res, err := p.Feedback(1, mix, predicted*factors[call])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Transitioned {
+					transitions++
+				}
+				call++
+			})
+		}
+		if transitions < 3 {
+			t.Errorf("Feedback across drift%s: %d state transitions, want at least 3", o.name, transitions)
+		}
+		if n != 0 {
+			t.Errorf("Feedback across drift%s: %d allocations over %d calls, want 0", o.name, n, len(factors)-1)
 		}
 	}
 
@@ -335,26 +383,9 @@ func TestServingPathDoesNotAllocate(t *testing.T) {
 			if _, err := fn(); err != nil {
 				t.Fatal(err)
 			}
-			if n := mallocs(100, func() { fn() }); n != 0 {
+			if n := allocs.Count(100, func() { fn() }); n != 0 {
 				t.Errorf("kernel on edge mix %v: %d allocations over 100 calls, want 0", mix, n)
 			}
 		}
 	}
-}
-
-// mallocs counts the heap allocations of runs calls of f after one
-// warm-up call, on one P as testing.AllocsPerRun does. AllocsPerRun
-// reports whole allocations per call, so an allocation made on fewer
-// than every call (a buffer that keeps growing) reads as 0; this count
-// misses none.
-func mallocs(runs int, f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
 }

@@ -22,10 +22,10 @@ type Predictor struct {
 	// serv is the flat (template × MPL) serving index (serveindex.go).
 	serv *servIndex
 
-	// observer, when non-nil, receives a serve.* span for every
-	// prediction. The nil check happens before any clock read, so an
+	// observer, when on, receives a serve.* span for every
+	// prediction. The check happens before any clock read, so an
 	// uninstrumented predictor keeps its allocation-free hot path.
-	observer obs.Observer
+	observer obs.Sink
 
 	// quality, when non-nil, aggregates Feedback samples into
 	// per-template accuracy statistics and drift states. Only Feedback
@@ -45,10 +45,11 @@ func newPredictor(know *Knowledge, models map[int]map[int]QSModel) *Predictor {
 }
 
 // WithHooks returns a copy of the predictor that reports serve.* spans
-// to o and folds Feedback into q; nil removes either. The models and
+// to o and folds Feedback into q; an empty Sink or a nil q removes
+// either. The models and
 // indexes are shared, and the receiver is left as it was, so a published
 // predictor keeps serving with its own hooks.
-func (p *Predictor) WithHooks(o obs.Observer, q *obs.Quality) *Predictor {
+func (p *Predictor) WithHooks(o obs.Sink, q *obs.Quality) *Predictor {
 	cp := *p
 	cp.observer, cp.quality = o, q
 	return &cp
@@ -57,8 +58,8 @@ func (p *Predictor) WithHooks(o obs.Observer, q *obs.Quality) *Predictor {
 // Knowledge returns the knowledge base the predictor was trained on.
 func (p *Predictor) Knowledge() *Knowledge { return p.know }
 
-// Observer returns the installed serving observer (nil when none).
-func (p *Predictor) Observer() obs.Observer { return p.observer }
+// Observer returns the installed serving observer (empty when none).
+func (p *Predictor) Observer() obs.Sink { return p.observer }
 
 // TrainOptions tunes reference-model training.
 type TrainOptions struct {
@@ -159,12 +160,12 @@ func (p *Predictor) MPLs() []int {
 // given mix: evaluate the mix's CQI, apply the template's QS model, and
 // scale the continuum point by the measured [l_min, l_max] range.
 func (p *Predictor) PredictKnown(primary int, concurrent []int) (float64, error) {
-	if p.observer == nil {
+	if !p.observer.On() {
 		return p.predictKnown(primary, concurrent)
 	}
 	start := obs.Mono()
 	v, err := p.predictKnown(primary, concurrent)
-	obs.Emit(p.observer, obs.Event{
+	p.observer.Event(obs.Event{
 		Kind:     obs.SpanEnd,
 		Span:     obs.SpanServePredictKnown,
 		Template: primary,
@@ -252,12 +253,12 @@ type NewTemplateOptions struct {
 // opts.QS is set, and its spoiler latency is measured (t.SpoilerLatency)
 // unless opts.Spoiler is set.
 func (p *Predictor) PredictNew(t TemplateStats, concurrent []int, opts NewTemplateOptions) (float64, error) {
-	if p.observer == nil {
+	if !p.observer.On() {
 		return p.predictNew(t, concurrent, opts)
 	}
 	start := obs.Mono()
 	v, err := p.predictNew(t, concurrent, opts)
-	obs.Emit(p.observer, obs.Event{
+	p.observer.Event(obs.Event{
 		Kind:     obs.SpanEnd,
 		Span:     obs.SpanServePredictNew,
 		Template: t.ID,

@@ -129,7 +129,7 @@ func TestShardedDrainMatchesFeedback(t *testing.T) {
 	direct := trainedFixture(t)
 	qd := obspkg.NewQuality(obspkg.DriftConfig{})
 	rd := obspkg.NewRecording()
-	direct = direct.WithHooks(rd, qd)
+	direct = direct.WithHooks(obspkg.Isolate(rd), qd)
 	for _, sm := range samples {
 		if _, err := direct.Feedback(sm.tmpl, sm.mix, sm.observed); err != nil {
 			t.Fatal(err)
@@ -139,7 +139,7 @@ func TestShardedDrainMatchesFeedback(t *testing.T) {
 	sharded := trainedFixture(t)
 	qs := obspkg.NewQuality(obspkg.DriftConfig{})
 	rs := obspkg.NewRecording()
-	sharded = sharded.WithHooks(rs, qs)
+	sharded = sharded.WithHooks(obspkg.Isolate(rs), qs)
 	s, err := NewSharded(sharded)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestShardedDrainMatchesFeedback(t *testing.T) {
 // aggregator and Observe counts nothing for DrainFeedback.
 func TestSubnormalObservationRefused(t *testing.T) {
 	q := obspkg.NewQuality(obspkg.DriftConfig{})
-	p := trainedFixture(t).WithHooks(nil, q)
+	p := trainedFixture(t).WithHooks(obspkg.Sink{}, q)
 	s, err := NewSharded(p)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestSubnormalObservationRefused(t *testing.T) {
 // unsynchronized access.
 func TestShardObserveConcurrent(t *testing.T) {
 	q := obspkg.NewQuality(obspkg.DriftConfig{})
-	p := trainedFixture(t).WithHooks(nil, q)
+	p := trainedFixture(t).WithHooks(obspkg.Sink{}, q)
 	s, err := NewSharded(p)
 	if err != nil {
 		t.Fatal(err)
@@ -263,8 +263,8 @@ func TestShardObserveConcurrent(t *testing.T) {
 // aggregator whichever snapshot folded it.
 func TestShardedConcurrentSwapFeedbackQuality(t *testing.T) {
 	q := obspkg.NewQuality(obspkg.DriftConfig{})
-	p1 := trainedFixture(t).WithHooks(nil, q)
-	p2 := trainedFixture(t).WithHooks(nil, q)
+	p1 := trainedFixture(t).WithHooks(obspkg.Sink{}, q)
+	p2 := trainedFixture(t).WithHooks(obspkg.Sink{}, q)
 	const workers, rounds = 4, 300
 	s, err := NewSharded(p1)
 	if err != nil {

@@ -167,10 +167,10 @@ func CollectFrom(ctx context.Context, sys System, opts Options) (*Campaign, erro
 // templates all survived, and merge.
 func (c *campaign) run(ctx context.Context) (*Campaign, error) {
 	o := c.opts.Observer
-	if o == nil {
+	if !o.On() {
 		return c.collect(ctx)
 	}
-	obs.Emit(o, obs.Event{Kind: obs.SpanBegin, Span: obs.SpanTrainCampaign})
+	o.Event(obs.Event{Kind: obs.SpanBegin, Span: obs.SpanTrainCampaign})
 	start := time.Now()
 	out, err := c.collect(ctx)
 	end := obs.Event{Kind: obs.SpanEnd, Span: obs.SpanTrainCampaign, Err: obs.ErrLabel(err),
@@ -178,7 +178,7 @@ func (c *campaign) run(ctx context.Context) (*Campaign, error) {
 	if out != nil {
 		end.Value = float64(out.Resilience.TrainedTemplates)
 	}
-	obs.Emit(o, end)
+	o.Event(end)
 	return out, err
 }
 
@@ -256,9 +256,6 @@ func touches(mix lhs.Mix, ids map[int]bool) bool {
 	}
 	return false
 }
-
-// emit forwards an event to the configured observer (no-op without one).
-func (c *campaign) emit(ev obs.Event) { obs.Emit(c.opts.Observer, ev) }
 
 // poolLabel tags collection goroutines in CPU/goroutine profiles, so a
 // pprof of a busy process attributes sampling work to the campaign pool
@@ -360,7 +357,7 @@ func (c *campaign) runTask(ctx context.Context, i int) error {
 			return err
 		}
 		c.status[i], c.reasons[i] = quarantined, err.Error()
-		c.emit(obs.Event{Kind: obs.Point, Span: obs.PointTrainQuarantine, Key: t.key, Err: obs.ErrLabel(err)})
+		c.opts.Observer.Event(obs.Event{Kind: obs.Point, Span: obs.PointTrainQuarantine, Key: t.key, Err: obs.ErrLabel(err)})
 		return c.resolve(t, func(s *checkpointState) {
 			s.Failed = append(s.Failed, TaskFailure{Key: t.key, Reason: err.Error()})
 		})
@@ -376,7 +373,7 @@ func (c *campaign) resolve(t task, record func(*checkpointState)) error {
 		if err := c.ckpt.record(record); err != nil {
 			return fmt.Errorf("%w: %w", errTaskCheckpoint, err)
 		}
-		c.emit(obs.Event{Kind: obs.Point, Span: obs.PointTrainCheckpoint, Key: t.key})
+		c.opts.Observer.Event(obs.Event{Kind: obs.Point, Span: obs.PointTrainCheckpoint, Key: t.key})
 	}
 	if c.opts.onTaskDone != nil {
 		c.opts.onTaskDone(t.key)
@@ -425,13 +422,13 @@ var taskSpan = [...]string{
 // precedes the clock read, so unobserved campaigns pay nothing.
 func (c *campaign) observe(span string, t task, fn func() (int, error)) (int, error) {
 	o := c.opts.Observer
-	if o == nil {
+	if !o.On() {
 		return fn()
 	}
-	obs.Emit(o, obs.Event{Kind: obs.SpanBegin, Span: span, Key: t.key, Template: t.meta.ID})
+	o.Event(obs.Event{Kind: obs.SpanBegin, Span: span, Key: t.key, Template: t.meta.ID})
 	start := time.Now()
 	attempts, err := fn()
-	obs.Emit(o, obs.Event{
+	o.Event(obs.Event{
 		Kind:     obs.SpanEnd,
 		Span:     span,
 		Key:      t.key,
@@ -591,7 +588,7 @@ func (c *campaign) replay() error {
 		}
 		c.status[i] = quarantined
 		c.report.Quarantined = append(c.report.Quarantined, f)
-		c.emit(obs.Event{Kind: obs.Point, Span: obs.PointTrainQuarantine, Key: f.Key, Err: f.Reason})
+		c.opts.Observer.Event(obs.Event{Kind: obs.Point, Span: obs.PointTrainQuarantine, Key: f.Key, Err: f.Reason})
 	}
 	// Plan order, with keys the plan does not know first, so the refusal
 	// names the same key on every run.
@@ -618,7 +615,7 @@ func (c *campaign) replay() error {
 		}
 		c.entries[i], c.status[i] = e, measured
 		c.report.Resumed++
-		c.emit(obs.Event{Kind: obs.Point, Span: obs.PointTrainResume, Key: key})
+		c.opts.Observer.Event(obs.Event{Kind: obs.Point, Span: obs.PointTrainResume, Key: key})
 	}
 	return nil
 }
@@ -823,8 +820,8 @@ func (c *Campaign) AllObservations() []core.Observation { return c.obs }
 // observedRetry chains a train.retry emission onto the policy's OnRetry
 // hook, copying the policy so the caller's value is never mutated. The
 // retry schedule itself (delays, jitter, attempt budget) is unchanged.
-func observedRetry(p *resilience.RetryPolicy, o obs.Observer) *resilience.RetryPolicy {
-	if p == nil || o == nil {
+func observedRetry(p *resilience.RetryPolicy, o obs.Sink) *resilience.RetryPolicy {
+	if p == nil || !o.On() {
 		return p
 	}
 	rp := *p
@@ -833,7 +830,7 @@ func observedRetry(p *resilience.RetryPolicy, o obs.Observer) *resilience.RetryP
 		if prev != nil {
 			prev(site, retry, delay, err)
 		}
-		obs.Emit(o, obs.Event{
+		o.Event(obs.Event{
 			Kind:    obs.Point,
 			Span:    obs.PointTrainRetry,
 			Key:     site,

@@ -75,7 +75,7 @@ type Options struct {
 	// the emit site. With Workers == 1 the event order itself is
 	// deterministic; wider pools emit a deterministic event multiset in
 	// scheduling order.
-	Observer obs.Observer
+	Observer obs.Sink
 	// onTaskDone, when set (in-package tests only), fires after every task
 	// resolves — completed or quarantined. It may be called concurrently
 	// from pool workers.

@@ -17,7 +17,7 @@ import (
 func recordedEnv(t *testing.T, opts Options) (*Env, *obs.Recording) {
 	t.Helper()
 	rec := obs.NewRecording()
-	opts.Observer = rec
+	opts.Observer = obs.Isolate(rec)
 	env, err := NewEnvWith(chaosWorkload(), opts)
 	if err != nil {
 		t.Fatal(err)

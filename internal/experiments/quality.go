@@ -67,7 +67,7 @@ func ExtQuality(e *Env) (*Result, error) {
 		return nil, err
 	}
 	quality := obs.NewQuality(qualityDriftConfig())
-	p = p.WithHooks(nil, quality)
+	p = p.WithHooks(obs.Sink{}, quality)
 
 	// Trained templates: those with a reference QS model at the lowest
 	// sampled MPL (sorted, so victim selection is order-independent).

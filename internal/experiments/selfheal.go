@@ -44,7 +44,7 @@ func ExtSelfheal(e *Env) (*Result, error) {
 		return nil, err
 	}
 	quality := obs.NewQuality(qualityDriftConfig())
-	p1 = p1.WithHooks(nil, quality)
+	p1 = p1.WithHooks(obs.Sink{}, quality)
 
 	mpls := e.sortedMPLs()
 	refs, ok := p1.References(mpls[0])
@@ -145,7 +145,7 @@ func ExtSelfheal(e *Env) (*Result, error) {
 			return out
 		},
 		Store:    st,
-		Observer: rec,
+		Observer: obs.Isolate(rec),
 	})
 	if err != nil {
 		return nil, err

@@ -90,7 +90,7 @@ type Config struct {
 	// version before the hot-swap.
 	Store *store.Store
 	// Observer receives lifecycle.* events.
-	Observer obs.Observer
+	Observer obs.Sink
 	// Retry wraps the re-collection attempt in bounded backoff
 	// (resilience.Default() semantics when nil: no retries here — the
 	// campaign machinery below the Collector usually retries already).
@@ -194,7 +194,7 @@ func New(s *core.Sharded, cfg Config) (*Manager, error) {
 				return nil, err
 			}
 			m.currentSeq.Set(float64(v.Seq))
-			obs.Emit(cfg.Observer, obs.Event{Kind: obs.Point, Span: obs.PointStorePublish, Key: v.Fingerprint, Value: float64(v.Seq)})
+			cfg.Observer.Event(obs.Event{Kind: obs.Point, Span: obs.PointStorePublish, Key: v.Fingerprint, Value: float64(v.Seq)})
 		} else if v, ok := cfg.Store.Current(); ok {
 			m.currentSeq.Set(float64(v.Seq))
 		}
@@ -240,7 +240,7 @@ func (m *Manager) Step(ctx context.Context) (StepReport, error) {
 		return rep, ctx.Err()
 	}
 	for _, id := range rep.Stale {
-		obs.Emit(m.cfg.Observer, obs.Event{Kind: obs.Point, Span: obs.PointLifecycleStale, Template: id})
+		m.cfg.Observer.Event(obs.Event{Kind: obs.Point, Span: obs.PointLifecycleStale, Template: id})
 	}
 	return m.retrainLocked(ctx, rep)
 }
@@ -265,7 +265,7 @@ func (m *Manager) ForceRetrain(ctx context.Context, templates []int) (StepReport
 func (m *Manager) retrainLocked(ctx context.Context, rep StepReport) (StepReport, error) {
 	m.retrains.Inc()
 	m.cooldown = m.cfg.Cooldown
-	obs.Emit(m.cfg.Observer, obs.Event{Kind: obs.SpanBegin, Span: obs.SpanLifecycleRetrain, Value: float64(len(rep.Stale))})
+	m.cfg.Observer.Event(obs.Event{Kind: obs.SpanBegin, Span: obs.SpanLifecycleRetrain, Value: float64(len(rep.Stale))})
 
 	var candidate *core.Predictor
 	collect := func() error {
@@ -297,7 +297,7 @@ func (m *Manager) retrainLocked(ctx context.Context, rep StepReport) (StepReport
 		if err == nil {
 			rep.NewMRE, err = holdoutMRE(candidate, samples)
 		}
-		obs.Emit(m.cfg.Observer, obs.Event{Kind: obs.SpanEnd, Span: obs.SpanLifecycleCanary, Value: rep.NewMRE, Err: errString(err)})
+		m.cfg.Observer.Event(obs.Event{Kind: obs.SpanEnd, Span: obs.SpanLifecycleCanary, Value: rep.NewMRE, Err: errString(err)})
 		if err != nil {
 			return m.failLocked(rep, err), ctx.Err()
 		}
@@ -306,8 +306,8 @@ func (m *Manager) retrainLocked(ctx context.Context, rep StepReport) (StepReport
 			m.rollbacks.Inc()
 			m.degraded.Set(1)
 			rep.Action = ActionRolledBack
-			obs.Emit(m.cfg.Observer, obs.Event{Kind: obs.Point, Span: obs.PointLifecycleRollback, Value: rep.NewMRE})
-			obs.Emit(m.cfg.Observer, obs.Event{Kind: obs.SpanEnd, Span: obs.SpanLifecycleRetrain, Err: "canary regression"})
+			m.cfg.Observer.Event(obs.Event{Kind: obs.Point, Span: obs.PointLifecycleRollback, Value: rep.NewMRE})
+			m.cfg.Observer.Event(obs.Event{Kind: obs.SpanEnd, Span: obs.SpanLifecycleRetrain, Err: "canary regression"})
 			return rep, ctx.Err()
 		}
 	}
@@ -317,7 +317,7 @@ func (m *Manager) retrainLocked(ctx context.Context, rep StepReport) (StepReport
 	// its own) the old observer, so post-swap feedback keeps flowing
 	// into the same telemetry.
 	o := candidate.Observer()
-	if o == nil {
+	if !o.On() {
 		o = old.Observer()
 	}
 	candidate = candidate.WithHooks(o, m.cfg.Quality)
@@ -332,7 +332,7 @@ func (m *Manager) retrainLocked(ctx context.Context, rep StepReport) (StepReport
 		} else {
 			rep.Version = v
 			m.currentSeq.Set(float64(v.Seq))
-			obs.Emit(m.cfg.Observer, obs.Event{Kind: obs.Point, Span: obs.PointStorePublish, Key: v.Fingerprint, Value: float64(v.Seq)})
+			m.cfg.Observer.Event(obs.Event{Kind: obs.Point, Span: obs.PointStorePublish, Key: v.Fingerprint, Value: float64(v.Seq)})
 		}
 	}
 	if _, err := m.sharded.Swap(candidate); err != nil {
@@ -347,8 +347,8 @@ func (m *Manager) retrainLocked(ctx context.Context, rep StepReport) (StepReport
 		m.degraded.Set(0)
 	}
 	rep.Action = ActionPromoted
-	obs.Emit(m.cfg.Observer, obs.Event{Kind: obs.Point, Span: obs.PointLifecyclePromote, Value: rep.NewMRE})
-	obs.Emit(m.cfg.Observer, obs.Event{Kind: obs.SpanEnd, Span: obs.SpanLifecycleRetrain})
+	m.cfg.Observer.Event(obs.Event{Kind: obs.Point, Span: obs.PointLifecyclePromote, Value: rep.NewMRE})
+	m.cfg.Observer.Event(obs.Event{Kind: obs.SpanEnd, Span: obs.SpanLifecycleRetrain})
 	return rep, ctx.Err()
 }
 
@@ -359,8 +359,8 @@ func (m *Manager) failLocked(rep StepReport, err error) StepReport {
 	m.degraded.Set(1)
 	rep.Action = ActionFailed
 	rep.Err = err.Error()
-	obs.Emit(m.cfg.Observer, obs.Event{Kind: obs.Point, Span: obs.PointLifecycleDegraded, Err: rep.Err})
-	obs.Emit(m.cfg.Observer, obs.Event{Kind: obs.SpanEnd, Span: obs.SpanLifecycleRetrain, Err: rep.Err})
+	m.cfg.Observer.Event(obs.Event{Kind: obs.Point, Span: obs.PointLifecycleDegraded, Err: rep.Err})
+	m.cfg.Observer.Event(obs.Event{Kind: obs.SpanEnd, Span: obs.SpanLifecycleRetrain, Err: rep.Err})
 	return rep
 }
 

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"contender/internal/core"
 	"contender/internal/obs"
+	"contender/internal/resilience"
 	"contender/internal/store"
 )
 
@@ -82,7 +84,7 @@ func qcfg() obs.DriftConfig {
 
 func TestStepPromotesOnImprovedCanary(t *testing.T) {
 	q := obs.NewQuality(qcfg())
-	old := makePredictor(t, 1.0).WithHooks(nil, q)
+	old := makePredictor(t, 1.0).WithHooks(obs.Sink{}, q)
 	better := makePredictor(t, 1.8)
 	sh, err := core.NewSharded(old)
 	if err != nil {
@@ -98,7 +100,7 @@ func TestStepPromotesOnImprovedCanary(t *testing.T) {
 		Collector: CollectorFunc(func(context.Context, []int) (*core.Predictor, error) { return better, nil }),
 		Holdout:   holdoutFor(t, better), // the drifted world matches `better`
 		Store:     st,
-		Observer:  rec,
+		Observer:  obs.Isolate(rec),
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -161,7 +163,7 @@ func TestStepPromotesOnImprovedCanary(t *testing.T) {
 // neighbor keep their history.
 func TestPromotionResetsBlame(t *testing.T) {
 	q := obs.NewQuality(qcfg())
-	old := makePredictor(t, 1.0).WithHooks(nil, q)
+	old := makePredictor(t, 1.0).WithHooks(obs.Sink{}, q)
 	better := makePredictor(t, 1.8)
 	b := obs.NewBlame(obs.BlameConfig{})
 	b.Observe(2, []int{22}, []float64{3.5})  // primary 2: reset on its promotion
@@ -199,7 +201,7 @@ func TestPromotionResetsBlame(t *testing.T) {
 
 func TestStepRollsBackOnCanaryRegression(t *testing.T) {
 	q := obs.NewQuality(qcfg())
-	old := makePredictor(t, 1.0).WithHooks(nil, q)
+	old := makePredictor(t, 1.0).WithHooks(obs.Sink{}, q)
 	worse := makePredictor(t, 5.0)
 	sh, _ := core.NewSharded(old)
 	rec := obs.NewRecording()
@@ -207,7 +209,7 @@ func TestStepRollsBackOnCanaryRegression(t *testing.T) {
 		Quality:   q,
 		Collector: CollectorFunc(func(context.Context, []int) (*core.Predictor, error) { return worse, nil }),
 		Holdout:   holdoutFor(t, old), // the world still matches `old`
-		Observer:  rec,
+		Observer:  obs.Isolate(rec),
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -243,7 +245,7 @@ func TestStepRollsBackOnCanaryRegression(t *testing.T) {
 
 func TestRetrainFailureDegradesGracefully(t *testing.T) {
 	q := obs.NewQuality(qcfg())
-	old := makePredictor(t, 1.0).WithHooks(nil, q)
+	old := makePredictor(t, 1.0).WithHooks(obs.Sink{}, q)
 	sh, _ := core.NewSharded(old)
 	boom := errors.New("substrate unreachable")
 	m, err := New(sh, Config{
@@ -296,8 +298,8 @@ func TestForceRetrainNeedsTemplates(t *testing.T) {
 // (promotion resets the victim's tracker, not the counter).
 func TestHotSwapUnderFire(t *testing.T) {
 	q := obs.NewQuality(qcfg())
-	pa := makePredictor(t, 1.0).WithHooks(nil, q)
-	pb := makePredictor(t, 1.8).WithHooks(nil, q)
+	pa := makePredictor(t, 1.0).WithHooks(obs.Sink{}, q)
+	pb := makePredictor(t, 1.8).WithHooks(obs.Sink{}, q)
 	sh, err := core.NewSharded(pa)
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
@@ -372,5 +374,54 @@ func TestHotSwapUnderFire(t *testing.T) {
 	// distinct versions plus re-publications.
 	if st.Len() < 2 {
 		t.Fatalf("store history = %d, want >= 2", st.Len())
+	}
+}
+
+// TestRunTicksUntilCancelled drives the -autoretrain loop: Run steps the
+// manager on every tick, returns ctx.Err() promptly once its context is
+// cancelled, and refuses a non-positive interval as a config error. A
+// Run that held m.mu across Step would deadlock on its first tick and
+// never count a step.
+func TestRunTicksUntilCancelled(t *testing.T) {
+	q := obs.NewQuality(qcfg())
+	sh, err := core.NewSharded(makePredictor(t, 1.0).WithHooks(obs.Sink{}, q))
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	m, err := New(sh, Config{
+		Quality:   q,
+		Collector: CollectorFunc(func(context.Context, []int) (*core.Predictor, error) { return nil, errors.New("unused") }),
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for _, interval := range []time.Duration{0, -time.Millisecond} {
+		if err := m.Run(context.Background(), interval); !errors.Is(err, resilience.ErrPermanent) {
+			t.Fatalf("Run(%v) = %v, want a permanent config error", interval, err)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- m.Run(ctx, time.Millisecond) }()
+	deadline := time.After(5 * time.Second)
+	for m.steps.Value() < 2 {
+		select {
+		case <-deadline:
+			t.Fatalf("Run stepped %d times in 5s, want at least 2", m.steps.Value())
+		case err := <-done:
+			t.Fatalf("Run returned %v before it was cancelled", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run after cancel = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return within 5s of its context being cancelled")
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"contender/internal/allocs"
 )
 
 func TestBlameObserveAndReport(t *testing.T) {
@@ -158,10 +160,10 @@ func TestBlameObserveDoesNotAllocate(t *testing.T) {
 	neighbors := []int{2, 3}
 	seconds := []float64{1.5, 0.5}
 	b.Observe(1, neighbors, seconds) // warm the trackers
-	if allocs := testing.AllocsPerRun(100, func() {
+	if n := allocs.Count(100, func() {
 		b.Observe(1, neighbors, seconds)
-	}); allocs != 0 {
-		t.Errorf("Observe: %g allocs/op, want 0", allocs)
+	}); n != 0 {
+		t.Errorf("Observe: %d allocations over 100 calls, want 0", n)
 	}
 }
 

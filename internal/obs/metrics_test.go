@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"contender/internal/allocs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/metrics-fold.prom from the current fold")
@@ -77,7 +79,7 @@ func renderFold(t *testing.T) string {
 	var sb strings.Builder
 	for i, stage := range foldStream() {
 		for _, ev := range stage {
-			Emit(m, ev)
+			m.Event(ev)
 		}
 		fmt.Fprintf(&sb, "# --- after stage %d\n", i+1)
 		if err := m.WritePrometheus(&sb); err != nil {
@@ -225,8 +227,8 @@ func TestMetricsEventWarmAllocFree(t *testing.T) {
 			}
 		}
 		fold() // cold: resolves the series
-		if avg := testing.AllocsPerRun(200, fold); avg != 0 {
-			t.Errorf("warm %s allocates %.1f allocs/op, want 0", tc.name, avg)
+		if n := allocs.Count(200, fold); n != 0 {
+			t.Errorf("warm %s: %d allocations over 200 folds, want 0", tc.name, n)
 		}
 	}
 }

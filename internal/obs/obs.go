@@ -7,9 +7,10 @@
 // The design is pull-based and dependency-free: instrumented code emits
 // small value-type Events to a single Observer interface, and concrete
 // observers (Metrics, Recording, SlowLog, or any user implementation)
-// interpret them. A nil Observer is always legal and is checked before
-// any clock read or allocation, so uninstrumented hot paths — notably
-// Predictor.PredictKnown — stay at 0 allocs/op.
+// interpret them. Instrumented code holds its observer as a Sink, which
+// isolates the observer's panics; an empty Sink is always legal and is
+// checked before any clock read or allocation, so uninstrumented hot
+// paths — notably Predictor.PredictKnown — stay at 0 allocs/op.
 package obs
 
 import (
@@ -164,26 +165,44 @@ var epoch = time.Now()
 // clock as well. Mono values are meaningful only as differences.
 func Mono() time.Duration { return time.Since(epoch) }
 
-// Emit delivers ev to o, tolerating both a nil observer and a panicking
-// one. All instrumented code funnels through Emit (or performs the same
-// nil check first), which is what makes a user-supplied Observer unable
-// to corrupt training or serving results: a panic inside Event() is
-// swallowed here, at the instrumentation boundary.
-func Emit(o Observer, ev Event) {
-	if o == nil {
+// Sink is how instrumented code holds an observer: every emission goes
+// through Event, which tolerates both a missing observer and a
+// panicking one. Code below the library boundary stores and passes a
+// Sink, never a bare Observer, so a user-supplied Observer cannot
+// corrupt training or serving results: a panic inside its Event is
+// swallowed here, at the instrumentation boundary. The zero Sink drops
+// everything.
+type Sink struct{ o Observer }
+
+// Isolate wraps o in a Sink. A Sink passed in is returned as it is, so
+// isolation never nests: each emission runs one deferred recover.
+func Isolate(o Observer) Sink {
+	if s, ok := o.(Sink); ok {
+		return s
+	}
+	return Sink{o}
+}
+
+// On reports whether an observer is installed. Instrumented code checks
+// it before any clock read, so an unobserved path pays nothing.
+func (s Sink) On() bool { return s.o != nil }
+
+// Event delivers ev to the observer, if any, and swallows its panic.
+func (s Sink) Event(ev Event) {
+	if s.o == nil {
 		return
 	}
 	defer func() { _ = recover() }()
-	o.Event(ev)
+	s.o.Event(ev)
 }
 
 // multi fans events out to several observers, isolating each from the
 // others' panics.
-type multi []Observer
+type multi []Sink
 
 func (m multi) Event(ev Event) {
-	for _, o := range m {
-		Emit(o, ev)
+	for _, s := range m {
+		s.Event(ev)
 	}
 }
 
@@ -193,29 +212,32 @@ func (m multi) Event(ev Event) {
 func Multi(observers ...Observer) Observer {
 	kept := make(multi, 0, len(observers))
 	for _, o := range observers {
-		if o != nil {
-			kept = append(kept, o)
+		if s := Isolate(o); s.On() {
+			kept = append(kept, s)
 		}
 	}
 	switch len(kept) {
 	case 0:
 		return nil
 	case 1:
-		return kept[0]
+		return kept[0].o
 	}
 	return kept
 }
 
-// FindMetrics returns the first *Metrics reachable from o (directly or
-// inside a Multi), or nil. The facade uses it to answer
-// MetricsSnapshot() regardless of how the user composed observers.
+// FindMetrics returns the first *Metrics reachable from o (directly,
+// inside a Sink or inside a Multi), or nil. The facade uses it to
+// answer MetricsSnapshot() regardless of how the user composed
+// observers.
 func FindMetrics(o Observer) *Metrics {
 	switch v := o.(type) {
 	case *Metrics:
 		return v
+	case Sink:
+		return FindMetrics(v.o)
 	case multi:
 		for _, sub := range v {
-			if m := FindMetrics(sub); m != nil {
+			if m := FindMetrics(sub.o); m != nil {
 				return m
 			}
 		}

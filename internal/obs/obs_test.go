@@ -20,18 +20,39 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestEmitNilAndPanicIsolation(t *testing.T) {
-	Emit(nil, Event{Span: SpanTrainMix}) // must not panic
+func TestSinkNilAndPanicIsolation(t *testing.T) {
+	Sink{}.Event(Event{Span: SpanTrainMix}) // must not panic
+	Isolate(nil).Event(Event{Span: SpanTrainMix})
+	if Isolate(nil).On() {
+		t.Fatal("a Sink over no observer reports On")
+	}
 
 	p := panicObserver{}
-	Emit(p, Event{Span: SpanTrainMix}) // panic swallowed at the boundary
+	Isolate(p).Event(Event{Span: SpanTrainMix}) // panic swallowed at the boundary
 
 	// Inside a Multi, a panicking observer must not starve its siblings.
 	rec := NewRecording()
 	m := Multi(p, rec)
-	Emit(m, Event{Kind: Point, Span: PointTrainRetry})
+	Isolate(m).Event(Event{Kind: Point, Span: PointTrainRetry})
 	if rec.Len() != 1 {
 		t.Fatalf("sibling observer got %d events, want 1", rec.Len())
+	}
+}
+
+// TestIsolateDoesNotNest: isolating a Sink returns that Sink, so a
+// value that crosses several layers keeps one recover per emission,
+// and Multi drops a Sink over nothing as it drops nil.
+func TestIsolateDoesNotNest(t *testing.T) {
+	rec := NewRecording()
+	s := Isolate(rec)
+	if Isolate(s) != s || Isolate(Observer(s)) != s {
+		t.Fatal("Isolate of a Sink wrapped it again")
+	}
+	if Multi(Sink{}, nil) != nil {
+		t.Fatal("Multi kept a Sink over no observer")
+	}
+	if got := Multi(Sink{}, s); got != Observer(rec) {
+		t.Fatal("single-observer Multi of a Sink must return the observer inside it")
 	}
 }
 
@@ -59,6 +80,9 @@ func TestFindMetrics(t *testing.T) {
 	}
 	if FindMetrics(Multi(NewRecording(), m)) != m {
 		t.Fatal("Metrics inside a Multi not found")
+	}
+	if FindMetrics(Isolate(m)) != m || FindMetrics(Isolate(Multi(NewRecording(), m))) != m {
+		t.Fatal("Metrics inside a Sink not found")
 	}
 	if FindMetrics(NewRecording()) != nil {
 		t.Fatal("Recording is not Metrics")
@@ -387,7 +411,7 @@ func TestSlowLogThreshold(t *testing.T) {
 
 func TestSimTracerBridge(t *testing.T) {
 	rec := NewRecording()
-	br := NewSimTracer(rec)
+	br := NewSimTracer(Isolate(rec))
 	br.Event(sim.TraceEvent{Kind: sim.TraceStart, Time: 1.0, TemplateID: 7, Stream: 2})
 	br.Event(sim.TraceEvent{Kind: sim.TraceStage, Time: 1.5, TemplateID: 7, Stream: 2, Table: "store_sales"})
 	br.Event(sim.TraceEvent{Kind: sim.TraceComplete, Time: 3.5, TemplateID: 7, Stream: 2})
@@ -414,13 +438,13 @@ func TestSimTracerBridge(t *testing.T) {
 	}
 
 	// Nil-observer bridge drops everything without dereferencing.
-	NewSimTracer(nil).Event(sim.TraceEvent{Kind: sim.TraceStart})
+	NewSimTracer(Sink{}).Event(sim.TraceEvent{Kind: sim.TraceStart})
 }
 
 func TestSimTracerOnEngine(t *testing.T) {
 	eng := sim.NewEngine(sim.DefaultConfig())
 	rec := NewRecording()
-	eng.SetTracer(NewSimTracer(rec))
+	eng.SetTracer(NewSimTracer(Isolate(rec)))
 	spec := sim.QuerySpec{
 		TemplateID: 1,
 		Stages: []sim.Stage{

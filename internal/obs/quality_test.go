@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"contender/internal/allocs"
 )
 
 // driftTestConfig is small enough that every state transition can be
@@ -232,8 +234,8 @@ func TestQualityWritePrometheusFamilies(t *testing.T) {
 func TestObserveWarmPathAllocs(t *testing.T) {
 	q := NewQuality(DriftConfig{})
 	q.Observe(5, 0.1) // cold path: tracker + handles
-	if avg := testing.AllocsPerRun(200, func() { q.Observe(5, 0.07) }); avg != 0 {
-		t.Errorf("warm Observe allocates %.1f allocs/op, want 0", avg)
+	if n := allocs.Count(200, func() { q.Observe(5, 0.07) }); n != 0 {
+		t.Errorf("warm Observe: %d allocations over 200 calls, want 0", n)
 	}
 }
 

@@ -18,25 +18,25 @@ import (
 // concurrent use — matching the sim.Engine it observes, which calls
 // its tracer inline from a single goroutine.
 type SimTracer struct {
-	o     Observer
+	o     Sink
 	start map[int]float64 // stream -> virtual admission time
 }
 
-// NewSimTracer returns a bridge forwarding to o. A nil o yields a
+// NewSimTracer returns a bridge forwarding to o. An empty o yields a
 // bridge that drops everything (still usable, never nil-dereferences).
-func NewSimTracer(o Observer) *SimTracer {
+func NewSimTracer(o Sink) *SimTracer {
 	return &SimTracer{o: o, start: map[int]float64{}}
 }
 
 // Event implements sim.Tracer.
 func (t *SimTracer) Event(ev sim.TraceEvent) {
-	if t.o == nil {
+	if !t.o.On() {
 		return
 	}
 	switch ev.Kind {
 	case sim.TraceStart:
 		t.start[ev.Stream] = ev.Time
-		Emit(t.o, Event{
+		t.o.Event(Event{
 			Kind:     SpanBegin,
 			Span:     SpanSimQuery,
 			Template: ev.TemplateID,
@@ -44,7 +44,7 @@ func (t *SimTracer) Event(ev sim.TraceEvent) {
 			Value:    ev.Time,
 		})
 	case sim.TraceStage:
-		Emit(t.o, Event{
+		t.o.Event(Event{
 			Kind:     Point,
 			Span:     PointSimStage,
 			Key:      stageKey(ev),
@@ -67,7 +67,7 @@ func (t *SimTracer) Event(ev sim.TraceEvent) {
 		if ok {
 			out.Dur = time.Duration((ev.Time - begin) * float64(time.Second))
 		}
-		Emit(t.o, out)
+		t.o.Event(out)
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 
 // Observed wraps a policy so every Order evaluation emits a
 // sched.policy span (Key = policy name, MPL = level, Value = batch
-// size). A nil observer returns p unchanged, keeping the
+// size). An empty sink returns p unchanged, keeping the
 // uninstrumented path free of indirection.
-func Observed(p Policy, o obs.Observer) Policy {
-	if o == nil {
+func Observed(p Policy, o obs.Sink) Policy {
+	if !o.On() {
 		return p
 	}
 	return observedPolicy{inner: p, o: o}
@@ -19,7 +19,7 @@ func Observed(p Policy, o obs.Observer) Policy {
 
 type observedPolicy struct {
 	inner Policy
-	o     obs.Observer
+	o     obs.Sink
 }
 
 // Name implements Policy.
@@ -29,7 +29,7 @@ func (p observedPolicy) Name() string { return p.inner.Name() }
 func (p observedPolicy) Order(batch []int, mpl int, predict LatencyFunc) ([]int, error) {
 	start := time.Now()
 	order, err := p.inner.Order(batch, mpl, predict)
-	obs.Emit(p.o, obs.Event{
+	p.o.Event(obs.Event{
 		Kind:  obs.SpanEnd,
 		Span:  obs.SpanSchedPolicy,
 		Key:   p.inner.Name(),
@@ -42,15 +42,15 @@ func (p observedPolicy) Order(batch []int, mpl int, predict LatencyFunc) ([]int,
 }
 
 // ObservedForecast is Forecast instrumented with a sched.forecast span
-// (MPL = level, Value = predicted makespan). A nil observer forwards
+// (MPL = level, Value = predicted makespan). An empty sink forwards
 // straight to Forecast.
-func ObservedForecast(o obs.Observer, order []int, mpl int, predict LatencyFunc) ([]JobForecast, float64, error) {
-	if o == nil {
+func ObservedForecast(o obs.Sink, order []int, mpl int, predict LatencyFunc) ([]JobForecast, float64, error) {
+	if !o.On() {
 		return Forecast(order, mpl, predict)
 	}
 	start := time.Now()
 	jobs, makespan, err := Forecast(order, mpl, predict)
-	obs.Emit(o, obs.Event{
+	o.Event(obs.Event{
 		Kind:  obs.SpanEnd,
 		Span:  obs.SpanSchedForecast,
 		MPL:   mpl,

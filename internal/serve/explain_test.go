@@ -181,7 +181,7 @@ func TestBinaryPredictExplain(t *testing.T) {
 // threshold keeps the log silent.
 func TestServeSlowLog(t *testing.T) {
 	var logged bytes.Buffer
-	s, _, _ := testServer(t, Config{Observer: obs.NewSlowLog(&logged, 0)}) // threshold 0: log everything
+	s, _, _ := testServer(t, Config{Observer: obs.Isolate(obs.NewSlowLog(&logged, 0))}) // threshold 0: log everything
 	h := s.Handler()
 
 	w, data := postJSON(t, h, "/v1/predict", PredictRequest{Primary: 1, Concurrent: []int{2}})
@@ -201,7 +201,7 @@ func TestServeSlowLog(t *testing.T) {
 	}
 
 	var quiet bytes.Buffer
-	s2, _, addr := testServer(t, Config{Observer: obs.NewSlowLog(&quiet, time.Hour)})
+	s2, _, addr := testServer(t, Config{Observer: obs.Isolate(obs.NewSlowLog(&quiet, time.Hour))})
 	w, data = postJSON(t, s2.Handler(), "/v1/predict", PredictRequest{Primary: 1, Concurrent: []int{2}})
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, data)

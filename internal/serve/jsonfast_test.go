@@ -311,12 +311,12 @@ func TestHTTPConcurrentScratch(t *testing.T) {
 // with the Metrics observer installed as contender-serve installs it.
 func benchmarkHTTPHandler(b *testing.B, path string, body any) {
 	m := obs.NewMetrics()
-	p := trainedPredictor(b).WithHooks(m, nil)
+	p := trainedPredictor(b).WithHooks(obs.Isolate(m), nil)
 	sh, err := core.NewSharded(p)
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := New(sh, Config{Observer: m})
+	s, err := New(sh, Config{Observer: obs.Isolate(m)})
 	if err != nil {
 		b.Fatal(err)
 	}

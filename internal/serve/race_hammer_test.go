@@ -36,7 +36,7 @@ func TestSwapHammerUnderLoad(t *testing.T) {
 	// Predictors never change once built, so re-publishing a retired
 	// one in the ping-pong is safe.
 	q := obs.NewQuality(obs.DriftConfig{MinSamples: 4, Delta: 0.05, Lambda: 1, StaleMRE: 0.3, RecoverMRE: 0.1, Window: 4})
-	p0, p1, p2 := trainedPredictor(t).WithHooks(nil, q), trainedPredictor(t).WithHooks(nil, q), trainedPredictor(t).WithHooks(nil, q)
+	p0, p1, p2 := trainedPredictor(t).WithHooks(obs.Sink{}, q), trainedPredictor(t).WithHooks(obs.Sink{}, q), trainedPredictor(t).WithHooks(obs.Sink{}, q)
 	sh, err := core.NewSharded(p0)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestShrinkingSwapHammer(t *testing.T) {
 	}
 	const removed = 5
 	q := obs.NewQuality(obs.DriftConfig{})
-	full := trainedPredictor(t).WithHooks(nil, q)
+	full := trainedPredictor(t).WithHooks(obs.Sink{}, q)
 	snap := full.Snapshot()
 	n := len(snap.Templates)
 	snap.Templates = slices.DeleteFunc(snap.Templates, func(ts core.TemplateSnapshot) bool { return ts.ID == removed })
@@ -234,7 +234,7 @@ func TestShrinkingSwapHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shrunk = shrunk.WithHooks(nil, q)
+	shrunk = shrunk.WithHooks(obs.Sink{}, q)
 
 	s, _, addr := testServer(t, Config{})
 	h := s.Handler()

@@ -74,11 +74,11 @@ type Server struct {
 
 // Config configures New. Zero values select the documented defaults.
 type Config struct {
-	// Observer receives serve.request spans and serve.* points (nil:
+	// Observer receives serve.request spans and serve.* points (empty:
 	// no observation; the wire layer stays clock-free). When it holds a
 	// *obs.Metrics (directly or in an obs.Multi), the contender_serve_*
 	// families register on that registry and fold per-request counters.
-	Observer obs.Observer
+	Observer obs.Sink
 	// Blame, when non-nil, receives the per-neighbor decomposition of
 	// every explain-enabled prediction — the server's feed into the
 	// pairwise blame matrix. Non-explain requests never touch it.
@@ -170,8 +170,8 @@ func (s *Server) observeRequest(op uint8, n int, dur time.Duration, err error) {
 			s.met.errors.With(CodeFor(err).String()).Inc()
 		}
 	}
-	if s.cfg.Observer != nil {
-		obs.Emit(s.cfg.Observer, obs.Event{
+	if s.cfg.Observer.On() {
+		s.cfg.Observer.Event(obs.Event{
 			Kind:  obs.SpanEnd,
 			Span:  obs.SpanServeRequest,
 			Key:   opName(op),
@@ -188,7 +188,7 @@ func (s *Server) overloaded(op string) {
 		s.met.overloads.Inc()
 		s.met.errors.With(CodeOverloaded.String()).Inc()
 	}
-	obs.Emit(s.cfg.Observer, obs.Event{Kind: obs.Point, Span: obs.PointServeOverload, Key: op})
+	s.cfg.Observer.Event(obs.Event{Kind: obs.Point, Span: obs.PointServeOverload, Key: op})
 }
 
 // ---------------------------------------------------------------------------
@@ -241,14 +241,14 @@ func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request) {
 		defer s.httpA.release()
 	}
 	var start time.Duration
-	if s.cfg.Observer != nil {
+	if s.cfg.Observer.On() {
 		start = obs.Mono()
 	}
 	sc := scratchPool.Get().(*httpScratch)
 	defer sc.release()
 	n, err := s.answer(sc, r.Body, fields)
 	var dur time.Duration
-	if s.cfg.Observer != nil {
+	if s.cfg.Observer.On() {
 		dur = obs.Mono() - start
 	}
 	s.observeRequest(op, n, dur, err)
@@ -384,7 +384,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		if s.met.connections != nil {
 			s.met.connections.Inc()
 		}
-		obs.Emit(s.cfg.Observer, obs.Event{Kind: obs.Point, Span: obs.PointServeConn})
+		s.cfg.Observer.Event(obs.Event{Kind: obs.Point, Span: obs.PointServeConn})
 		s.connWg.Add(1)
 		go s.serveConn(conn)
 	}
@@ -581,7 +581,7 @@ func (st *connState) handleFrame(op uint8, reqID uint32, payload []byte) {
 		defer st.adm.release()
 	}
 	var start time.Duration
-	if s.cfg.Observer != nil {
+	if s.cfg.Observer.On() {
 		start = obs.Mono()
 	}
 	var n int
@@ -665,7 +665,7 @@ func (st *connState) handleFrame(op uint8, reqID uint32, payload []byte) {
 		err = fmt.Errorf("%w: opcode %d", ErrBadRequest, op)
 	}
 	var dur time.Duration
-	if s.cfg.Observer != nil {
+	if s.cfg.Observer.On() {
 		dur = obs.Mono() - start
 	}
 	s.observeRequest(op, n, dur, err)

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"testing"
 
+	"contender/internal/allocs"
 	"contender/internal/sim"
 	"contender/internal/tpcds"
 )
@@ -26,8 +27,8 @@ func steadyRun(tb testing.TB) func() {
 func TestWarmSteadyStateRunDoesNotAllocate(t *testing.T) {
 	run := steadyRun(t)
 	run() // sizes the free list and the scratch
-	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
-		t.Fatalf("a warm steady-state run allocated %v times, want 0", allocs)
+	if n := allocs.Count(5, run); n != 0 {
+		t.Fatalf("5 warm steady-state runs allocated %d times, want 0", n)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"contender/internal/core"
 	"contender/internal/experiments"
 	"contender/internal/lifecycle"
+	"contender/internal/obs"
 )
 
 // Self-healing lifecycle facade: close the drift loop. A workbench built
@@ -115,8 +116,8 @@ func (w *Workbench) Lifecycle(s *Sharded, cfg LifecycleConfig) (*Lifecycle, erro
 			return out
 		}
 	}
-	observer := cfg.Observer
-	if observer == nil {
+	observer := obs.Isolate(cfg.Observer)
+	if !observer.On() {
 		observer = w.env.Opts.Observer
 	}
 	st := cfg.Store

@@ -125,7 +125,7 @@ func MultiObserver(observers ...Observer) Observer { return obs.Multi(observers.
 // EmitEvent delivers ev to o, tolerating a nil or panicking observer —
 // for user code that wants to inject its own events into an observer
 // pipeline alongside Contender's.
-func EmitEvent(o Observer, ev Event) { obs.Emit(o, ev) }
+func EmitEvent(o Observer, ev Event) { obs.Isolate(o).Event(ev) }
 
 // WithObserver installs an Observer on the sampling campaign (and, via
 // Workbench.Train, on the resulting Predictor). Observation never
@@ -135,12 +135,21 @@ func EmitEvent(o Observer, ev Event) { obs.Emit(o, ev) }
 // WithWorkers(1) the event order is fully deterministic; with more
 // workers the event SET is deterministic but arrival order is not.
 func WithObserver(o Observer) Option {
-	return func(c *config) { c.opts.Observer = o }
+	return func(c *config) { c.opts.Observer = obs.Isolate(o) }
 }
 
-// Observer returns the observer the workbench was built with (nil when
-// none was installed).
-func (w *Workbench) Observer() Observer { return w.env.Opts.Observer }
+// Observer returns the observer the workbench was built with, isolated
+// as every instrumented layer holds it (nil when none was installed).
+func (w *Workbench) Observer() Observer { return observerOf(w.env.Opts.Observer) }
+
+// observerOf returns s as an Observer: nil when it holds none, so the
+// accessors keep answering nil for an uninstrumented handle.
+func observerOf(s obs.Sink) Observer {
+	if !s.On() {
+		return nil
+	}
+	return s
+}
 
 // MetricsSnapshot returns a point-in-time copy of the metrics collected
 // so far, when the workbench was built with a Metrics observer (alone
@@ -165,7 +174,7 @@ func (w *Workbench) ObserveSimulation(o Observer) {
 		w.env.Engine.SetTracer(nil)
 		return
 	}
-	w.env.Engine.SetTracer(obs.NewSimTracer(o))
+	w.env.Engine.SetTracer(obs.NewSimTracer(obs.Isolate(o)))
 }
 
 // Compile-time interface checks for the shipped observers.

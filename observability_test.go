@@ -8,6 +8,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"contender/internal/allocs"
+	"contender/internal/obs"
 )
 
 // quickObsOptions is a small, fast sampling design shared by the
@@ -85,10 +88,16 @@ func TestGoldenObserverEventStreamWithFaults(t *testing.T) {
 }
 
 // panickingObserver panics on every event — the adversarial observer of
-// the isolation guarantee.
-type panickingObserver struct{}
+// the isolation guarantee. A non-nil log records each event first, so a
+// test can tell which emission sites the panic was raised at.
+type panickingObserver struct{ log *RecordingObserver }
 
-func (panickingObserver) Event(Event) { panic("hostile observer") }
+func (p panickingObserver) Event(ev Event) {
+	if p.log != nil {
+		p.log.Event(ev)
+	}
+	panic("hostile observer")
+}
 
 // TestPanickingObserverCannotCorruptTraining: an observer that panics on
 // every single event must not change what is trained. The resulting
@@ -161,13 +170,13 @@ func TestPredictKnownZeroAllocWithoutObserver(t *testing.T) {
 	if _, err := pred.PredictKnown(71, mix); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
+	n := allocs.Count(200, func() {
 		if _, err := pred.PredictKnown(71, mix); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("PredictKnown without observer: %.1f allocs/op, want 0", allocs)
+	if n != 0 {
+		t.Fatalf("PredictKnown without observer: %d allocations over 200 calls, want 0", n)
 	}
 }
 
@@ -223,7 +232,7 @@ func TestSnapshotSettersLeaveServedPredictor(t *testing.T) {
 		h := sh.Snapshot()
 		h.SetObserver(rec)
 		h.SetQuality(q)
-		if h.Observer() != Observer(rec) || h.Quality() != q {
+		if h.Observer() != Observer(obs.Isolate(rec)) || h.Quality() != q {
 			t.Fatal("the setters did not rebind the handle they were called on")
 		}
 		runtime.Gosched()
@@ -236,7 +245,7 @@ func TestSnapshotSettersLeaveServedPredictor(t *testing.T) {
 	if n := q.Report().Samples; n != 0 {
 		t.Errorf("the new aggregator folded %d samples: the served predictor was rebound", n)
 	}
-	if p := sh.Snapshot(); p.Observer() != Observer(served) || p.Quality() != servedQ {
+	if p := sh.Snapshot(); p.Observer() != Observer(obs.Isolate(served)) || p.Quality() != servedQ {
 		t.Error("the served predictor lost its own hooks")
 	}
 	if served.CountSpan(SpanServePredictKnown) == 0 || servedQ.Report().Samples == 0 {
@@ -251,7 +260,7 @@ func TestServingSpans(t *testing.T) {
 	rec := NewRecordingObserver()
 	pred.SetObserver(rec)
 	defer pred.SetObserver(nil)
-	if pred.Observer() != Observer(rec) {
+	if pred.Observer() != Observer(obs.Isolate(rec)) {
 		t.Fatal("Observer() accessor lost the observer")
 	}
 

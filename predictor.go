@@ -28,10 +28,13 @@ func (p *Predictor) MPLs() []int { return p.inner.MPLs() }
 // new observer, so a Sharded or server already serving the model keeps
 // its own. Without an observer the serving hot path performs no clock
 // reads and no allocations.
-func (p *Predictor) SetObserver(o Observer) { p.inner = p.inner.WithHooks(o, p.inner.Quality()) }
+func (p *Predictor) SetObserver(o Observer) {
+	p.inner = p.inner.WithHooks(obs.Isolate(o), p.inner.Quality())
+}
 
-// Observer returns the predictor's serving observer (nil when none).
-func (p *Predictor) Observer() Observer { return p.inner.Observer() }
+// Observer returns the predictor's serving observer, isolated as the
+// predictor holds it (nil when none).
+func (p *Predictor) Observer() Observer { return observerOf(p.inner.Observer()) }
 
 // SetQuality installs (or, with nil, removes) the prediction-quality
 // aggregator that Feedback streams into. Predictors trained with
@@ -74,12 +77,12 @@ func (p *Predictor) PredictKnown(template int, concurrent []int) (float64, error
 // ErrUnknownTemplate; use CQIForStats for ad-hoc primaries.
 func (p *Predictor) CQI(primary int, concurrent []int) (float64, error) {
 	o := p.inner.Observer()
-	if o == nil {
+	if !o.On() {
 		return p.inner.Knowledge().CQI(primary, concurrent)
 	}
 	start := obs.Mono()
 	r, err := p.inner.Knowledge().CQI(primary, concurrent)
-	obs.Emit(o, Event{
+	o.Event(Event{
 		Kind:     obs.SpanEnd,
 		Span:     obs.SpanServeCQI,
 		Template: primary,

@@ -102,7 +102,7 @@ type Server struct {
 func NewServer(s *Sharded, opts ...ServeOption) (*Server, error) {
 	cfg := buildServeConfig(opts)
 	inner, err := serve.New(s.inner, serve.Config{
-		Observer:  obs.Multi(cfg.observer, cfg.slowLog),
+		Observer:  obs.Isolate(obs.Multi(cfg.observer, cfg.slowLog)),
 		Blame:     cfg.blame,
 		MaxBatch:  cfg.maxBatch,
 		Admission: cfg.admission,
@@ -143,7 +143,7 @@ func (s *Server) Shutdown(ctx context.Context) error { return s.inner.Shutdown(c
 // caller's hands.
 func (w *Workbench) Serve(ctx context.Context, p *Predictor, addr string, opts ...ServeOption) (*BoundServer, error) {
 	cfg := buildServeConfig(opts)
-	if o := w.env.Opts.Observer; o != nil && cfg.observer == nil {
+	if o := w.env.Opts.Observer; o.On() && cfg.observer == nil {
 		opts = append(opts, WithServeObserver(o))
 	}
 	if w.blame != nil && cfg.blame == nil {

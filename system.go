@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"contender/internal/experiments"
+	"contender/internal/obs"
 )
 
 // Integration interface: Contender's models consume only a handful of
@@ -96,7 +97,7 @@ func (c TrainConfig) envOptions() experiments.Options {
 		Retry:          c.Retry,
 		Faults:         c.Faults,
 		CheckpointPath: c.CheckpointPath,
-		Observer:       c.Observer,
+		Observer:       obs.Isolate(c.Observer),
 	}
 }
 
@@ -148,7 +149,7 @@ func TrainFromSystemContext(ctx context.Context, sys System, cfg TrainConfig) (*
 	if err != nil {
 		return nil, fmt.Errorf("contender: training from system: %w", err)
 	}
-	inner, err := fit(c.Know, c.AllObservations(), cfg.Observer, cfg.Quality)
+	inner, err := fit(c.Know, c.AllObservations(), obs.Isolate(cfg.Observer), cfg.Quality)
 	if err != nil {
 		return nil, err
 	}
